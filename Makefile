@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast verify smoke obs-smoke resilience-smoke parallel-smoke compile-smoke quant-smoke serving-smoke trace-smoke cascade-smoke lifecycle-smoke bench examples report clean
+.PHONY: install test test-fast verify bench-test smoke obs-smoke resilience-smoke parallel-smoke compile-smoke quant-smoke serving-smoke trace-smoke cascade-smoke lifecycle-smoke bench examples report clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -14,9 +14,14 @@ test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow" -x
 
 # Tier-1 gate: the full suite plus a bytecode compile of the library.
-verify: obs-smoke resilience-smoke parallel-smoke compile-smoke quant-smoke serving-smoke trace-smoke cascade-smoke lifecycle-smoke
+verify: obs-smoke resilience-smoke parallel-smoke compile-smoke quant-smoke serving-smoke trace-smoke cascade-smoke lifecycle-smoke bench-test
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(PYTHON) -m compileall -q src
+
+# End-to-end benchmark's own tests (~35 s): a library rename that breaks
+# the hooks bench_e2e wraps fails here, before a benchmark run.
+bench-test:
+	PYTHONPATH=src:. $(PYTHON) -m pytest -q bench_e2e
 
 # Seconds-fast sanity check: build + price one scorer of every backend.
 smoke:

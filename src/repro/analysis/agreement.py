@@ -10,7 +10,6 @@ error versus metric noise.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.datasets.base import LtrDataset
 from repro.utils.validation import check_array_1d
@@ -26,6 +25,10 @@ def score_agreement(
     Queries with fewer than two documents (where tau is undefined) are
     skipped; returns ``nan`` if no query qualifies.
     """
+    # Imported here: scipy.stats adds ~50 MB to every process that
+    # imports repro, serving processes included.
+    from scipy.stats import kendalltau
+
     a = check_array_1d(scores_a, "scores_a")
     b = check_array_1d(scores_b, "scores_b")
     if len(a) != dataset.n_docs or len(b) != dataset.n_docs:
@@ -35,7 +38,7 @@ def score_agreement(
         sl = dataset.query_slice(qi)
         if sl.stop - sl.start < 2:
             continue
-        tau, _ = stats.kendalltau(a[sl], b[sl])
+        tau, _ = kendalltau(a[sl], b[sl])
         if not np.isnan(tau):
             taus.append(tau)
     return float(np.mean(taus)) if taus else float("nan")

@@ -11,7 +11,6 @@ teacher forest splits on most.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.distill.student import DistilledStudent
 from repro.forest.ensemble import TreeEnsemble
@@ -51,7 +50,11 @@ def feature_selection_agreement(
         )
     if np.all(usage == usage[0]) or np.all(importance == importance[0]):
         return float("nan")
-    rho, _ = stats.spearmanr(usage, importance)
+    # Imported here: scipy.stats adds ~50 MB to every process that
+    # imports repro, serving processes included.
+    from scipy.stats import spearmanr
+
+    rho, _ = spearmanr(usage, importance)
     return float(rho)
 
 

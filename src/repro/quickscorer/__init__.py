@@ -7,9 +7,10 @@ against (Lucchese et al., SIGIR 2015; Dato et al., TOIS 2016):
   internal node carries a mask zeroing the leaves that become unreachable
   when its test evaluates *false*; ANDing the masks of all false nodes
   leaves the exit leaf as the first set bit.
-* :mod:`repro.quickscorer.scorer` — the feature-wise traversal itself,
-  numerically identical to walking every tree root-to-leaf (tested
-  property), plus per-document visited-node statistics.
+* :mod:`repro.quickscorer.scorer` — the traversal itself in vectorized
+  (vQS) form, numerically identical to walking every tree root-to-leaf
+  (tested property), plus the feature-wise scan's visited-node
+  statistics.
 * :mod:`repro.quickscorer.blockwise` — BWQS tree blocking against the L3
   cache.
 * :mod:`repro.quickscorer.cost` — the µs/doc cost model calibrated on the

@@ -7,10 +7,14 @@ bitvector with ones everywhere except the positions of its left-subtree
 leaves.  ANDing the masks of all false nodes of a tree yields ``leafidx``
 whose lowest set bit is the exit leaf (Section 2.2 of the paper).
 
-Nodes are then re-organized *feature by feature* with thresholds in
-ascending order: scoring a document scans each feature's list while
-``x[f] > threshold`` and stops at the first test that holds, because every
-later threshold would hold as well.
+The encoder emits the nodes twice.  Flat, tree-ordered arrays (feature,
+threshold and the *cleared* bits, i.e. the complement of the mask) feed
+the scorer, which tests every node at once.  The same nodes re-organized
+*feature by feature* with thresholds in ascending order form the lists
+of the original QuickScorer scan, which walks each feature's list while
+``x[f] > threshold`` and stops at the first test that holds, because
+every later threshold would hold as well; the traversal statistics are
+counted against that scan.
 
 Bitvectors are stored LSB-first in little-endian ``uint64`` words; trees
 with more than 64 leaves simply use multiple words per bitvector, which
@@ -41,7 +45,13 @@ class FeatureNodeList:
 
 @dataclass(frozen=True)
 class EncodedForest:
-    """QuickScorer-ready representation of a :class:`TreeEnsemble`."""
+    """QuickScorer-ready representation of a :class:`TreeEnsemble`.
+
+    The ``node_*`` arrays hold every internal node in tree order (tree
+    ``t`` owns rows ``tree_offsets[t]:tree_offsets[t + 1]``, empty for a
+    single-leaf tree); ``feature_lists`` regroups the same nodes feature
+    by feature.
+    """
 
     n_trees: int
     n_features: int
@@ -50,8 +60,16 @@ class EncodedForest:
     init_leafidx: np.ndarray  # (n_trees, n_words) uint64, valid-leaf bits
     leaf_values: np.ndarray  # (n_trees, n_words * 64) float64, weighted
     base_score: float
+    node_feature: np.ndarray  # (n_nodes,) intp
+    node_threshold: np.ndarray  # (n_nodes,) float64
+    node_cleared: np.ndarray  # (n_nodes, n_words) uint64, left-subtree leaves
+    tree_offsets: np.ndarray  # (n_trees + 1,) intp
     feature_lists: tuple[FeatureNodeList, ...]
-    total_internal_nodes: int
+
+    @property
+    def total_internal_nodes(self) -> int:
+        """Internal nodes over all trees (rows of the ``node_*`` arrays)."""
+        return len(self.node_feature)
 
     def structure_bytes(self) -> int:
         """Approximate memory footprint of the traversal structures.
@@ -87,23 +105,55 @@ def _leaf_spans(tree: RegressionTree) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _range_mask(lo: int, hi: int, n_words: int) -> np.ndarray:
-    """uint64 words with bits [lo, hi) cleared and all others set."""
-    words = np.full(n_words, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-    for bit in range(lo, hi):
-        w, b = divmod(bit, 64)
-        words[w] &= np.uint64(~(1 << b) & 0xFFFFFFFFFFFFFFFF)
-    return words
+_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def _ones_mask(n_bits: int, n_words: int) -> np.ndarray:
-    """uint64 words with the lowest ``n_bits`` bits set."""
-    words = np.zeros(n_words, dtype=np.uint64)
-    full, rem = divmod(n_bits, 64)
-    words[:full] = np.uint64(0xFFFFFFFFFFFFFFFF)
-    if rem:
-        words[full] = np.uint64((1 << rem) - 1)
-    return words
+def _ones_mask(n_bits, n_words: int) -> np.ndarray:
+    """uint64 words with the lowest ``n_bits`` bits set.
+
+    Broadcasts over an array of ``n_bits``: the result has shape
+    ``(*np.shape(n_bits), n_words)``.
+    """
+    in_word = np.clip(
+        np.asarray(n_bits, dtype=np.int64)[..., None]
+        - 64 * np.arange(n_words, dtype=np.int64),
+        0,
+        64,
+    )
+    # A shift by 64 is undefined, so empty words are zeroed separately.
+    shift = np.minimum(64 - in_word, 63).astype(np.uint64)
+    return np.where(in_word > 0, _ALL_ONES >> shift, np.uint64(0))
+
+
+def _range_mask(lo, hi, n_words: int) -> np.ndarray:
+    """uint64 words with bits [lo, hi) cleared and all others set.
+
+    Broadcasts over arrays of ``lo`` / ``hi`` like :func:`_ones_mask`.
+    """
+    return ~_ones_mask(hi, n_words) | _ones_mask(lo, n_words)
+
+
+def _feature_lists(
+    node_feature: np.ndarray,
+    node_threshold: np.ndarray,
+    node_tree: np.ndarray,
+    node_cleared: np.ndarray,
+) -> tuple[FeatureNodeList, ...]:
+    """Regroup tree-ordered nodes by feature, thresholds ascending.
+
+    Ties keep tree order (``lexsort`` is stable).
+    """
+    order = np.lexsort((node_threshold, node_feature))
+    features, starts = np.unique(node_feature[order], return_index=True)
+    return tuple(
+        FeatureNodeList(
+            feature=int(feature),
+            thresholds=node_threshold[rows],
+            tree_ids=node_tree[rows],
+            masks=~node_cleared[rows],
+        )
+        for feature, rows in zip(features, np.split(order, starts[1:]))
+    )
 
 
 def encode_forest(ensemble: TreeEnsemble) -> EncodedForest:
@@ -119,9 +169,8 @@ def encode_forest(ensemble: TreeEnsemble) -> EncodedForest:
 
     init = np.zeros((ensemble.n_trees, n_words), dtype=np.uint64)
     leaf_values = np.zeros((ensemble.n_trees, n_words * 64), dtype=np.float64)
-
-    per_feature: dict[int, list[tuple[float, int, np.ndarray]]] = {}
-    total_internal = 0
+    features, thresholds, cleared = [], [], []
+    offsets = np.zeros(ensemble.n_trees + 1, dtype=np.intp)
 
     for t, (tree, weight) in enumerate(zip(ensemble.trees, ensemble.weights)):
         lo, hi = _leaf_spans(tree)
@@ -129,31 +178,19 @@ def encode_forest(ensemble: TreeEnsemble) -> EncodedForest:
         leaf_order = tree.leaf_indices()
         leaf_values[t, : len(leaf_order)] = weight * tree.value[leaf_order]
 
-        for node in tree.internal_nodes():
-            total_internal += 1
-            left_child = int(tree.left[node])
-            mask = _range_mask(int(lo[left_child]), int(hi[left_child]), n_words)
-            feature = int(tree.feature[node])
-            per_feature.setdefault(feature, []).append(
-                (float(tree.threshold[node]), t, mask)
-            )
+        internal = tree.internal_nodes()
+        left = tree.left[internal]
+        features.append(tree.feature[internal])
+        thresholds.append(tree.threshold[internal])
+        cleared.append(~_range_mask(lo[left], hi[left], n_words))
+        offsets[t + 1] = offsets[t] + len(internal)
 
-    lists = []
-    for feature in sorted(per_feature):
-        entries = per_feature[feature]
-        entries.sort(key=lambda e: e[0])
-        thresholds = np.asarray([e[0] for e in entries], dtype=np.float64)
-        tree_ids = np.asarray([e[1] for e in entries], dtype=np.int32)
-        masks = np.stack([e[2] for e in entries])
-        lists.append(
-            FeatureNodeList(
-                feature=feature,
-                thresholds=thresholds,
-                tree_ids=tree_ids,
-                masks=masks,
-            )
-        )
-
+    node_feature = np.concatenate(features).astype(np.intp)
+    node_threshold = np.concatenate(thresholds)
+    node_cleared = np.concatenate(cleared).reshape(-1, n_words)
+    node_tree = np.repeat(
+        np.arange(ensemble.n_trees, dtype=np.int32), np.diff(offsets)
+    )
     return EncodedForest(
         n_trees=ensemble.n_trees,
         n_features=ensemble.n_features,
@@ -162,6 +199,11 @@ def encode_forest(ensemble: TreeEnsemble) -> EncodedForest:
         init_leafidx=init,
         leaf_values=leaf_values,
         base_score=ensemble.base_score,
-        feature_lists=tuple(lists),
-        total_internal_nodes=total_internal,
+        node_feature=node_feature,
+        node_threshold=node_threshold,
+        node_cleared=node_cleared,
+        tree_offsets=offsets,
+        feature_lists=_feature_lists(
+            node_feature, node_threshold, node_tree, node_cleared
+        ),
     )

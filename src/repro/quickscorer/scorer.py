@@ -1,15 +1,21 @@
-"""The QuickScorer traversal.
+"""The QuickScorer traversal, in its vectorized (vQS) form.
 
-Scores documents exactly as the C++ QuickScorer does, vectorized across
-the document batch: for every feature, the ascending threshold list is
-scanned and the masks of all *false* nodes (``x[f] > threshold``) are
-ANDed into each tree's ``leafidx``; the exit leaf of a tree is the lowest
-set bit of its final ``leafidx``.
+Scores documents exactly as the C++ QuickScorer does, but branch-free:
+instead of scanning each feature's ascending threshold list and stopping
+at the first test that holds, every internal node is tested at once
+over a block of documents.  A node is *false* when ``~(x[f] <= t)``
+(so a NaN feature is false, as in :meth:`TreeEnsemble.predict`).  For
+each tree the cleared-leaf bits of its false nodes are OR-reduced; the
+complement of that union, ANDed with the tree's valid-leaf bits, is the
+``leafidx`` whose lowest set bit is the exit leaf.  Blocks of documents
+bound the ``docs x nodes`` intermediates to about 1 MB.
 
 Besides scores, the traversal reports :class:`TraversalStats` — in
-particular the measured fraction of false nodes, the quantity the
-QuickScorer papers show drops from ~80% of nodes (classical root-to-leaf
-traversal) to ~30%, and which drives the cost model.
+particular the fraction of false nodes, the quantity the QuickScorer
+papers show drops from ~80% of nodes (classical root-to-leaf traversal)
+to ~30%, and which drives the cost model.  The counts are those of the
+early-exit scan (false nodes, plus the one stopping test per feature
+list), not of the all-node evaluation that actually runs.
 """
 
 from __future__ import annotations
@@ -84,29 +90,40 @@ class TraversalStats:
         )
 
 
+#: Target size of the per-block ``docs x nodes`` intermediates.
+_BLOCK_BYTES = 1 << 20
+
+
 class QuickScorer:
-    """Feature-wise scorer over an encoded forest.
+    """Vectorized QuickScorer over an encoded forest.
 
     Parameters
     ----------
     forest:
         A :class:`TreeEnsemble` (encoded on construction) or an already
         :class:`EncodedForest`.
-    batch_size:
-        Documents scored per internal batch; bounds the
-        ``docs x trees x words`` working array.
     """
 
-    def __init__(
-        self, forest: TreeEnsemble | EncodedForest, batch_size: int = 2048
-    ) -> None:
+    def __init__(self, forest: TreeEnsemble | EncodedForest) -> None:
         if isinstance(forest, TreeEnsemble):
             forest = encode_forest(forest)
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.encoded = forest
-        self.batch_size = batch_size
         self.last_stats: TraversalStats | None = None
+        # Per document: the gathered float64 feature, the two boolean
+        # test results and the cleared words of every node.
+        row_bytes = forest.total_internal_nodes * (8 + 2 + 8 * forest.n_words)
+        self._block_rows = max(1, _BLOCK_BYTES // max(row_bytes, 1))
+        # reduceat needs non-empty segments: single-leaf trees (no
+        # internal node) are left out and keep their init_leafidx.
+        self._split_trees = np.flatnonzero(np.diff(forest.tree_offsets))
+        self._segment_starts = forest.tree_offsets[self._split_trees]
+        lists = forest.feature_lists
+        self._list_features = np.asarray(
+            [fl.feature for fl in lists], dtype=np.intp
+        )
+        self._list_max = np.asarray(
+            [fl.thresholds[-1] for fl in lists], dtype=np.float64
+        )
 
     def score(self, features) -> np.ndarray:
         """Score a batch of documents; records :attr:`last_stats`."""
@@ -123,12 +140,12 @@ class QuickScorer:
         with obs.span(
             "quickscorer.score", docs=len(x), trees=self.encoded.n_trees
         ):
-            for start in range(0, len(x), self.batch_size):
-                chunk = x[start : start + self.batch_size]
-                chunk_scores, n_false, n_exam = self._score_chunk(chunk)
-                scores[start : start + len(chunk)] = chunk_scores
+            for start in range(0, len(x), self._block_rows):
+                block = x[start : start + self._block_rows]
+                block_scores, n_false, n_examined = self._score_block(block)
+                scores[start : start + len(block)] = block_scores
                 false_total += n_false
-                examined_total += n_exam
+                examined_total += n_examined
         self.last_stats = TraversalStats(
             n_docs=len(x),
             n_trees=self.encoded.n_trees,
@@ -138,41 +155,31 @@ class QuickScorer:
         )
         return scores
 
-    def _score_chunk(self, x: np.ndarray) -> tuple[np.ndarray, int, int]:
+    def _score_block(self, x: np.ndarray) -> tuple[np.ndarray, int, int]:
+        """Scores of ``x`` and the false / examined node counts of the
+        early-exit scan (see :class:`TraversalStats`)."""
         enc = self.encoded
-        n_docs = len(x)
-        leafidx = np.broadcast_to(
-            enc.init_leafidx, (n_docs, enc.n_trees, enc.n_words)
-        ).copy()
-
-        false_total = 0
-        examined_total = 0
-        for flist in enc.feature_lists:
-            xf = x[:, flist.feature]
-            # Number of false nodes per doc: thresholds strictly below x.
-            counts = np.searchsorted(flist.thresholds, xf, side="left")
-            false_total += int(counts.sum())
-            # Each doc examines its false nodes plus the stopping one.
-            examined_total += int(
-                np.minimum(counts + 1, len(flist.thresholds)).sum()
-            )
-            max_count = int(counts.max()) if n_docs else 0
-            # Ascending scan: node i is applied by docs with counts > i.
-            # Docs are sorted implicitly by processing masks in order and
-            # shrinking the active set.
-            if max_count == 0:
-                continue
-            order = np.argsort(-counts, kind="stable")
-            sorted_counts = counts[order]
-            for i in range(max_count):
-                # Active prefix: docs whose count exceeds i.
-                n_active = int(np.searchsorted(-sorted_counts, -i, side="left"))
-                if n_active == 0:
-                    break
-                docs = order[:n_active]
-                trees = flist.tree_ids[i]
-                leafidx[docs, trees, :] &= flist.masks[i]
+        # ~(x <= t), not x > t: a NaN feature makes the node false, as in
+        # TreeEnsemble.predict.
+        false = ~(x[:, enc.node_feature] <= enc.node_threshold)
+        cleared = np.bitwise_or.reduceat(
+            false[:, :, None] * enc.node_cleared, self._segment_starts, axis=1
+        )
+        leafidx = np.repeat(enc.init_leafidx[None], len(x), axis=0)
+        leafidx[:, self._split_trees] &= ~cleared
         positions = _lowest_set_bit_position(leafidx)
         tree_idx = np.arange(enc.n_trees)[None, :]
         values = enc.leaf_values[tree_idx, positions]
-        return enc.base_score + values.sum(axis=1), false_total, examined_total
+        scores = enc.base_score + values.sum(axis=1)
+
+        # The scan of a feature list examines each false node plus the
+        # one that stops it, unless every node of the list is false:
+        # sum(min(count + 1, len)) over the lists.
+        n_false = int(np.count_nonzero(false))
+        all_false = ~(x[:, self._list_features] <= self._list_max)
+        n_examined = (
+            n_false
+            + len(x) * len(self._list_features)
+            - int(np.count_nonzero(all_false))
+        )
+        return scores, n_false, n_examined

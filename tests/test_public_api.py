@@ -1,6 +1,9 @@
 """The documented public API is importable and consistent."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -132,3 +135,15 @@ class TestPublicApi:
         )
         for name in serving.__all__:
             assert hasattr(serving, name), f"repro.serving lacks {name}"
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs ~50 MB of RSS; only the analysis helpers use
+        # it, and they import it when called.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = "import sys, repro; print('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "False"

@@ -1,14 +1,22 @@
 """Tests for repro.quickscorer.scorer — traversal correctness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import make_msn30k_like
-from repro.forest import FeatureBinner, GradientBoostingConfig, LambdaMartRanker
+from repro.forest import (
+    FeatureBinner,
+    GradientBoostingConfig,
+    LambdaMartRanker,
+    TreeEnsemble,
+)
 from repro.quickscorer import QuickScorer
 from repro.quickscorer.scorer import _lowest_set_bit_position
+from tests.test_property_quickscorer import random_tree
 
 
 class TestLowestSetBit:
@@ -62,10 +70,18 @@ class TestScoringCorrectness:
         np.testing.assert_allclose(qs.score(x), small_forest.predict(x))
 
     def test_batching_equivalent(self, small_forest, tiny_dataset):
-        x = tiny_dataset.features[:100]
-        big = QuickScorer(small_forest, batch_size=4096).score(x)
-        small = QuickScorer(small_forest, batch_size=7).score(x)
-        np.testing.assert_allclose(big, small)
+        # ShardedScorer and ScoreCache rely on a row's score not
+        # depending on the rows scored with it; 3000 rows also span
+        # more than one internal block.
+        rng = np.random.default_rng(7)
+        x = tiny_dataset.features[rng.integers(0, len(tiny_dataset.features), 3000)]
+        qs = QuickScorer(small_forest)
+        alone = np.concatenate([qs.score(row[None]) for row in x])
+        for batch in (7, 256, 3000):
+            batched = np.concatenate(
+                [qs.score(x[i : i + batch]) for i in range(0, len(x), batch)]
+            )
+            np.testing.assert_array_equal(batched, alone)
 
     def test_multi_word_forest(self):
         # Forest whose trees exceed 64 leaves: multi-word bitvectors.
@@ -79,13 +95,41 @@ class TestScoringCorrectness:
         x = data.features[:100]
         np.testing.assert_allclose(qs.score(x), forest.predict(x), atol=1e-10)
 
+    def test_forest_of_single_leaf_trees(self):
+        stump = random_tree(np.random.default_rng(0), 3, 0)
+        forest = TreeEnsemble(
+            trees=[stump, stump], weights=np.array([0.5, 0.25]),
+            base_score=1.0, n_features=3,
+        )
+        qs = QuickScorer(forest)
+        x = np.array([[0.0, np.nan, 1.0], [np.inf, -np.inf, 0.5]])
+        np.testing.assert_array_equal(qs.score(x), forest.predict(x))
+        assert qs.last_stats.false_nodes_total == 0
+        assert qs.last_stats.thresholds_examined_total == 0
+
     def test_feature_count_validated(self, small_forest):
         with pytest.raises(ValueError, match="expected"):
             QuickScorer(small_forest).score(np.zeros((2, 3)))
 
-    def test_invalid_batch_size(self, small_forest):
-        with pytest.raises(ValueError):
-            QuickScorer(small_forest, batch_size=0)
+    def test_memory_bounded_by_blocks(self):
+        # 20,000 docs x 992 nodes would be ~150 MB per docs x nodes
+        # array; blocking keeps the working set near 1 MB whatever the
+        # number of documents.
+        rng = np.random.default_rng(0)
+        trees = [random_tree(rng, 20, 5, leaf_prob=0.0) for _ in range(32)]
+        forest = TreeEnsemble(
+            trees=trees, weights=np.full(32, 0.1), base_score=0.0, n_features=20
+        )
+        qs = QuickScorer(forest)
+        assert qs.encoded.total_internal_nodes == 992
+        x = rng.uniform(size=(20_000, 20))
+        tracemalloc.start()
+        try:
+            scores = qs.score(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - scores.nbytes < 2 * 2**20
 
 
 class TestTraversalStats:
