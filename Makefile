@@ -43,8 +43,10 @@ parallel-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.runtime.parallel_smoke
 
 # Compiled-inference gate: float64 plans bit-identical to predict /
-# the hybrid reference, zero steady-state allocations, and a measured
-# >= 1.3x float32 speedup over naive scoring on a pruned network.
+# the hybrid reference, zero steady-state allocations (native and
+# stable plans), and a measured >= 1.3x float32 speedup over naive
+# scoring on a pruned network.  Stable-plan chunk invariance is a
+# tier-1 test (tests/test_runtime_compile.py::TestStableMode).
 compile-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.runtime.compile_smoke
 

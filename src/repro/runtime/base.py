@@ -18,12 +18,11 @@ backends) is adapted to one small interface:
 Adapters additionally guarantee **chunk-invariant scoring**: splitting a
 feature matrix into micro-batches of any size yields bit-identical
 scores to one full-matrix call.  Tree traversal is row-independent by
-construction; network adapters route matmuls through a fixed-order
-``einsum`` kernel instead of BLAS GEMM, whose accumulation order (and
-therefore last-bit rounding) changes with the batch shape.  The library
-pays a small constant factor on the numpy forward for a deterministic
-serving layer; offline evaluation keeps using the models' native
-``predict``.
+construction; network adapters route matmuls through
+:func:`stable_matmul` — one identically shaped BLAS GEMV per document —
+instead of BLAS GEMM, whose accumulation order (and therefore last-bit
+rounding) changes with the batch shape.  Offline evaluation keeps using
+the models' native ``predict``.
 """
 
 from __future__ import annotations
@@ -155,27 +154,46 @@ def current_pin() -> tuple[object, int] | None:
     return getattr(_PIN_STATE, "state", None)
 
 
+def stable_matmul(
+    a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Chunk-invariant ``a @ w.T``: one identically shaped GEMV per row.
+
+    ``np.matmul`` over the row-stacked ``(n, 1, k)`` view of ``a`` runs
+    every document as its own ``(1, k) @ (k, m)`` BLAS GEMV, so a row's
+    bits depend only on that row and the weights — never on the
+    batch size, shard boundaries or the row's position.  Plain GEMM
+    cannot promise this: on OpenBLAS 0.3.31 a row's bits change with
+    the batch size, and even with the row order inside a fixed
+    zero-padded tile.
+
+    ``w`` is ``(m, k)`` like :attr:`Linear.weight`.  Its memory layout
+    selects the BLAS kernel and is therefore part of the bits: callers
+    that must agree bit for bit pass the same layout (C-contiguous for
+    dense layers).  ``out``, if given, is the ``(n, 1, m)`` row-stacked
+    destination (``c[:, None, :]``, built once by allocation-free
+    callers).  Returns the ``(n, 1, m)`` product.
+    """
+    return np.matmul(a[:, None, :], w.T, out=out)
+
+
 def stable_forward(network: FeedForwardNetwork, x: np.ndarray) -> np.ndarray:
     """Chunk-invariant inference through a feed-forward network.
 
-    Linear layers are evaluated with a fixed-reduction-order ``einsum``
-    (each output element sums over ``k`` in ascending order, independent
-    of the batch size), all other layers through their own inference
+    Linear layers are evaluated with :func:`stable_matmul` (one BLAS
+    GEMV per document), all other layers through their own inference
     path.  Scoring any row subset therefore reproduces the full-matrix
     bits exactly — the property the :class:`~repro.runtime.batching.
     BatchEngine` relies on.
     """
-    out = check_array_2d(x, "features")
+    out = np.ascontiguousarray(check_array_2d(x, "features"))
     if out.shape[1] != network.input_dim:
         raise ValueError(
             f"expected {network.input_dim} features, got {out.shape[1]}"
         )
     for layer in network.layers:
         if isinstance(layer, Linear):
-            out = (
-                np.einsum("nk,mk->nm", out, layer.weight.data)
-                + layer.bias.data
-            )
+            out = stable_matmul(out, layer.weight.data)[:, 0] + layer.bias.data
         else:
             out = layer.forward(out, training=False)
     return out[:, 0]

@@ -53,11 +53,12 @@ consumer skips its quantization pass entirely.
 
 Serving needs one more property: the :class:`~repro.runtime.base.Scorer`
 contract guarantees *chunk-invariant* scoring, and BLAS GEMM bits depend
-on the batch shape.  ``compile_network(..., stable=True)`` swaps the
-dense float kernel for the fixed-order ``einsum`` contract; CSR, block
-and quantized kernels are chunk-invariant already (row-independent or
-exact-integer reductions), so stable quantized plans keep full BLAS
-speed.  See ``docs/compiled.md`` and ``docs/quantized_kernels.md``.
+on the batch shape.  ``compile_network(..., stable=True)`` runs the
+dense and block-panel float kernels as one BLAS GEMV per document
+(:func:`~repro.runtime.base.stable_matmul`), whose bits depend only on
+that document; CSR and quantized kernels are chunk-invariant already
+(row-independent or exact-integer reductions).  See
+``docs/compiled.md`` and ``docs/quantized_kernels.md``.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from repro.nn.network import FeedForwardNetwork
 from repro.obs.compile import record_compile
 from repro.obs.requests import active_requests, annotate_requests
 from repro.obs.tracer import span
+from repro.runtime.base import stable_matmul
 
 try:  # the zero-allocation SpMM entry point; gated like repro.matmul.csr
     from scipy.sparse import _sparsetools as _scipy_sparsetools
@@ -213,9 +215,10 @@ class _DenseKernel:
 
     ``w`` is the C-contiguous ``(m, k)`` copy whose transposed view
     reproduces the eager forward bit for bit in float64; ``wt`` is the
-    C-contiguous pre-transposed ``(k, m)`` copy the float32 mode
-    multiplies by directly.  In stable mode the GEMM is the fixed-order
-    ``einsum`` whose per-row bits do not depend on the batch shape.
+    C-contiguous pre-transposed ``(k, m)`` copy the native float32 mode
+    multiplies by directly.  Stable mode keeps only ``w`` and replaces
+    the GEMM with :func:`~repro.runtime.base.stable_matmul`, one GEMV
+    per row whose bits do not depend on the batch shape.
     With ``out_gain`` (feeding a fused int8 layer) the frozen weights
     and bias are pre-scaled by ``127/6`` so the epilogue's requantize is
     a bare round+clip.
@@ -239,12 +242,12 @@ class _DenseKernel:
         self._stable = stable
 
     def make_views(self, buffers, n: int, c) -> "_LayerViews":
-        return _LayerViews(c)
+        return _LayerViews(c, c3=c[:, None, :] if self._stable else None)
 
     def apply(self, a: np.ndarray, views) -> np.ndarray:
         c = views.c
         if self._stable:
-            np.einsum("nk,mk->nm", a, self.w, out=c)
+            stable_matmul(a, self.w, out=views.c3)
         elif self._exact:
             np.matmul(a, self.w.T, out=c)
         else:
@@ -313,7 +316,8 @@ class _BlockPanelKernel:
     gathered operand — the block-CSR layout guarantees those columns
     are dense tiles, so every lane does useful work (the paper's
     LIBXSMM micro-kernel story, Section 4.3).  Stable mode swaps the
-    GEMM for the fixed-order einsum.  Column-block-pruned layers
+    GEMM for :func:`~repro.runtime.base.stable_matmul` on the gathered
+    panel (one GEMV per row).  Column-block-pruned layers
     produce a single full-height panel, so the GEMM writes the whole
     contiguous output buffer.
     """
@@ -365,16 +369,21 @@ class _BlockPanelKernel:
             buffers["g"][: n * len(cols)].reshape(n, len(cols))
             for _, _, cols, _ in self.panels
         )
-        return _LayerViews(c, g=g)
+        # Per-panel output views, row-stacked in stable mode.
+        outs = tuple(
+            c[:, None, r0:r1] if self._stable else c[:, r0:r1]
+            for r0, r1, _, _ in self.panels
+        )
+        return _LayerViews(c, g=g, outs=outs)
 
     def apply(self, a: np.ndarray, views) -> np.ndarray:
         c = views.c
-        for (r0, r1, cols, wp), g in zip(self.panels, views.g):
+        for (_, _, cols, wp), g, out in zip(self.panels, views.g, views.outs):
             np.take(a, cols, axis=1, out=g, mode="clip")
             if self._stable:
-                np.einsum("nk,km->nm", g, wp, out=c[:, r0:r1])
+                stable_matmul(g, wp.T, out=out)
             else:
-                np.matmul(g, wp, out=c[:, r0:r1])
+                np.matmul(g, wp, out=out)
         for r0, r1 in self.zero_spans:
             c[:, r0:r1] = 0.0
         return _finish(c, None, self.bias, self.relu6, self.emit_q8)
@@ -390,7 +399,7 @@ class _Int8Kernel:
     scratch.  The GEMM's partial sums stay below ``2**24``
     (``in_width <= INT8_MAX_IN_WIDTH``), so accumulation is exact in
     float32 under any reduction order — the kernel is chunk-invariant
-    by construction and needs no stable-mode einsum.  The epilogue
+    by construction and needs no stable-mode per-row GEMV.  The epilogue
     fuses dequantization (``w_scale * in_scale``) with bias + ReLU6, or
     requantizes straight to the int8 grid for a fused int8 successor.
     """
@@ -490,10 +499,14 @@ class _Int16Kernel:
 class _LayerViews:
     """Per-(layer, batch) buffer views, built once and reused."""
 
-    __slots__ = ("c", "xt", "yt", "g", "qx", "qc")
+    __slots__ = ("c", "c3", "outs", "xt", "yt", "g", "qx", "qc")
 
-    def __init__(self, c, xt=None, yt=None, g=None, qx=None, qc=None) -> None:
+    def __init__(
+        self, c, c3=None, outs=None, xt=None, yt=None, g=None, qx=None, qc=None
+    ) -> None:
         self.c = c
+        self.c3 = c3
+        self.outs = outs
         self.xt = xt
         self.yt = yt
         self.g = g
@@ -988,9 +1001,10 @@ def compile_network(
         :data:`INT8_MAX_IN_WIDTH` raises (the exact-accumulation bound);
         an explicit float kernel exempts that layer from ``quantize``.
     stable:
-        Swap the dense float kernel for the fixed-order ``einsum``
-        kernel, making per-row bits independent of the batch shape —
-        the chunk-invariance contract the serving adapters guarantee.
+        Run dense and block-panel float layers as one BLAS GEMV per
+        document (:func:`~repro.runtime.base.stable_matmul`), making
+        per-row bits independent of the batch shape — the
+        chunk-invariance contract the serving adapters guarantee.
         Quantized kernels are exact-integer reductions and therefore
         chunk-invariant in *both* modes.
     quantize:
@@ -1279,7 +1293,8 @@ def reference_scores(
     """The float64 hybrid reference a compiled plan must reproduce.
 
     Dense-GEMM layers run the eager ``x @ W.T + b`` op (or, for a
-    stable-mode plan, the fixed-order ``einsum`` that kernel executes);
+    stable-mode plan, the per-row GEMV of
+    :func:`~repro.runtime.base.stable_matmul` that kernel executes);
     CSR-SpMM **and block-SpMM** layers run :meth:`CsrMatrix.matmul` (or,
     with ``strict_spmm``, the per-non-zero
     :meth:`CsrMatrix.matmul_reference` loop — same bits, independently
@@ -1289,7 +1304,7 @@ def reference_scores(
     it.  A float64 all-float plan must match this bit for bit; float32
     and quantized plans are tolerance-tested against it.
     """
-    out = np.asarray(features, dtype=np.float64)
+    out = np.ascontiguousarray(features, dtype=np.float64)
     if out.shape[0] == 0:
         return np.empty(0, dtype=np.float64)
     for lp, linear in zip(plan.layers, network.linears):
@@ -1303,10 +1318,8 @@ def reference_scores(
             # into the next dense layer's GEMM.
             out = np.ascontiguousarray(product) + linear.bias.data
         elif plan.stable and lp.bits is None:
-            out = (
-                np.einsum("nk,mk->nm", out, linear.weight.data)
-                + linear.bias.data
-            )
+            product = stable_matmul(out, linear.weight.data)[:, 0]
+            out = product + linear.bias.data
         else:
             out = out @ linear.weight.data.T + linear.bias.data
         if lp.activation == "relu6":

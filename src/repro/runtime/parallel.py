@@ -22,7 +22,7 @@ split:
   (``stable_forward`` / row-independent tree traversal), so the
   reassembled vector is **bit-identical** to an unsharded call.
 
-Why threads help at all: the heavy numpy kernels (``einsum``, BLAS
+Why threads help at all: the heavy numpy kernels (BLAS GEMV/GEMM
 matmuls, the QuickScorer bitvector loops) release the GIL while they
 run, so row shards genuinely overlap on multi-core hosts.  See
 ``docs/parallel.md`` for the full rationale and tuning guide.

@@ -10,8 +10,9 @@ for N users' candidate lists instead of N small ones — then slices the
 scores back out per request.
 
 The bit contract: coalescing never changes a score.  Every batchable
-backend in the runtime is chunk-invariant (einsum network adapters,
-``stable=True`` compiled plans, row-independent QuickScorer traversal),
+backend in the runtime is chunk-invariant (network adapters and
+``stable=True`` compiled plans run one BLAS GEMV per document;
+QuickScorer traversal is row-independent),
 so the slice a request gets back is bitwise what a lone synchronous
 ``score`` call would have produced; non-batchable cascades are scored
 request-by-request inside the same engine call.  The hypothesis suite

@@ -4,9 +4,10 @@ The bit contract is layered (see the module docstring of
 ``repro.runtime.compile``): float64 dense-GEMM layers reproduce
 ``FeedForwardNetwork.predict`` bit for bit, float64 CSR-SpMM layers
 reproduce ``CsrMatrix.matmul_reference``, stable-mode plans reproduce
-the fixed-order einsum and are chunk-invariant, and float32 plans are
-tolerance-bounded.  Hypothesis drives the identities across
-architectures x sparsity x batch sizes, including n=0 and n=1.
+``stable_matmul`` (one BLAS GEMV per row) and are chunk-invariant,
+and float32 plans are tolerance-bounded.  Hypothesis drives the
+identities across architectures x sparsity x batch sizes, including
+n=0 and n=1.
 """
 
 from __future__ import annotations
@@ -17,17 +18,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.network import FeedForwardNetwork
-from repro.pruning import LevelPruner
+from repro.pruning import ColumnBlockPruner, LevelPruner
 from repro.runtime import (
+    BaseScorer,
     CompileError,
     CompiledNetworkScorer,
     InferencePlan,
+    ParallelConfig,
     PricingContext,
+    ShardedScorer,
     compile_network,
     make_scorer,
     reference_scores,
+    stable_forward,
 )
-from repro.runtime.compile import DENSE_KERNEL, SPARSE_KERNEL
+from repro.runtime.compile import BLOCK_KERNEL, DENSE_KERNEL, SPARSE_KERNEL
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +174,66 @@ class TestBitIdentity:
 # ----------------------------------------------------------------------
 # Stable mode
 # ----------------------------------------------------------------------
+#: The served student's shape: 136 -> 300 -> 200 -> 100 -> 1.
+SERVING_HIDDEN = (300, 200, 100)
+#: Stable plan variants checked at serving scale: all-dense float64 and
+#: float32, a 90%-pruned hybrid (CSR first layer) float64 net, and a
+#: column-block-pruned float32 net whose first layer runs the
+#: block-panel kernel.
+STABLE_VARIANTS = ("float64", "float32", "pruned-float64", "block-float32")
+
+
+def _stable_serving_plan(variant: str, context):
+    """``(network, plan)`` for one stable serving-scale variant."""
+    if variant == "pruned-float64":
+        network = _network(
+            (400, 200, 200, 100), input_dim=136, sparsity=0.9, seed=3
+        )
+        return network, compile_network(network, context=context, stable=True)
+    if variant == "block-float32":
+        network = FeedForwardNetwork(136, SERVING_HIDDEN, seed=8)
+        ColumnBlockPruner(0.9, block_cols=8).apply(network.first_layer)
+        network.apply_masks()
+        plan = compile_network(
+            network,
+            context=context,
+            dtype="float32",
+            stable=True,
+            block_sparse=True,
+            kernels=[BLOCK_KERNEL, None, None, None],
+        )
+        return network, plan
+    network = _network(SERVING_HIDDEN, input_dim=136, seed=7)
+    return network, compile_network(
+        network, context=context, dtype=variant, stable=True
+    )
+
+
+class _PlanScorer(BaseScorer):
+    """Bare Scorer over a plan, so ShardedScorer can drive it."""
+
+    backend = "test-plan"
+
+    def __init__(self, plan: InferencePlan) -> None:
+        super().__init__(price_fn=lambda: 1.0, input_dim=plan.input_dim)
+        self.plan = plan
+
+    def score(self, features) -> np.ndarray:
+        return self.plan.score(features)
+
+    def describe(self) -> str:
+        return self.plan.describe()
+
+
+def _misaligned(x: np.ndarray, offset: int) -> np.ndarray:
+    """A C-contiguous copy of ``x`` starting ``offset`` elements into a
+    fresh buffer, so every row sits at a different alignment."""
+    buf = np.empty(x.size + offset, dtype=x.dtype)
+    view = buf[offset:].reshape(x.shape)
+    view[...] = x
+    return view
+
+
 class TestStableMode:
     @given(
         n=st.sampled_from([7, 33, 64]),
@@ -189,6 +254,63 @@ class TestStableMode:
         np.testing.assert_array_equal(whole, sharded)
         np.testing.assert_array_equal(
             whole, reference_scores(network, plan, x)
+        )
+
+    @pytest.mark.parametrize("variant", STABLE_VARIANTS)
+    def test_chunk_invariant_at_serving_shape(self, context, variant):
+        """Per-row GEMV bits must not depend on batch size, row
+        position, operand alignment or concurrent BLAS calls.  Guards
+        against a numpy that fuses the row-stacked matmul into one
+        batch-dependent GEMM."""
+        network, plan = _stable_serving_plan(variant, context)
+        x = np.random.default_rng(21).normal(size=(1000, 136))
+        whole = plan.score(x)
+        for split in (1, 3, 17, 70, 255, 256, 257):
+            parts = np.concatenate(
+                [plan.score(x[i : i + split]) for i in range(0, len(x), split)]
+            )
+            np.testing.assert_array_equal(
+                parts, whole, err_msg=f"{variant} diverged at split {split}"
+            )
+        for offset in (1, 3):
+            shifted = _misaligned(x, offset)
+            np.testing.assert_array_equal(plan.score(shifted), whole)
+            if plan.dtype_name == "float64":
+                # The reference multiplies the misaligned rows in place.
+                np.testing.assert_array_equal(
+                    reference_scores(network, plan, shifted), whole
+                )
+        config = ParallelConfig(
+            workers=2, strategy="size-capped", max_shard_rows=64
+        )
+        with ShardedScorer(_PlanScorer(plan), config) as sharded:
+            np.testing.assert_array_equal(sharded.score(x), whole)
+
+    def test_all_dense_stable_plan_matches_stable_forward(self, context):
+        """One stable contraction: the dense adapters' forward, the
+        compiled plan and the reference agree bit for bit."""
+        network = _network(SERVING_HIDDEN, input_dim=136, seed=7)
+        plan = compile_network(
+            network,
+            context=context,
+            stable=True,
+            kernels=[DENSE_KERNEL] * network.n_layers,
+        )
+        x = np.random.default_rng(5).normal(size=(257, 136))
+        got = plan.score(x)
+        np.testing.assert_array_equal(got, stable_forward(network, x))
+        np.testing.assert_array_equal(got, reference_scores(network, plan, x))
+        np.testing.assert_array_equal(
+            got[:1], stable_forward(network, _misaligned(x[:1], 1))
+        )
+
+    def test_native_plan_matches_stable_at_serving_shape(self, context):
+        network = _network(SERVING_HIDDEN, input_dim=136, seed=7)
+        native = compile_network(network, context=context)
+        stable = compile_network(network, context=context, stable=True)
+        x = np.random.default_rng(9).normal(size=(256, 136))
+        np.testing.assert_allclose(
+            native.score(x), stable.score(x), rtol=1e-12, atol=1e-12
         )
 
     def test_native_plan_matches_reference_whole_batch(self, context):
