@@ -54,10 +54,13 @@ class ZNormalizer:
         return self.mean_ is not None
 
     def transform(self, features) -> np.ndarray:
-        """Standardize ``features`` with the fitted statistics."""
+        """Standardize ``features`` with the fitted statistics.
+
+        Zero rows (an empty scoring request) pass through as ``(0, d)``.
+        """
         if not self.is_fitted:
             raise NotFittedError("ZNormalizer.transform called before fit")
-        x = check_array_2d(features, "features")
+        x = check_array_2d(features, "features", allow_empty=True)
         if x.shape[1] != len(self.mean_):
             raise ValueError(
                 f"expected {len(self.mean_)} features, got {x.shape[1]}"

@@ -19,9 +19,10 @@ Adapters additionally guarantee **chunk-invariant scoring**: splitting a
 feature matrix into micro-batches of any size yields bit-identical
 scores to one full-matrix call.  Tree traversal is row-independent by
 construction; network adapters route matmuls through
-:func:`stable_matmul` — one identically shaped BLAS GEMV per document —
-instead of BLAS GEMM, whose accumulation order (and therefore last-bit
-rounding) changes with the batch shape.  Offline evaluation keeps using
+:func:`stable_matmul` — BLAS GEMM over fixed :data:`STABLE_TILE`-document
+tiles, one document per column — instead of one GEMM over the whole
+batch, whose accumulation order (and therefore last-bit rounding)
+changes with the batch shape.  Offline evaluation keeps using
 the models' native ``predict``.
 """
 
@@ -154,46 +155,137 @@ def current_pin() -> tuple[object, int] | None:
     return getattr(_PIN_STATE, "state", None)
 
 
-def stable_matmul(
-    a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Chunk-invariant ``a @ w.T``: one identically shaped GEMV per row.
+#: Documents per stable-mode GEMM tile.  Part of the bit contract, not a
+#: tuning option: every chunk-invariant caller multiplies tiles of
+#: exactly this width, so a document's bits never depend on the batch.
+STABLE_TILE = 16
 
-    ``np.matmul`` over the row-stacked ``(n, 1, k)`` view of ``a`` runs
-    every document as its own ``(1, k) @ (k, m)`` BLAS GEMV, so a row's
-    bits depend only on that row and the weights — never on the
-    batch size, shard boundaries or the row's position.  Plain GEMM
-    cannot promise this: on OpenBLAS 0.3.31 a row's bits change with
-    the batch size, and even with the row order inside a fixed
-    zero-padded tile.
+#: Tiles per numpy ``matmul`` call.  Bounds the product scratch to this
+#: many tiles whatever the batch; numpy still issues one BLAS GEMM per
+#: tile of the stack, so this does not touch the bits.
+TILES_PER_CALL = 8
 
-    ``w`` is ``(m, k)`` like :attr:`Linear.weight`.  Its memory layout
-    selects the BLAS kernel and is therefore part of the bits: callers
-    that must agree bit for bit pass the same layout (C-contiguous for
-    dense layers).  ``out``, if given, is the ``(n, 1, m)`` row-stacked
-    destination (``c[:, None, :]``, built once by allocation-free
-    callers).  Returns the ``(n, 1, m)`` product.
+
+class StableTiles:
+    """Preallocated fixed-tile operands for one chunk-invariant product.
+
+    Computes ``out = a @ w.T`` as one BLAS GEMM per :data:`STABLE_TILE`
+    documents with the weights on the left: ``w @ tile.T``, each
+    document one column of the right operand.  The full tiles are views
+    of ``a``; the ragged tail is copied into the zero-padded ``tile``
+    scratch, so every BLAS call has the same shape and operand layout
+    whatever ``n``.  A column's bits then depend only on that document
+    and the weights — never on the batch size, shard boundaries, row
+    order or the other documents' values (a NaN row stays in its own
+    column).  Plain ``a @ w.T`` cannot promise this: on OpenBLAS 0.3.31
+    a row's GEMM bits change with the batch size and with its position
+    in the batch, and ``tile @ w.T`` (documents as rows) with the row
+    order inside a tile.
+
+    ``a`` is the C-contiguous ``(n, k)`` input, ``out`` the ``(n, m)``
+    destination (any strides), ``tile`` a C-contiguous
+    ``(STABLE_TILE, k)`` scratch and ``prod`` a C-contiguous
+    ``(tiles, m, STABLE_TILE)`` product buffer with
+    ``tiles = min(ceil(n / STABLE_TILE), TILES_PER_CALL)``, so every
+    operand stays BLAS-able (numpy silently falls back to its own
+    loop — other bits, ~10x slower — when one is not).  Built once per
+    shape; :meth:`run` only slices views of these buffers, so it keeps
+    the heap flat.
     """
-    return np.matmul(a[:, None, :], w.T, out=out)
+
+    __slots__ = (
+        "body", "body_out", "prod", "tail_in", "tail", "tail_pad", "tail_t",
+        "tail_res", "tail_out",
+    )
+
+    def __init__(
+        self, a: np.ndarray, out: np.ndarray, tile: np.ndarray, prod: np.ndarray
+    ) -> None:
+        if not all(x.flags.c_contiguous for x in (a, tile, prod)):
+            # A copy would silently detach the views from the buffers.
+            raise ValueError("StableTiles needs C-contiguous a, tile and prod")
+        n, k = a.shape
+        m = out.shape[1]
+        full, rest = divmod(n, STABLE_TILE)
+        cut = full * STABLE_TILE
+        self.body = a[:cut].reshape(full, STABLE_TILE, k).transpose(0, 2, 1)
+        self.body_out = out[:cut].reshape(full, STABLE_TILE, m).transpose(0, 2, 1)
+        self.prod = prod
+        self.tail_in = None
+        if rest:
+            self.tail_in = a[cut:]
+            self.tail = tile[:rest]
+            self.tail_pad = tile[rest:]
+            self.tail_t = tile.T
+            self.tail_res = prod[0, :, :rest]
+            self.tail_out = out[cut:].T
+
+    def run(self, w: np.ndarray) -> None:
+        """Write ``a @ w.T`` into ``out``; ``w`` is ``(m, k)``."""
+        # Chunks are sliced per call, not prebuilt: plans cache one
+        # StableTiles per layer and batch size, so each must stay small.
+        for i in range(0, len(self.body), TILES_PER_CALL):
+            tiles = self.body[i : i + TILES_PER_CALL]
+            prod = self.prod[: len(tiles)]
+            np.matmul(w, tiles, out=prod)
+            np.copyto(self.body_out[i : i + TILES_PER_CALL], prod)
+        if self.tail_in is not None:
+            np.copyto(self.tail, self.tail_in)
+            self.tail_pad.fill(0.0)
+            np.matmul(w, self.tail_t, out=self.prod[0])
+            np.copyto(self.tail_out, self.tail_res)
+
+
+def product_tiles(n: int) -> int:
+    """Tiles a :class:`StableTiles` product buffer holds for ``n`` rows."""
+    return min(-(-n // STABLE_TILE), TILES_PER_CALL)
+
+
+def stable_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Chunk-invariant ``a @ w.T`` on fixed GEMM tiles (allocating).
+
+    Runs :class:`StableTiles` on fresh buffers, so its bits equal every
+    preallocated caller's.  ``w`` is ``(m, k)`` like
+    :attr:`Linear.weight`; its memory layout selects the BLAS kernel and
+    is therefore part of the bits, so callers that must agree bit for
+    bit pass the same layout (C-contiguous for dense layers).  A
+    non-contiguous ``a`` is copied to C order for the same reason.
+    Returns the ``(n, m)`` product.
+    """
+    dtype = np.result_type(a.dtype, w.dtype)
+    a = np.ascontiguousarray(a, dtype=dtype)
+    n, k = a.shape
+    m = w.shape[0]
+    out = np.empty((n, m), dtype=dtype)
+    StableTiles(
+        a,
+        out,
+        np.empty((STABLE_TILE, k), dtype=dtype),
+        np.empty((product_tiles(n), m, STABLE_TILE), dtype=dtype),
+    ).run(w)
+    return out
 
 
 def stable_forward(network: FeedForwardNetwork, x: np.ndarray) -> np.ndarray:
     """Chunk-invariant inference through a feed-forward network.
 
-    Linear layers are evaluated with :func:`stable_matmul` (one BLAS
-    GEMV per document), all other layers through their own inference
-    path.  Scoring any row subset therefore reproduces the full-matrix
-    bits exactly — the property the :class:`~repro.runtime.batching.
-    BatchEngine` relies on.
+    Linear layers are evaluated with :func:`stable_matmul` (fixed
+    :data:`STABLE_TILE`-document GEMM tiles), all other layers through
+    their own inference path.  Scoring any row subset therefore
+    reproduces the full-matrix bits exactly — the property the
+    :class:`~repro.runtime.batching.BatchEngine` relies on.  Zero
+    documents score to an empty vector; a wrong feature count raises.
     """
-    out = np.ascontiguousarray(check_array_2d(x, "features"))
+    out = np.ascontiguousarray(check_array_2d(x, "features", allow_empty=True))
     if out.shape[1] != network.input_dim:
         raise ValueError(
             f"expected {network.input_dim} features, got {out.shape[1]}"
         )
+    if out.shape[0] == 0:
+        return np.empty(0, dtype=np.float64)
     for layer in network.layers:
         if isinstance(layer, Linear):
-            out = stable_matmul(out, layer.weight.data)[:, 0] + layer.bias.data
+            out = stable_matmul(out, layer.weight.data) + layer.bias.data
         else:
             out = layer.forward(out, training=False)
     return out[:, 0]

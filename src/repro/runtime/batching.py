@@ -320,7 +320,7 @@ class BatchEngine:
         small candidate lists are concatenated row-wise, pushed through
         the scorer in one go (one GEMM instead of N), and sliced back
         out per request.  For chunk-invariant scorers — ``stable=True``
-        compiled plans, the per-row-GEMV network adapters, row-independent
+        compiled plans, the fixed-tile network adapters, row-independent
         QuickScorer traversal — the slices are **bit-identical** to
         scoring each request alone.  Non-batchable scorers (cascades
         rank within a request) are scored request-by-request instead;

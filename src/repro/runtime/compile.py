@@ -54,9 +54,11 @@ consumer skips its quantization pass entirely.
 Serving needs one more property: the :class:`~repro.runtime.base.Scorer`
 contract guarantees *chunk-invariant* scoring, and BLAS GEMM bits depend
 on the batch shape.  ``compile_network(..., stable=True)`` runs the
-dense and block-panel float kernels as one BLAS GEMV per document
-(:func:`~repro.runtime.base.stable_matmul`), whose bits depend only on
-that document; CSR and quantized kernels are chunk-invariant already
+dense and block-panel float kernels as BLAS GEMM over fixed
+:data:`~repro.runtime.base.STABLE_TILE`-document tiles, one document
+per column (:func:`~repro.runtime.base.stable_matmul`), whose bits
+depend only on that document; CSR and quantized kernels are
+chunk-invariant already
 (row-independent or exact-integer reductions).  See
 ``docs/compiled.md`` and ``docs/quantized_kernels.md``.
 """
@@ -78,7 +80,12 @@ from repro.nn.network import FeedForwardNetwork
 from repro.obs.compile import record_compile
 from repro.obs.requests import active_requests, annotate_requests
 from repro.obs.tracer import span
-from repro.runtime.base import stable_matmul
+from repro.runtime.base import (
+    STABLE_TILE,
+    StableTiles,
+    product_tiles,
+    stable_matmul,
+)
 
 try:  # the zero-allocation SpMM entry point; gated like repro.matmul.csr
     from scipy.sparse import _sparsetools as _scipy_sparsetools
@@ -216,9 +223,11 @@ class _DenseKernel:
     ``w`` is the C-contiguous ``(m, k)`` copy whose transposed view
     reproduces the eager forward bit for bit in float64; ``wt`` is the
     C-contiguous pre-transposed ``(k, m)`` copy the native float32 mode
-    multiplies by directly.  Stable mode keeps only ``w`` and replaces
-    the GEMM with :func:`~repro.runtime.base.stable_matmul`, one GEMV
-    per row whose bits do not depend on the batch shape.
+    multiplies by directly.  Stable mode keeps only ``w`` and runs the
+    GEMM on fixed document tiles (:class:`~repro.runtime.base.
+    StableTiles`, the preallocated form of
+    :func:`~repro.runtime.base.stable_matmul`), whose bits do not depend
+    on the batch shape.
     With ``out_gain`` (feeding a fused int8 layer) the frozen weights
     and bias are pre-scaled by ``127/6`` so the epilogue's requantize is
     a bare round+clip.
@@ -237,17 +246,19 @@ class _DenseKernel:
         self.bias = np.ascontiguousarray(b, dtype=dtype)
         self.relu6 = relu6
         self.emit_q8 = out_gain is not None
-        self.scratch: dict[str, int] = {}
+        m, k = self.w.shape
+        self.scratch = {"tile": k, "tprod": m} if stable else {}
         self._exact = dtype == np.float64
         self._stable = stable
 
-    def make_views(self, buffers, n: int, c) -> "_LayerViews":
-        return _LayerViews(c, c3=c[:, None, :] if self._stable else None)
+    def make_views(self, buffers, a, c) -> "_LayerViews":
+        tiles = _stable_tiles(buffers, a, c) if self._stable else None
+        return _LayerViews(c, tiles=tiles)
 
     def apply(self, a: np.ndarray, views) -> np.ndarray:
         c = views.c
         if self._stable:
-            stable_matmul(a, self.w, out=views.c3)
+            views.tiles.run(self.w)
         elif self._exact:
             np.matmul(a, self.w.T, out=c)
         else:
@@ -284,7 +295,8 @@ class _SparseKernel:
         self.emit_q8 = out_gain is not None
         self.scratch = {"xt": self.k, "yt": self.m}
 
-    def make_views(self, buffers, n: int, c) -> "_LayerViews":
+    def make_views(self, buffers, a, c) -> "_LayerViews":
+        n = len(a)
         xt = buffers["xt"][: self.k * n].reshape(self.k, n)
         yt = buffers["yt"][: self.m * n].reshape(self.m, n)
         return _LayerViews(c, xt=xt, yt=yt)
@@ -315,9 +327,10 @@ class _BlockPanelKernel:
     (``np.take`` with a preallocated out) and runs one dense GEMM on the
     gathered operand — the block-CSR layout guarantees those columns
     are dense tiles, so every lane does useful work (the paper's
-    LIBXSMM micro-kernel story, Section 4.3).  Stable mode swaps the
-    GEMM for :func:`~repro.runtime.base.stable_matmul` on the gathered
-    panel (one GEMV per row).  Column-block-pruned layers
+    LIBXSMM micro-kernel story, Section 4.3).  Stable mode runs the
+    gathered panel on fixed document tiles
+    (:class:`~repro.runtime.base.StableTiles`, panel weights stored
+    ``(rows, cols)`` for the weights-left product).  Column-block-pruned layers
     produce a single full-height panel, so the GEMM writes the whole
     contiguous output buffer.
     """
@@ -352,7 +365,8 @@ class _BlockPanelKernel:
                 cols = np.concatenate(
                     [np.arange(jb * c, min((jb + 1) * c, k)) for jb in pattern]
                 ).astype(np.int64)
-                wp = np.ascontiguousarray(dense[r0:r1, cols].T, dtype=dtype)
+                wp = dense[r0:r1, cols]
+                wp = np.ascontiguousarray(wp if stable else wp.T, dtype=dtype)
                 panels.append((r0, r1, cols, wp))
             i = j
         self.panels = panels
@@ -362,26 +376,32 @@ class _BlockPanelKernel:
         self.emit_q8 = out_gain is not None
         widest = max((len(p[2]) for p in panels), default=0)
         self.scratch = {"g": widest}
+        if stable:
+            tallest = max((r1 - r0 for r0, r1, _, _ in panels), default=0)
+            self.scratch.update(tile=widest, tprod=tallest)
         self._stable = stable
 
-    def make_views(self, buffers, n: int, c) -> "_LayerViews":
+    def make_views(self, buffers, a, c) -> "_LayerViews":
+        n = len(a)
         g = tuple(
             buffers["g"][: n * len(cols)].reshape(n, len(cols))
             for _, _, cols, _ in self.panels
         )
-        # Per-panel output views, row-stacked in stable mode.
-        outs = tuple(
-            c[:, None, r0:r1] if self._stable else c[:, r0:r1]
-            for r0, r1, _, _ in self.panels
-        )
-        return _LayerViews(c, g=g, outs=outs)
+        outs = tuple(c[:, r0:r1] for r0, r1, _, _ in self.panels)
+        if self._stable:
+            tiles = tuple(_stable_tiles(buffers, *io) for io in zip(g, outs))
+        else:
+            tiles = (None,) * len(outs)
+        return _LayerViews(c, g=g, outs=outs, tiles=tiles)
 
     def apply(self, a: np.ndarray, views) -> np.ndarray:
         c = views.c
-        for (_, _, cols, wp), g, out in zip(self.panels, views.g, views.outs):
+        for (_, _, cols, wp), g, out, tiles in zip(
+            self.panels, views.g, views.outs, views.tiles
+        ):
             np.take(a, cols, axis=1, out=g, mode="clip")
-            if self._stable:
-                stable_matmul(g, wp.T, out=out)
+            if tiles is not None:
+                tiles.run(wp)
             else:
                 np.matmul(g, wp, out=out)
         for r0, r1 in self.zero_spans:
@@ -399,7 +419,7 @@ class _Int8Kernel:
     scratch.  The GEMM's partial sums stay below ``2**24``
     (``in_width <= INT8_MAX_IN_WIDTH``), so accumulation is exact in
     float32 under any reduction order — the kernel is chunk-invariant
-    by construction and needs no stable-mode per-row GEMV.  The epilogue
+    by construction and needs no stable-mode tiling.  The epilogue
     fuses dequantization (``w_scale * in_scale``) with bias + ReLU6, or
     requantizes straight to the int8 grid for a fused int8 successor.
     """
@@ -432,9 +452,10 @@ class _Int8Kernel:
         self.inv_in_scale = 1.0 / in_scale
         self.scratch = {"qx": self.k} if self_quant else {}
 
-    def make_views(self, buffers, n: int, c) -> "_LayerViews":
+    def make_views(self, buffers, a, c) -> "_LayerViews":
         if not self.self_quant:
             return _LayerViews(c)
+        n = len(a)
         qx = buffers["qx"][: n * self.k].reshape(n, self.k)
         return _LayerViews(c, qx=qx)
 
@@ -480,7 +501,8 @@ class _Int16Kernel:
         self.inv_in_scale = 1.0 / in_scale
         self.scratch = {"qx64": self.k, "qc64": self.m}
 
-    def make_views(self, buffers, n: int, c) -> "_LayerViews":
+    def make_views(self, buffers, a, c) -> "_LayerViews":
+        n = len(a)
         qx = buffers["qx64"][: n * self.k].reshape(n, self.k)
         qc = buffers["qc64"][: n * self.m].reshape(n, self.m)
         return _LayerViews(c, qx=qx, qc=qc)
@@ -496,16 +518,27 @@ class _Int16Kernel:
         return views.c
 
 
+def _stable_tiles(buffers, a, out) -> StableTiles:
+    """:class:`StableTiles` for ``out = a @ w.T`` over the shared
+    ``tile`` / ``tprod`` pools (layers run one at a time per thread)."""
+    n, k = a.shape
+    m = out.shape[1]
+    tiles = product_tiles(n)
+    tile = buffers["tile"][: STABLE_TILE * k].reshape(STABLE_TILE, k)
+    prod = buffers["tprod"][: tiles * m * STABLE_TILE]
+    return StableTiles(a, out, tile, prod.reshape(tiles, m, STABLE_TILE))
+
+
 class _LayerViews:
     """Per-(layer, batch) buffer views, built once and reused."""
 
-    __slots__ = ("c", "c3", "outs", "xt", "yt", "g", "qx", "qc")
+    __slots__ = ("c", "tiles", "outs", "xt", "yt", "g", "qx", "qc")
 
     def __init__(
-        self, c, c3=None, outs=None, xt=None, yt=None, g=None, qx=None, qc=None
+        self, c, tiles=None, outs=None, xt=None, yt=None, g=None, qx=None, qc=None
     ) -> None:
         self.c = c
-        self.c3 = c3
+        self.tiles = tiles
         self.outs = outs
         self.xt = xt
         self.yt = yt
@@ -515,7 +548,9 @@ class _LayerViews:
 
 
 #: Scratch pools and their dtypes: plan-dtype pools vs fixed-f64 pools.
-_PLAN_POOLS = ("xt", "yt", "g", "qx")
+#: Stable-mode ``tile`` holds one zero-padded tail tile; ``tprod`` the
+#: ``(tiles, m, STABLE_TILE)`` GEMM products.
+_PLAN_POOLS = ("xt", "yt", "g", "qx", "tile", "tprod")
 _F64_POOLS = ("qx64", "qc64")
 
 
@@ -568,7 +603,14 @@ class InferencePlan:
         for kernel in kernels:
             for key, per_doc in kernel.scratch.items():
                 pools[key] = max(pools[key], per_doc)
-        self._pool_sizes = {k: v * self.max_batch for k, v in pools.items()}
+        # Rows each pool holds per unit of a kernel's ``scratch`` entry.
+        rows = {
+            "tile": STABLE_TILE,
+            "tprod": product_tiles(self.max_batch) * STABLE_TILE,
+        }
+        self._pool_sizes = {
+            k: v * rows.get(k, self.max_batch) for k, v in pools.items()
+        }
         #: per-thread footprint of the arenas + all scratch pools.
         self.buffer_bytes = itemsize * (
             2 * self._arena + sum(self._pool_sizes[k] for k in _PLAN_POOLS)
@@ -631,12 +673,12 @@ class InferencePlan:
         views = cache.get(n)
         if views is None:
             built = []
-            src, dst = local.ping, local.pong
+            entry = local.ping[: n * self.input_dim].reshape(n, self.input_dim)
+            a, src, dst = entry, local.ping, local.pong
             for lp, kernel in zip(self.layers, self._kernels):
                 c = dst[: n * lp.out_width].reshape(n, lp.out_width)
-                built.append(kernel.make_views(local.buffers, n, c))
-                src, dst = dst, src
-            entry = local.ping[: n * self.input_dim].reshape(n, self.input_dim)
+                built.append(kernel.make_views(local.buffers, a, c))
+                a, src, dst = c, dst, src
             views = cache[n] = (entry, tuple(built))
         return views
 
@@ -1001,9 +1043,9 @@ def compile_network(
         :data:`INT8_MAX_IN_WIDTH` raises (the exact-accumulation bound);
         an explicit float kernel exempts that layer from ``quantize``.
     stable:
-        Run dense and block-panel float layers as one BLAS GEMV per
-        document (:func:`~repro.runtime.base.stable_matmul`), making
-        per-row bits independent of the batch shape — the
+        Run dense and block-panel float layers as BLAS GEMM over fixed
+        document tiles (:func:`~repro.runtime.base.stable_matmul`),
+        making per-row bits independent of the batch shape — the
         chunk-invariance contract the serving adapters guarantee.
         Quantized kernels are exact-integer reductions and therefore
         chunk-invariant in *both* modes.
@@ -1293,7 +1335,7 @@ def reference_scores(
     """The float64 hybrid reference a compiled plan must reproduce.
 
     Dense-GEMM layers run the eager ``x @ W.T + b`` op (or, for a
-    stable-mode plan, the per-row GEMV of
+    stable-mode plan, the fixed-tile GEMM of
     :func:`~repro.runtime.base.stable_matmul` that kernel executes);
     CSR-SpMM **and block-SpMM** layers run :meth:`CsrMatrix.matmul` (or,
     with ``strict_spmm``, the per-non-zero
@@ -1318,8 +1360,7 @@ def reference_scores(
             # into the next dense layer's GEMM.
             out = np.ascontiguousarray(product) + linear.bias.data
         elif plan.stable and lp.bits is None:
-            product = stable_matmul(out, linear.weight.data)[:, 0]
-            out = product + linear.bias.data
+            out = stable_matmul(out, linear.weight.data) + linear.bias.data
         else:
             out = out @ linear.weight.data.T + linear.bias.data
         if lp.activation == "relu6":

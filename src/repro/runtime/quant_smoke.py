@@ -16,7 +16,7 @@ first layer, and *asserts* the outcomes so CI can gate on
    honour an explicit budget.
 3. **Chunk invariance** — a ``stable=True`` int8 plan must produce
    bit-identical scores under arbitrary shard boundaries (exact integer
-   accumulation needs no per-row GEMV fallback).
+   accumulation needs no fixed-tile GEMM).
 4. **Speedup** — the int8/block plan must beat the plain float32 plan
    by >= 1.3x µs/doc at batch 256 on the pruned-90% headline shape,
    with ranking agreement (top-10 overlap) intact.

@@ -11,7 +11,7 @@ scores back out per request.
 
 The bit contract: coalescing never changes a score.  Every batchable
 backend in the runtime is chunk-invariant (network adapters and
-``stable=True`` compiled plans run one BLAS GEMV per document;
+``stable=True`` compiled plans run BLAS GEMM on fixed document tiles;
 QuickScorer traversal is row-independent),
 so the slice a request gets back is bitwise what a lone synchronous
 ``score`` call would have produced; non-batchable cascades are scored

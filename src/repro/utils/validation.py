@@ -5,12 +5,18 @@ from __future__ import annotations
 import numpy as np
 
 
-def check_array_2d(x, name: str, dtype=np.float64) -> np.ndarray:
-    """Coerce ``x`` to a 2-D float array, raising a clear error otherwise."""
+def check_array_2d(
+    x, name: str, dtype=np.float64, *, allow_empty: bool = False
+) -> np.ndarray:
+    """Coerce ``x`` to a 2-D float array, raising a clear error otherwise.
+
+    Zero-size arrays are rejected unless ``allow_empty`` (scoring paths,
+    where a zero-document request is legal).
+    """
     arr = np.asarray(x, dtype=dtype)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
+    if arr.size == 0 and not allow_empty:
         raise ValueError(f"{name} must be non-empty")
     return arr
 

@@ -56,6 +56,14 @@ class TestZNormalizer:
         with pytest.raises(ValueError, match="expected 3"):
             norm.transform(rng.normal(size=(10, 4)))
 
+    def test_zero_rows_pass_through(self, rng):
+        norm = ZNormalizer().fit(rng.normal(size=(20, 3)))
+        assert norm.transform(np.empty((0, 3))).shape == (0, 3)
+        with pytest.raises(ValueError, match="expected 3 features"):
+            norm.transform(np.empty((0, 4)))
+        with pytest.raises(ValueError, match="non-empty"):
+            ZNormalizer().fit(np.empty((0, 3)))
+
     def test_transform_dataset(self):
         ds = make_msn30k_like(n_queries=20, docs_per_query=10)
         out = ZNormalizer().fit(ds.features).transform_dataset(ds)

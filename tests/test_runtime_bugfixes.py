@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from repro.runtime import (
     BatchEngine,
     BudgetExceededError,
+    PricingContext,
     ServiceStats,
     StubScorer,
+    make_scorer,
 )
 from repro.serving import ScoringService, ServiceConfig
 
@@ -97,6 +99,31 @@ class TestZeroDocumentRequests:
         scores = service.score(np.empty((0, small_forest.n_features)))
         assert scores.shape == (0,)
         assert service.stats.requests == 0
+
+    @pytest.mark.parametrize(
+        "backend, opts",
+        [
+            ("dense-network", {}),
+            ("sparse-network", {}),
+            ("quantized-network", {"quantized_bits": 8}),
+            ("compiled-network", {"compiled": True}),
+        ],
+    )
+    def test_network_adapters_score_zero_docs(
+        self, small_student, predictor_cache, backend, opts
+    ):
+        scorer = make_scorer(
+            small_student,
+            backend=backend,
+            context=PricingContext(predictor=predictor_cache),
+            **opts,
+        )
+        dim = small_student.input_dim
+        scores = scorer.score(np.empty((0, dim)))
+        assert scores.shape == (0,)
+        assert scores.dtype == np.float64
+        with pytest.raises(ValueError, match="features"):
+            scorer.score(np.empty((0, dim + 1)))
 
     def test_stats_still_reject_zero_docs_directly(self):
         stats = ServiceStats()

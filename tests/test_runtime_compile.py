@@ -4,13 +4,19 @@ The bit contract is layered (see the module docstring of
 ``repro.runtime.compile``): float64 dense-GEMM layers reproduce
 ``FeedForwardNetwork.predict`` bit for bit, float64 CSR-SpMM layers
 reproduce ``CsrMatrix.matmul_reference``, stable-mode plans reproduce
-``stable_matmul`` (one BLAS GEMV per row) and are chunk-invariant,
+``stable_matmul`` (BLAS GEMM on fixed 16-document tiles) and are
+chunk-invariant,
 and float32 plans are tolerance-bounded.  Hypothesis drives the
 identities across architectures x sparsity x batch sizes, including
 n=0 and n=1.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +38,9 @@ from repro.runtime import (
     reference_scores,
     stable_forward,
 )
+from repro.runtime.base import STABLE_TILE, StableTiles, stable_matmul
 from repro.runtime.compile import BLOCK_KERNEL, DENSE_KERNEL, SPARSE_KERNEL
+from repro.runtime.compile_smoke import ALLOC_TOLERANCE
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +189,14 @@ SERVING_HIDDEN = (300, 200, 100)
 #: column-block-pruned float32 net whose first layer runs the
 #: block-panel kernel.
 STABLE_VARIANTS = ("float64", "float32", "pruned-float64", "block-float32")
+#: ``(m, k)`` layer shapes of the benchmark's students (136->300->200->
+#: 100->1, 136->200->50->50->25->1 and 136->50->25->25->10->1), plus a
+#: 1040-wide layer (the int8 exactness bound) and a 1-wide input.
+TILE_SHAPES = [
+    (300, 136), (200, 300), (100, 200), (1, 100), (200, 136), (50, 200),
+    (50, 50), (25, 50), (1, 25), (50, 136), (25, 25), (10, 25), (1, 10),
+    (64, 1040), (7, 1),
+]
 
 
 def _stable_serving_plan(variant: str, context):
@@ -258,20 +274,25 @@ class TestStableMode:
 
     @pytest.mark.parametrize("variant", STABLE_VARIANTS)
     def test_chunk_invariant_at_serving_shape(self, context, variant):
-        """Per-row GEMV bits must not depend on batch size, row
-        position, operand alignment or concurrent BLAS calls.  Guards
-        against a numpy that fuses the row-stacked matmul into one
-        batch-dependent GEMM."""
+        """Tiled-GEMM bits must not depend on batch size, row position
+        or order, operand alignment or concurrent BLAS calls.  Guards
+        against tiling with documents as rows (``tile @ w.T``), whose
+        bits move when rows are permuted inside a tile."""
         network, plan = _stable_serving_plan(variant, context)
         x = np.random.default_rng(21).normal(size=(1000, 136))
         whole = plan.score(x)
-        for split in (1, 3, 17, 70, 255, 256, 257):
+        for split in (1, 3, 15, 16, 17, 70, 255, 256, 257):
             parts = np.concatenate(
                 [plan.score(x[i : i + split]) for i in range(0, len(x), split)]
             )
             np.testing.assert_array_equal(
                 parts, whole, err_msg=f"{variant} diverged at split {split}"
             )
+        perm = np.random.default_rng(22).permutation(len(x))
+        np.testing.assert_array_equal(
+            plan.score(x[perm]), whole[perm],
+            err_msg=f"{variant} diverged under a row permutation",
+        )
         for offset in (1, 3):
             shifted = _misaligned(x, offset)
             np.testing.assert_array_equal(plan.score(shifted), whole)
@@ -303,6 +324,105 @@ class TestStableMode:
         np.testing.assert_array_equal(
             got[:1], stable_forward(network, _misaligned(x[:1], 1))
         )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "shape", TILE_SHAPES, ids=[f"{m}x{k}" for m, k in TILE_SHAPES]
+    )
+    def test_stable_matmul_is_tile_invariant(self, shape, dtype):
+        """A row's bits equal its whole-batch bits when scored alone,
+        in any split, in a permuted batch and at odd element offsets."""
+        m, k = shape
+        rng = np.random.default_rng(m * 7919 + k)
+        w = np.ascontiguousarray(rng.normal(size=(m, k)), dtype=dtype)
+        x = rng.normal(size=(67, k)).astype(dtype)
+        whole = stable_matmul(x, w)
+        assert whole.shape == (67, m) and whole.dtype == dtype
+        exact = x.astype(np.float64) @ w.astype(np.float64).T
+        np.testing.assert_allclose(
+            whole, exact, rtol=0, atol=1e-3 if dtype == np.float32 else 1e-9
+        )
+        for split in (1, 15, STABLE_TILE, 17, 33):
+            parts = np.concatenate(
+                [stable_matmul(x[i : i + split], w) for i in range(0, len(x), split)]
+            )
+            np.testing.assert_array_equal(parts, whole, err_msg=f"split {split}")
+        perm = rng.permutation(len(x))
+        np.testing.assert_array_equal(stable_matmul(x[perm], w), whole[perm])
+        for offset in (1, 3):
+            np.testing.assert_array_equal(
+                stable_matmul(_misaligned(x, offset), w), whole
+            )
+
+    def test_tile_invariance_on_one_blas_thread(self):
+        """The sweep above, re-run with one BLAS thread (fixed at process
+        start, hence the subprocess): there, tiling with documents as
+        rows (``tile @ w.T``) moves bits with a row's place in its tile."""
+        node = f"{__file__}::TestStableMode::test_stable_matmul_is_tile_invariant"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert result.returncode == 0, result.stdout[-4000:]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_stays_in_its_column(self, context, bad):
+        """A NaN/inf document cannot touch another document's bits, nor
+        leak through the reused tile scratch into a later batch."""
+        network, plan = _stable_serving_plan("float64", context)
+        x = np.random.default_rng(31).normal(size=(37, 136))
+        clean = plan.score(x)
+        poisoned = x.copy()
+        poisoned[[2, 35]] = bad  # one row in a full tile, one in the tail
+        keep = np.setdiff1d(np.arange(len(x)), [2, 35])
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(plan.score(poisoned)[keep], clean[keep])
+            np.testing.assert_array_equal(
+                stable_forward(network, poisoned)[keep],
+                stable_forward(network, x)[keep],
+            )
+        # Same batch size and a different ragged tail on the scratch the
+        # poisoned batch just used.
+        np.testing.assert_array_equal(plan.score(x), clean)
+        np.testing.assert_array_equal(plan.score(x[:5]), clean[:5])
+
+    @pytest.mark.parametrize("variant", STABLE_VARIANTS)
+    def test_steady_state_execute_allocates_nothing(self, context, variant):
+        """The tile views, tail tile and product buffers are built once
+        per batch size: steady-state ``execute_into`` keeps the heap
+        flat (the compile-smoke gate, at ragged and full-tile sizes)."""
+        _, plan = _stable_serving_plan(variant, context)
+        x = np.random.default_rng(41).normal(size=(1000, 136))
+        for n in (1, 17, 1000):
+            chunk = np.ascontiguousarray(x[:n])
+            out = np.empty(n)
+            plan.execute_into(chunk, out)  # build the views for this size
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                for _ in range(100):
+                    plan.execute_into(chunk, out)
+                after, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert after - before < ALLOC_TOLERANCE, (
+                f"{variant}: 100 executes at n={n} grew {after - before} B"
+            )
+
+    def test_stable_tiles_reject_non_contiguous_operands(self):
+        a = np.zeros((40, 12))[:, ::2]
+        tile = np.zeros((STABLE_TILE, 6))
+        prod = np.zeros((3, 4, STABLE_TILE))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            StableTiles(a, np.zeros((40, 4)), tile, prod)
+
+    def test_stable_forward_scores_zero_docs(self):
+        network = _network((16, 8))
+        scores = stable_forward(network, np.empty((0, 12)))
+        assert scores.shape == (0,) and scores.dtype == np.float64
+        with pytest.raises(ValueError, match="features"):
+            stable_forward(network, np.empty((0, 11)))
 
     def test_native_plan_matches_stable_at_serving_shape(self, context):
         network = _network(SERVING_HIDDEN, input_dim=136, seed=7)

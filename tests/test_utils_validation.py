@@ -26,6 +26,11 @@ class TestCheckArray2d:
         with pytest.raises(ValueError, match="non-empty"):
             check_array_2d(np.empty((0, 3)), "x")
 
+    def test_allow_empty(self):
+        assert check_array_2d(np.empty((0, 3)), "x", allow_empty=True).shape == (0, 3)
+        with pytest.raises(ValueError, match="2-dimensional"):
+            check_array_2d(np.empty(0), "x", allow_empty=True)
+
     def test_custom_dtype(self):
         out = check_array_2d([[1, 2]], "x", dtype=np.int64)
         assert out.dtype == np.int64
