@@ -6,8 +6,9 @@ reservoir sample over *rows* would be dominated by the head (the same
 few documents sampled over and over); a plain dedup would forget the
 skew entirely.  :class:`ReplayBuffer` does both:
 
-* rows are deduplicated by content digest — a repeated row costs no new
-  slot, it increments that row's ``seen`` count and refreshes its
+* rows are deduplicated by their 128-bit content key
+  (:func:`~repro.utils.rowkeys.row_keys`) — a repeated row costs no
+  new slot, it increments that row's ``seen`` count and refreshes its
   stored target score;
 * **distinct** rows flow through an Algorithm-R reservoir, so when the
   buffer is full each distinct row ever offered has equal probability
@@ -23,7 +24,6 @@ hand it back as a promotion candidate.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from threading import RLock
 from typing import Any
@@ -32,18 +32,12 @@ import numpy as np
 
 from repro.exceptions import ReproError
 from repro.nn.training import Trainer, TrainingConfig
+from repro.utils.rowkeys import key_bytes, row_keys
 from repro.utils.validation import check_array_2d
 
 
 class ReplayError(ReproError):
     """Raised on invalid replay-buffer operations."""
-
-
-def _row_digest(row: np.ndarray) -> bytes:
-    return hashlib.blake2b(
-        np.ascontiguousarray(row, dtype=np.float64).tobytes(),
-        digest_size=16,
-    ).digest()
 
 
 class ReplayBuffer:
@@ -84,10 +78,10 @@ class ReplayBuffer:
                 f"features ({len(x)}) and scores ({len(y)}) disagree"
             )
         absorbed = 0
+        digests = key_bytes(row_keys(x))
         with self._lock:
-            for row, score in zip(x, y):
+            for row, score, digest in zip(x, y, digests):
                 self.total_rows += 1
-                digest = _row_digest(row)
                 slot = self._index.get(digest)
                 if slot is not None:
                     self._seen[slot] += 1

@@ -127,7 +127,7 @@ class QuickScorer:
 
     def score(self, features) -> np.ndarray:
         """Score a batch of documents; records :attr:`last_stats`."""
-        x = check_array_2d(features, "features")
+        x = check_array_2d(features, "features", allow_empty=True)
         if x.shape[1] != self.encoded.n_features:
             raise ValueError(
                 f"expected {self.encoded.n_features} features, got {x.shape[1]}"

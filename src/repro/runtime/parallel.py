@@ -13,9 +13,10 @@ split:
   is derived from the scorer's calibrated ``price()`` so each shard
   lands near a target microsecond budget).  Same inputs, same plan —
   always.
-* :class:`ScoreCache` — a thread-safe LRU over *(model fingerprint,
-  feature-row digest)* → score.  Repeated documents (hot queries, shared
-  candidates) short-circuit straight to their previously computed bits.
+* :class:`ScoreCache` — a thread-safe, LRU-like table over *(model
+  fingerprint, 128-bit row key)* → score, keyed in one vectorized pass
+  per request.  Repeated documents (hot queries, shared candidates)
+  short-circuit straight to their previously computed bits.
 * :class:`ShardedScorer` — wraps any :class:`~repro.runtime.base.Scorer`
   with a persistent thread pool; shards are scored concurrently and
   reassembled in row order.  Adapters guarantee chunk-invariant scoring
@@ -34,18 +35,17 @@ depend on the entire request.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
-from collections import OrderedDict
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from threading import RLock
 
 import numpy as np
 
 from repro.exceptions import ConfigError, ReproError
+from repro.utils.rowkeys import key_bytes, row_keys
 from repro.utils.validation import check_array_2d
 
 __all__ = [
@@ -304,21 +304,26 @@ def scorer_fingerprint(scorer) -> str:
     )
 
 
-def _row_digests(x: np.ndarray) -> list[bytes]:
-    """16-byte BLAKE2b digest of each (contiguous float64) feature row."""
-    return [
-        hashlib.blake2b(row.tobytes(), digest_size=16).digest() for row in x
-    ]
+#: A full cache frees at least ``capacity // _EVICT_DIVISOR`` slots per
+#: eviction pass, so its O(capacity) oldest-entry selection runs once
+#: per that many inserts instead of on every call.
+_EVICT_DIVISOR = 16
 
 
 class ScoreCache:
-    """Thread-safe LRU of per-document scores.
+    """Thread-safe, LRU-like table of per-document scores.
 
-    Keys are ``(model fingerprint, feature-row digest)`` so two models —
-    or two instances of the same model — never share entries, and a row
-    hits only when its float64 bytes match exactly (bit-identity is
-    preserved by construction: a hit returns the very bits the scorer
-    produced).
+    Entries are keyed by ``(model fingerprint, 128-bit row key)`` (see
+    :func:`~repro.utils.rowkeys.row_keys`), so two models — or two
+    instances of the same model — never share entries, and a row hits
+    only when its float64 bytes match exactly (bit-identity is preserved
+    by construction: a hit returns the very bits the scorer produced).
+
+    Storage is preallocated: per slot the key (16 bytes), the score, the
+    owning fingerprint's id and a last-use tick, plus a free-slot stack.
+    A per-fingerprint ``dict`` maps each 16-byte key to its slot.  When
+    a full cache needs room it evicts the least recently used entries,
+    ``capacity // 16`` (or what the call needs, if more) at a time.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -326,14 +331,28 @@ class ScoreCache:
             raise ParallelError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._lock = RLock()
-        self._entries: OrderedDict[tuple[str, bytes], float] = OrderedDict()
+        self._reset()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
 
+    def _reset(self) -> None:
+        capacity = self.capacity
+        self._keys = np.zeros((capacity, 2), dtype=np.uint64)
+        self._scores = np.zeros(capacity, dtype=np.float64)
+        #: owning fingerprint id per slot; 0 marks a free slot
+        self._owners = np.zeros(capacity, dtype=np.int32)
+        self._ticks = np.zeros(capacity, dtype=np.int64)
+        self._free = np.arange(capacity, dtype=np.intp)
+        self._n_free = capacity
+        self._clock = 0
+        self._owner_ids: dict[str, int] = {}
+        self._tables: dict[int, dict[bytes, int]] = {}
+        self._next_owner = 1
+
     def __len__(self) -> int:
-        return len(self._entries)
+        return self.capacity - self._n_free
 
     @property
     def hit_ratio(self) -> float:
@@ -343,54 +362,103 @@ class ScoreCache:
 
     # ------------------------------------------------------------------
     def get_many(
-        self, model_key: str, digests: Sequence[bytes]
+        self, model_key: str, keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Look up ``digests``; returns ``(values, hit_mask)``.
+        """Look up the ``(n, 2)`` row ``keys``; returns ``(values, hit_mask)``.
 
         ``values[i]`` is meaningful only where ``hit_mask[i]`` is true
         (scores may legitimately be any float, so there is no sentinel).
         """
-        values = np.zeros(len(digests), dtype=np.float64)
-        mask = np.zeros(len(digests), dtype=bool)
+        digests = key_bytes(keys)
         with self._lock:
-            for index, digest in enumerate(digests):
-                key = (model_key, digest)
-                try:
-                    values[index] = self._entries[key]
-                except KeyError:
-                    self.misses += 1
-                    continue
-                self._entries.move_to_end(key)
-                mask[index] = True
-                self.hits += 1
+            table = self._tables.get(self._owner_ids.get(model_key, 0), {})
+            slots = np.fromiter(
+                map(table.get, digests, repeat(-1)), np.intp, len(digests)
+            )
+            mask = slots >= 0
+            hit = slots[mask]
+            self._ticks[hit] = self._tick()
+            values = self._scores[slots]  # misses read slot -1: junk
+            self.hits += len(hit)
+            self.misses += len(slots) - len(hit)
         return values, mask
 
     def put_many(
         self,
         model_key: str,
-        digests: Sequence[bytes],
+        keys: np.ndarray,
         scores: np.ndarray,
     ) -> None:
         """Insert freshly computed scores, evicting LRU entries."""
-        if len(digests) != len(scores):
+        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        scores = np.asarray(scores, dtype=np.float64)
+        if len(keys) != len(scores):
             raise ParallelError(
-                f"got {len(digests)} digests for {len(scores)} scores"
+                f"got {len(keys)} row digests for {len(scores)} scores"
             )
-        evicted = 0
+        # Rows beyond capacity would be evicted by the later ones within
+        # this very call: keep the last ``capacity``.
+        evicted = max(len(keys) - self.capacity, 0)
+        keys, scores = keys[evicted:], scores[evicted:]
+        digests = key_bytes(keys)
         with self._lock:
-            for digest, score in zip(digests, scores):
-                key = (model_key, digest)
-                if key in self._entries:
-                    self._entries.move_to_end(key)
-                self._entries[key] = float(score)
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
-                    evicted += 1
+            owner = self._owner_ids.get(model_key)
+            if owner is None:
+                owner = self._owner_ids[model_key] = self._next_owner
+                self._next_owner += 1
+                self._tables[owner] = {}
+            table = self._tables[owner]
+            if len(digests) > self._n_free:
+                evicted += self._evict(len(digests) - self._n_free)
+            # Offer every row a free slot; ``setdefault`` keeps a known
+            # row's slot (and a repeated row's first one), so one pass
+            # looks up, inserts and deduplicates.
+            lo = self._n_free - len(digests)
+            offered = self._free[lo : self._n_free].copy()
+            slots = np.fromiter(
+                map(table.setdefault, digests, offered.tolist()),
+                np.intp,
+                len(digests),
+            )
+            taken = slots == offered
+            spare = offered[~taken]
+            self._free[lo : lo + len(spare)] = spare
+            self._n_free = lo + len(spare)
+            new = offered[taken]
+            self._keys[new] = keys[taken]
+            self._owners[new] = owner
+            self._scores[slots] = scores  # a repeated row: last one wins
+            self._ticks[slots] = self._tick()
+            self.evictions += evicted
         if evicted:
             from repro.obs.parallel import record_cache_eviction
 
             record_cache_eviction(evicted)
+
+    def _tick(self) -> int:
+        """The next last-use tick (one per call).  Caller holds the lock."""
+        self._clock += 1
+        return self._clock
+
+    def _evict(self, count: int) -> int:
+        """Free the ``max(count, capacity // 16)`` least recently used
+        slots (all, if fewer are occupied); returns the number freed.
+        Caller holds the lock."""
+        count = min(max(count, self.capacity // _EVICT_DIVISOR), len(self))
+        ticks = np.where(self._owners > 0, self._ticks, np.iinfo(np.int64).max)
+        victims = np.argpartition(ticks, count - 1)[:count]
+        owners = self._owners[victims]
+        for owner in np.unique(owners).tolist():
+            table = self._tables[owner]
+            for digest in key_bytes(self._keys[victims[owners == owner]]):
+                del table[digest]
+        self._release(victims)
+        return count
+
+    def _release(self, slots: np.ndarray) -> None:
+        self._owners[slots] = 0
+        self._free[self._n_free : self._n_free + len(slots)] = slots
+        self._n_free += len(slots)
 
     def invalidate(self, fingerprint: str) -> int:
         """Drop every entry keyed by ``fingerprint``; returns the count.
@@ -403,28 +471,30 @@ class ScoreCache:
         version's rows — but a swapped-out model's entries are dead
         weight that would otherwise age out one eviction at a time.)
         """
-        key = str(fingerprint)
         with self._lock:
-            doomed = [k for k in self._entries if k[0] == key]
-            for entry_key in doomed:
-                del self._entries[entry_key]
-            self.invalidations += len(doomed)
-        if doomed:
+            owner = self._owner_ids.pop(str(fingerprint), 0)
+            table = self._tables.pop(owner, {})
+            if table:
+                self._release(
+                    np.fromiter(table.values(), np.intp, len(table))
+                )
+            self.invalidations += len(table)
+        if table:
             from repro.obs.parallel import record_cache_invalidation
 
-            record_cache_invalidation(len(doomed))
-        return len(doomed)
+            record_cache_invalidation(len(table))
+        return len(table)
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
         with self._lock:
-            self._entries.clear()
+            self._reset()
 
     def snapshot(self) -> dict[str, float]:
         """Counters + occupancy, for summaries and metrics."""
         with self._lock:
             return {
-                "entries": float(len(self._entries)),
+                "entries": float(len(self)),
                 "capacity": float(self.capacity),
                 "hits": float(self.hits),
                 "misses": float(self.misses),
@@ -435,7 +505,7 @@ class ScoreCache:
 
     def __repr__(self) -> str:
         return (
-            f"<ScoreCache {len(self._entries)}/{self.capacity} "
+            f"<ScoreCache {len(self)}/{self.capacity} "
             f"hit_ratio={self.hit_ratio:.1%}>"
         )
 
@@ -561,10 +631,15 @@ class ShardedScorer:
             raise PoolClosedError(
                 f"sharded scorer over {self.backend!r} is closed"
             )
-        x = np.asarray(features, dtype=np.float64)
-        if x.ndim == 2 and x.shape[0] == 0:
+        x = check_array_2d(features, "features", allow_empty=True)
+        dim = self.inner.input_dim
+        if dim is not None and x.shape[1] != dim:
+            # Checked before keying, so a cache hit always implies the
+            # inner scorer accepted this width.
+            raise ValueError(f"expected {dim} features, got {x.shape[1]}")
+        if not len(x):
             return np.zeros(0, dtype=np.float64)
-        x = np.ascontiguousarray(check_array_2d(x, "features"))
+        x = np.ascontiguousarray(x)
         n = len(x)
         self.requests += 1
         if not self.batchable:
@@ -577,34 +652,28 @@ class ShardedScorer:
             )
             annotate_requests(shards=1, pool_utilization=1.0)
             return scores
-        out = np.empty(n, dtype=np.float64)
-        hits = misses = 0
         model_key = self._model_key()
-        if self.cache is not None:
-            digests = _row_digests(x)
-            values, mask = self.cache.get_many(model_key, digests)
-            out[mask] = values[mask]
-            miss_idx = np.flatnonzero(~mask)
-            hits, misses = int(mask.sum()), int(len(x) - mask.sum())
+        # `miss` selects the rows to score: every row (a slice, so no
+        # copies) unless the cache serves some of them.
+        if self.cache is None:
+            out, miss, misses = np.empty(n, dtype=np.float64), slice(None), n
         else:
-            digests = None
-            miss_idx = np.arange(n)
-            misses = n
+            keys = row_keys(x)
+            out, hit = self.cache.get_many(model_key, keys)
+            miss = np.flatnonzero(~hit)
+            misses = len(miss)
+            if misses == n:
+                miss = slice(None)
+        hits = n - misses
         plan = None
         utilization = float("nan")
-        if len(miss_idx):
-            sub = x if len(miss_idx) == n else np.ascontiguousarray(
-                x[miss_idx]
-            )
+        if misses:
+            sub = x[miss]
             plan = self._plan(len(sub))
             fresh, utilization = self._execute(sub, plan)
-            out[miss_idx] = fresh
+            out[miss] = fresh
             if self.cache is not None:
-                self.cache.put_many(
-                    model_key,
-                    [digests[i] for i in miss_idx],
-                    fresh,
-                )
+                self.cache.put_many(model_key, keys[miss], fresh)
             self.shards_executed += plan.n_shards
             self.last_plan = plan
             self.last_utilization = utilization

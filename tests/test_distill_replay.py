@@ -46,11 +46,11 @@ class TestReplayBuffer:
         # the digest index must track the retained rows exactly
         x, _, _ = buffer.as_arrays()
         assert len(buffer._index) == 8
-        from repro.distill.replay import _row_digest
+        from repro.utils.rowkeys import key_bytes, row_keys
 
         assert sorted(buffer._index.values()) == list(range(8))
-        for row in x:
-            assert _row_digest(row) in buffer._index
+        for digest in key_bytes(row_keys(x)):
+            assert digest in buffer._index
 
     def test_reservoir_is_roughly_uniform_over_distinct_rows(self):
         # Offer rows 0..99, capacity 10; over many seeds every row must

@@ -125,6 +125,22 @@ class TestZeroDocumentRequests:
         with pytest.raises(ValueError, match="features"):
             scorer.score(np.empty((0, dim + 1)))
 
+    @pytest.mark.parametrize("backend", ["quickscorer", "quickscorer-gpu"])
+    def test_forest_adapters_score_zero_docs(
+        self, small_forest, predictor_cache, backend
+    ):
+        scorer = make_scorer(
+            small_forest,
+            backend=backend,
+            context=PricingContext(predictor=predictor_cache),
+        )
+        dim = small_forest.n_features
+        scores = scorer.score(np.empty((0, dim)))
+        assert scores.shape == (0,)
+        assert scores.dtype == np.float64
+        with pytest.raises(ValueError, match="features"):
+            scorer.score(np.empty((0, dim + 1)))
+
     def test_stats_still_reject_zero_docs_directly(self):
         stats = ServiceStats()
         with pytest.raises(Exception, match="at least one document"):

@@ -22,6 +22,7 @@ from repro.runtime import (
     plan_shards,
     scorer_fingerprint,
 )
+from repro.utils.rowkeys import row_keys
 
 
 @pytest.fixture(scope="module")
@@ -149,45 +150,222 @@ class TestParallelConfig:
 # ----------------------------------------------------------------------
 # Score cache
 # ----------------------------------------------------------------------
+def _keys(*names: str) -> np.ndarray:
+    """Row keys of one-feature rows standing in for the named rows."""
+    return row_keys(
+        [[float(int.from_bytes(n.encode(), "little"))] for n in names]
+    )
+
+
 class TestScoreCache:
     def test_lru_eviction_order(self):
         cache = ScoreCache(capacity=2)
-        cache.put_many("m", [b"a", b"b"], np.array([1.0, 2.0]))
-        cache.get_many("m", [b"a"])  # touch "a" -> "b" becomes LRU
-        cache.put_many("m", [b"c"], np.array([3.0]))
-        _, mask = cache.get_many("m", [b"a", b"b", b"c"])
+        cache.put_many("m", _keys("a", "b"), np.array([1.0, 2.0]))
+        cache.get_many("m", _keys("a"))  # touch "a" -> "b" becomes LRU
+        cache.put_many("m", _keys("c"), np.array([3.0]))
+        _, mask = cache.get_many("m", _keys("a", "b", "c"))
         assert mask.tolist() == [True, False, True]
         assert cache.evictions == 1
 
     def test_models_do_not_share_entries(self):
         cache = ScoreCache(capacity=8)
-        cache.put_many("model-a", [b"row"], np.array([1.0]))
-        _, mask = cache.get_many("model-b", [b"row"])
+        cache.put_many("model-a", _keys("row"), np.array([1.0]))
+        _, mask = cache.get_many("model-b", _keys("row"))
         assert not mask.any()
 
     def test_hit_ratio_and_snapshot(self):
         cache = ScoreCache(capacity=8)
         assert np.isnan(cache.hit_ratio)
-        cache.put_many("m", [b"x"], np.array([0.5]))
-        cache.get_many("m", [b"x", b"y"])
+        cache.put_many("m", _keys("x"), np.array([0.5]))
+        cache.get_many("m", _keys("x", "y"))
         assert cache.hit_ratio == 0.5
         snapshot = cache.snapshot()
         assert snapshot["entries"] == 1.0 and snapshot["hits"] == 1.0
 
     def test_clear_keeps_counters(self):
         cache = ScoreCache(capacity=8)
-        cache.put_many("m", [b"x"], np.array([0.5]))
-        cache.get_many("m", [b"x"])
+        cache.put_many("m", _keys("x"), np.array([0.5]))
+        cache.get_many("m", _keys("x"))
         cache.clear()
         assert len(cache) == 0 and cache.hits == 1
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ParallelError, match="digests"):
-            ScoreCache(8).put_many("m", [b"x"], np.array([1.0, 2.0]))
+            ScoreCache(8).put_many("m", _keys("x"), np.array([1.0, 2.0]))
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ParallelError):
             ScoreCache(0)
+
+    def test_fingerprints_sharing_one_cache_keep_their_own_scores(self):
+        cache = ScoreCache(capacity=8)
+        keys = _keys("x", "y")
+        cache.put_many("model-a", keys, np.array([1.0, 2.0]))
+        cache.put_many("model-b", keys, np.array([3.0, 4.0]))
+        values, mask = cache.get_many("model-a", keys)
+        assert mask.all() and values.tolist() == [1.0, 2.0]
+        values, mask = cache.get_many("model-b", keys)
+        assert mask.all() and values.tolist() == [3.0, 4.0]
+        assert len(cache) == 4
+
+    def test_invalidate_frees_capacity_for_other_fingerprints(self):
+        cache = ScoreCache(capacity=4)
+        cache.put_many("old", _keys("a", "b", "c", "d"), np.arange(4.0))
+        assert cache.invalidate("old") == 4
+        assert len(cache) == 0 and cache.invalidations == 4
+        keys = _keys("e", "f", "g", "h")
+        cache.put_many("new", keys, np.arange(4.0))
+        _, mask = cache.get_many("new", keys)
+        assert mask.all()
+        assert cache.evictions == 0
+        _, mask = cache.get_many("old", _keys("a", "b", "c", "d"))
+        assert not mask.any()
+
+    def test_rows_hit_in_the_latest_call_survive_eviction_pressure(self):
+        cache = ScoreCache(capacity=64)
+        rows = np.arange(2000.0)[:, None]
+        hot = row_keys(rows[:8])
+        cache.put_many("m", row_keys(rows[:64]), rows[:64, 0])
+        for lo in range(64, 2000, 16):
+            fresh = row_keys(rows[lo : lo + 16])
+            values, mask = cache.get_many("m", np.concatenate([hot, fresh]))
+            assert mask[:8].all(), f"hot rows evicted before row {lo}"
+            np.testing.assert_array_equal(values[:8], rows[:8, 0])
+            cache.put_many("m", fresh, rows[lo : lo + 16, 0])
+            assert len(cache) <= cache.capacity
+        assert cache.evictions == 2000 - len(cache)
+
+    def test_duplicate_keys_in_one_put_take_one_slot(self):
+        cache = ScoreCache(capacity=4)
+        keys = _keys("a", "a", "b")
+        cache.put_many("m", keys, np.array([1.0, 1.0, 2.0]))
+        assert len(cache) == 2
+        values, mask = cache.get_many("m", keys)
+        assert mask.all() and values.tolist() == [1.0, 1.0, 2.0]
+
+    def test_more_new_rows_than_capacity_keep_the_last(self):
+        cache = ScoreCache(capacity=4)
+        rows = np.arange(10.0)[:, None]
+        cache.put_many("m", row_keys(rows), rows[:, 0])
+        assert len(cache) == 4 and cache.evictions == 6
+        _, mask = cache.get_many("m", row_keys(rows))
+        assert mask.tolist() == [False] * 6 + [True] * 4
+
+    def test_concurrent_callers_keep_the_table_consistent(self):
+        import sys
+        import threading
+
+        cache = ScoreCache(capacity=64)
+        rows = np.arange(400.0)[:, None]
+        keys = row_keys(rows)
+        errors = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(200):
+                    pick = rng.integers(0, 400, 24)
+                    model = f"m{seed % 2}"
+                    values, mask = cache.get_many(model, keys[pick])
+                    if not np.array_equal(values[mask], rows[pick, 0][mask]):
+                        errors.append("a hit returned another row's score")
+                    cache.put_many(model, keys[pick], rows[pick, 0])
+                    if seed == 0 and rng.random() < 0.05:
+                        cache.invalidate("m1")
+            except Exception as exc:  # reported below, not lost
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(seed,))
+                for seed in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:3]
+        assert len(cache) <= cache.capacity
+        # No slot leaked: a fresh fingerprint can still use all of them.
+        fresh = row_keys(np.arange(1000.0, 1064.0)[:, None])
+        cache.put_many("z", fresh, np.arange(64.0))
+        values, mask = cache.get_many("z", fresh)
+        assert mask.all() and values.tolist() == list(range(64))
+
+# ----------------------------------------------------------------------
+# Row keys
+# ----------------------------------------------------------------------
+def _differ(a, b) -> bool:
+    """Whether every lane of the 1-row matrices' keys differs (each lane
+    alone separates rows that differ in one word)."""
+    return bool((row_keys(a) != row_keys(b)).all())
+
+
+class TestRowKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.integers(min_value=1, max_value=160),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    def test_flipping_any_single_bit_changes_the_key(self, width, seed, data):
+        row = np.random.default_rng(seed).standard_normal((1, width))
+        word = data.draw(st.integers(min_value=0, max_value=width - 1))
+        bit = data.draw(st.integers(min_value=0, max_value=63))
+        flipped = row.copy()
+        flipped.view(np.uint64)[0, word] ^= np.uint64(1) << np.uint64(bit)
+        assert _differ(row, flipped)
+
+    def test_mixed_words_differing_in_the_top_bit_differ(self):
+        # The hardest one-word change: mixed words 2**63 apart, which an
+        # even lane multiplier would wrap to the same sum.  Built by
+        # inverting the mix (odd multiply, then xorshift by 32).
+        from repro.utils.rowkeys import _MIX
+
+        mask = 2**64 - 1
+        inverse = pow(int(_MIX), -1, 2**64)
+        row = np.random.default_rng(5).standard_normal((1, 40))
+        for j, word in enumerate(row.view(np.uint64)[0].tolist()):
+            mixed = (word * int(_MIX)) & mask
+            mixed ^= mixed >> 32
+            target = mixed ^ (1 << 63)
+            other = row.copy()
+            other.view(np.uint64)[0, j] = (
+                (target ^ (target >> 32)) * inverse
+            ) & mask
+            assert _differ(row, other), f"word {j}"
+
+    def test_signed_zeros_differ(self):
+        assert _differ(np.array([[0.0, 1.0]]), np.array([[-0.0, 1.0]]))
+
+    def test_nan_payloads_differ(self):
+        quiet = np.array([[np.nan]])
+        payload = np.array([[0x7FF8000000000001]], dtype=np.uint64)
+        other = payload.view(np.float64)
+        assert np.isnan(other).all()
+        assert _differ(quiet, other)
+
+    def test_one_ulp_neighbours_differ(self):
+        rng = np.random.default_rng(3)
+        rows = rng.standard_normal((50, 136))
+        at = (np.arange(50), rng.integers(0, 136, 50))
+        for direction in (np.inf, -np.inf):
+            moved = rows.copy()
+            moved[at] = np.nextafter(rows[at], direction)
+            assert (row_keys(rows) != row_keys(moved)).all()
+
+    def test_keys_depend_on_bytes_not_layout(self):
+        x = np.random.default_rng(0).standard_normal((300, 40))
+        keys = row_keys(x)
+        assert keys.shape == (300, 2) and keys.dtype == np.uint64
+        np.testing.assert_array_equal(row_keys(np.asfortranarray(x)), keys)
+        np.testing.assert_array_equal(row_keys(x[::3]), keys[::3])
+        assert len(np.unique(keys, axis=0)) == 300
 
 
 # ----------------------------------------------------------------------
@@ -292,6 +470,29 @@ class TestShardedScorerBehaviour:
             assert out.shape == (0,)
             assert s.requests == 0
 
+    def test_wrong_width_rejected_before_keying(self, forest_scorer):
+        config = ParallelConfig(workers=1, cache_entries=64)
+        dim = forest_scorer.input_dim
+        with ShardedScorer(forest_scorer, config) as s:
+            for rows in (1, 0):
+                with pytest.raises(ValueError, match="features"):
+                    s.score(np.zeros((rows, dim - 1)))
+            assert s.cache.misses == 0 and s.requests == 0
+
+    def test_duplicate_missing_rows_in_one_request(
+        self, forest_scorer, features
+    ):
+        x = np.concatenate([features[:20], features[:20], features[5:10]])
+        config = ParallelConfig(workers=2, cache_entries=64)
+        with ShardedScorer(forest_scorer, config) as sharded:
+            cold = sharded.score(x)
+            assert sharded.cache.misses == len(x)
+            assert len(sharded.cache) == len(np.unique(features[:20], axis=0))
+            warm = sharded.score(x)
+            assert sharded.cache.hits == len(x)
+        np.testing.assert_array_equal(cold, forest_scorer.score(x))
+        np.testing.assert_array_equal(warm, cold)
+
     def test_warm_request_hits_cache(self, forest_scorer, features):
         x = features[:64]
         config = ParallelConfig(workers=1, cache_entries=4096)
@@ -368,3 +569,33 @@ class TestParallelIntegration:
         with ShardedScorer(forest_scorer, ParallelConfig(workers=2)) as s:
             engine = BatchEngine(s, parallel=ParallelConfig(workers=4))
             assert engine.scorer is s
+
+
+# ----------------------------------------------------------------------
+# The cache pays for itself
+# ----------------------------------------------------------------------
+class TestCacheCost:
+    def test_warm_forest_request_costs_a_third_of_cold(self, forest_scorer):
+        """On the cheapest kernel (a 20-tree forest), serving ~1000 rows
+        from the cache must cost at most a third of scoring them cold.
+        Interleaved best-of-N ratio: host speed cancels out."""
+        import time
+
+        x = np.random.default_rng(0).standard_normal(
+            (1000, forest_scorer.input_dim)
+        )
+        config = ParallelConfig(workers=1, cache_entries=2048)
+        cold = warm = float("inf")
+        with ShardedScorer(forest_scorer, config) as sharded:
+            for _ in range(7):
+                sharded.cache.clear()
+                start = time.perf_counter()
+                sharded.score(x)
+                cold = min(cold, time.perf_counter() - start)
+                start = time.perf_counter()
+                sharded.score(x)
+                warm = min(warm, time.perf_counter() - start)
+        assert cold >= 3.0 * warm, (
+            f"warm {warm * 1e3:.2f} ms vs cold {cold * 1e3:.2f} ms: "
+            f"only {cold / warm:.1f}x"
+        )

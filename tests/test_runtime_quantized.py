@@ -284,7 +284,7 @@ class TestScoreCacheSeparation:
         # the float plan's for the same weights, so a shared ScoreCache
         # keyed by fingerprint can never serve one plan's (approximate)
         # scores to the other.
-        from repro.runtime.parallel import _row_digests
+        from repro.utils.rowkeys import row_keys
 
         f32 = make_scorer(small_student, compiled=True, plan_dtype="float32")
         int8 = make_scorer(
@@ -293,7 +293,7 @@ class TestScoreCacheSeparation:
         assert f32.fingerprint() != int8.fingerprint()
 
         features = rng.standard_normal((16, 136))
-        digests = _row_digests(np.asarray(features, dtype=np.float64))
+        digests = row_keys(features)
         cache = ScoreCache(capacity=256)
         cache.put_many(int8.fingerprint(), digests, int8.score(features))
 
@@ -308,14 +308,14 @@ class TestScoreCacheSeparation:
     def test_invalidating_one_plan_keeps_the_other(
         self, small_student, rng
     ):
-        from repro.runtime.parallel import _row_digests
+        from repro.utils.rowkeys import row_keys
 
         f32 = make_scorer(small_student, compiled=True, plan_dtype="float32")
         int8 = make_scorer(
             small_student, quantize="int8", plan_dtype="float32"
         )
         features = rng.standard_normal((8, 136))
-        digests = _row_digests(np.asarray(features, dtype=np.float64))
+        digests = row_keys(features)
         cache = ScoreCache(capacity=64)
         cache.put_many(f32.fingerprint(), digests, f32.score(features))
         cache.put_many(int8.fingerprint(), digests, int8.score(features))
