@@ -341,7 +341,8 @@ def cmd_compile(args) -> int:
     )
     header = (
         f"{'layer':>5} {'shape':>10} {'sparsity':>8} {'kernel':>10} "
-        f"{'dtype':>7} {'fill':>5} {'predicted':>12} {'measured':>12}"
+        f"{'dtype':>7} {'fill':>5} {'wide':>7} {'predicted':>12} "
+        f"{'measured':>12}"
     )
     log.info("%s", header)
     log.info("%s", "-" * len(header))
@@ -351,20 +352,22 @@ def cmd_compile(args) -> int:
         else:
             layer_dtype = plan.dtype_name.replace("float", "f")
         fill = f"{lp.block_fill:.0%}" if lp.kernel == "block-spmm" else "-"
+        wide = "/".join(str(w) for w in lp.wide_widths) or "-"
         log.info(
-            "%5s %10s %8s %10s %7s %5s %9.3f us %9.3f us",
+            "%5s %10s %8s %10s %7s %5s %7s %9.3f us %9.3f us",
             f"L{lp.index}",
             f"{lp.out_width}x{lp.in_width}",
             f"{lp.sparsity:.1%}",
             lp.kernel,
             layer_dtype,
             fill,
+            wide,
             lp.predicted_us_per_doc,
             us,
         )
     log.info(
-        "%5s %10s %8s %10s %7s %5s %9.3f us %9.3f us",
-        "total", "", "", "", "", "",
+        "%5s %10s %8s %10s %7s %5s %7s %9.3f us %9.3f us",
+        "total", "", "", "", "", "", "",
         plan.predicted_us_per_doc, sum(measured),
     )
     if plan.score_tolerance is not None:

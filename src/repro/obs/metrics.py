@@ -244,20 +244,38 @@ def _labels_key(labels: dict[str, Any]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
+#: Label value types whose equality implies equal ``str()``: lookups
+#: with only these skip the sort (``0.0 == -0.0`` rules floats out).
+_FAST_TYPES = frozenset((str, int, bool))
+
+
 class MetricsRegistry:
-    """Thread-safe name+labels → metric store with get-or-create access."""
+    """Thread-safe name+labels → metric store with get-or-create access.
+
+    The store is keyed on the sorted label pairs.  In front of it sits
+    an unsorted index keyed on the name, the labels in call order and
+    their types, so a repeated lookup costs one dict probe instead of
+    a sort.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[MetricKey, Metric] = {}
+        self._fast: dict[tuple, Metric] = {}
 
     # ------------------------------------------------------------------
     def _get_or_create(self, name: str, factory, labels: dict) -> Metric:
+        fast = (name, *labels.items(), *map(type, labels.values()))
+        metric = self._fast.get(fast)
+        if metric is not None:
+            return metric
         key = (name, _labels_key(labels))
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:
                 metric = self._metrics[key] = factory()
+            if _FAST_TYPES.issuperset(fast[1 + len(labels):]):
+                self._fast[fast] = metric
             return metric
 
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -306,6 +324,7 @@ class MetricsRegistry:
         """Forget every metric (instances are discarded)."""
         with self._lock:
             self._metrics.clear()
+            self._fast.clear()
 
 
 # ----------------------------------------------------------------------

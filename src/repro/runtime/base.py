@@ -165,6 +165,12 @@ STABLE_TILE = 16
 #: tile of the stack, so this does not touch the bits.
 TILES_PER_CALL = 8
 
+#: Document widths of the wide stable GEMMs, widest first.  Plans cover
+#: a batch's full tiles with one ``w @ block.T`` call per this many
+#: documents, for each width :func:`wide_widths` verified on the
+#: layer's shape; the rest stays on :data:`STABLE_TILE`-document tiles.
+STABLE_WIDE_WIDTHS = (256, 64)
+
 
 class StableTiles:
     """Preallocated fixed-tile operands for one chunk-invariant product.
@@ -182,6 +188,14 @@ class StableTiles:
     in the batch, and ``tile @ w.T`` (documents as rows) with the row
     order inside a tile.
 
+    ``wide`` lists document widths (widest first) whose ``w @ block.T``
+    calls :func:`wide_widths` found to reproduce the tile bits for this
+    shape: the leading full tiles are covered greedily by calls of
+    those widths (``block`` a view of ``width`` rows of ``a``), and the
+    remaining full tiles and the tail run as above.  Each wide product
+    lands in the first ``m * width`` elements of ``wide_prod``, a
+    C-contiguous scratch vector.
+
     ``a`` is the C-contiguous ``(n, k)`` input, ``out`` the ``(n, m)``
     destination (any strides), ``tile`` a C-contiguous
     ``(STABLE_TILE, k)`` scratch and ``prod`` a C-contiguous
@@ -194,22 +208,39 @@ class StableTiles:
     """
 
     __slots__ = (
-        "body", "body_out", "prod", "tail_in", "tail", "tail_pad", "tail_t",
-        "tail_res", "tail_out",
+        "wide", "body", "body_out", "prod", "tail_in", "tail", "tail_pad",
+        "tail_t", "tail_res", "tail_out",
     )
 
     def __init__(
-        self, a: np.ndarray, out: np.ndarray, tile: np.ndarray, prod: np.ndarray
+        self, a: np.ndarray, out: np.ndarray, tile: np.ndarray, prod: np.ndarray,
+        *, wide: tuple[int, ...] = (), wide_prod: np.ndarray | None = None,
     ) -> None:
-        if not all(x.flags.c_contiguous for x in (a, tile, prod)):
+        if not all(x.flags.c_contiguous for x in (a, tile, prod)) or (
+            wide and not wide_prod.flags.c_contiguous
+        ):
             # A copy would silently detach the views from the buffers.
             raise ValueError("StableTiles needs C-contiguous a, tile and prod")
         n, k = a.shape
         m = out.shape[1]
         full, rest = divmod(n, STABLE_TILE)
         cut = full * STABLE_TILE
-        self.body = a[:cut].reshape(full, STABLE_TILE, k).transpose(0, 2, 1)
-        self.body_out = out[:cut].reshape(full, STABLE_TILE, m).transpose(0, 2, 1)
+        start = 0
+        chunks = []
+        for width in wide:
+            count = (cut - start) // width
+            if count:
+                end = start + count * width
+                chunks.append((
+                    a[start:end].reshape(count, width, k).transpose(0, 2, 1),
+                    out[start:end].reshape(count, width, m).transpose(0, 2, 1),
+                    wide_prod[: m * width].reshape(m, width),
+                ))
+                start = end
+        self.wide = tuple(chunks)
+        tiles = (cut - start) // STABLE_TILE
+        self.body = a[start:cut].reshape(tiles, STABLE_TILE, k).transpose(0, 2, 1)
+        self.body_out = out[start:cut].reshape(tiles, STABLE_TILE, m).transpose(0, 2, 1)
         self.prod = prod
         self.tail_in = None
         if rest:
@@ -224,6 +255,10 @@ class StableTiles:
         """Write ``a @ w.T`` into ``out``; ``w`` is ``(m, k)``."""
         # Chunks are sliced per call, not prebuilt: plans cache one
         # StableTiles per layer and batch size, so each must stay small.
+        for blocks, outs, prod in self.wide:
+            for block, dest in zip(blocks, outs):
+                np.matmul(w, block, out=prod)
+                np.copyto(dest, prod)
         for i in range(0, len(self.body), TILES_PER_CALL):
             tiles = self.body[i : i + TILES_PER_CALL]
             prod = self.prod[: len(tiles)]
@@ -239,6 +274,59 @@ class StableTiles:
 def product_tiles(n: int) -> int:
     """Tiles a :class:`StableTiles` product buffer holds for ``n`` rows."""
     return min(-(-n // STABLE_TILE), TILES_PER_CALL)
+
+
+#: ``(m, k, dtype, width) -> bool`` verdicts of :func:`wide_widths`.
+_WIDE_VERDICTS: dict[tuple[int, int, str, int], bool] = {}
+_WIDE_LOCK = threading.Lock()
+
+
+def _wide_matches_tiles(m: int, k: int, dtype: np.dtype, width: int) -> bool:
+    """Whether ``width``-document calls give the tile bits at ``(m, k)``."""
+    rng = np.random.default_rng(m * 7919 + k)
+    w = rng.standard_normal((m, k)).astype(dtype)
+    a = rng.standard_normal((width, k)).astype(dtype)
+    tile = np.empty((STABLE_TILE, k), dtype=dtype)
+    prod = np.empty((product_tiles(width), m, STABLE_TILE), dtype=dtype)
+    tiled = np.empty((width, m), dtype=dtype)
+    wide = np.empty((width, m), dtype=dtype)
+    StableTiles(a, tiled, tile, prod).run(w)
+    StableTiles(
+        a, wide, tile, prod, wide=(width,),
+        wide_prod=np.empty(m * width, dtype=dtype),
+    ).run(w)
+    return tiled.tobytes() == wide.tobytes()
+
+
+def wide_widths(m: int, k: int, dtype, limit: int) -> tuple[int, ...]:
+    """The :data:`STABLE_WIDE_WIDTHS` up to ``limit`` documents whose
+    wide GEMMs reproduce the tile bits of an ``(m, k)`` weight.
+
+    BLAS picks its code path from shape, operand layout, dtype and
+    thread count, never from the values, so one probe on random
+    operands decides a ``(m, k, dtype, width)`` for every weight and
+    batch.  Verdicts are memoized per process.  On OpenBLAS 0.3.31 the
+    probe fails on ``50 x 136``, ``50 x 50``, ``50 x 200`` and
+    ``64 x 136`` at every width and on ``25 x 50`` from 64 documents
+    up; those layers stay tiled.
+    """
+    dtype = np.dtype(dtype)
+    enabled = []
+    for width in STABLE_WIDE_WIDTHS:
+        if width > limit:
+            continue
+        key = (m, k, dtype.str, width)
+        verdict = _WIDE_VERDICTS.get(key)
+        if verdict is None:
+            with _WIDE_LOCK:
+                verdict = _WIDE_VERDICTS.get(key)
+                if verdict is None:
+                    verdict = _WIDE_VERDICTS[key] = _wide_matches_tiles(
+                        m, k, dtype, width
+                    )
+        if verdict:
+            enabled.append(width)
+    return tuple(enabled)
 
 
 def stable_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -57,7 +57,9 @@ on the batch shape.  ``compile_network(..., stable=True)`` runs the
 dense and block-panel float kernels as BLAS GEMM over fixed
 :data:`~repro.runtime.base.STABLE_TILE`-document tiles, one document
 per column (:func:`~repro.runtime.base.stable_matmul`), whose bits
-depend only on that document; CSR and quantized kernels are
+depend only on that document (full tiles run as wider calls where a
+compile-time probe shows the same bits,
+:func:`~repro.runtime.base.wide_widths`); CSR and quantized kernels are
 chunk-invariant already
 (row-independent or exact-integer reductions).  See
 ``docs/compiled.md`` and ``docs/quantized_kernels.md``.
@@ -68,6 +70,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +88,7 @@ from repro.runtime.base import (
     StableTiles,
     product_tiles,
     stable_matmul,
+    wide_widths,
 )
 
 try:  # the zero-allocation SpMM entry point; gated like repro.matmul.csr
@@ -122,6 +126,11 @@ KERNEL_NAMES = (DENSE_KERNEL, SPARSE_KERNEL, BLOCK_KERNEL, INT8_KERNEL, INT16_KE
 #: Largest ``in_width`` whose int8 dot products stay exact in float32
 #: accumulation: ``k * 127 * 127 < 2**24``.
 INT8_MAX_IN_WIDTH = 1040
+
+#: Batch sizes whose buffer views a plan keeps per thread, least
+#: recently used out first.  Views cost ~6 KiB per size for the serving
+#: student and ~50 us to rebuild.
+VIEW_CACHE_SIZES = 256
 
 #: Score-tolerance budget ``quantize="auto"`` uses when none is given.
 DEFAULT_TOLERANCE = 0.05
@@ -168,6 +177,10 @@ class LayerPlan:
     weight_scale: float | None = None  # quantization scale of W
     input_scale: float | None = None  # quantization scale of the input
     emits_quantized: bool = False  # epilogue leaves int8-grid output
+    #: document widths of the stable wide GEMMs the layer runs besides
+    #: 16-document tiles (a block layer: those of any panel); not part
+    #: of the fingerprint, since they move no bit
+    wide_widths: tuple[int, ...] = ()
 
     @property
     def predicted_us_per_doc(self) -> float:
@@ -193,7 +206,13 @@ class LayerPlan:
             text += f", w_scale {self.weight_scale:.3g}"
             if self.emits_quantized:
                 text += ", fused requant"
+        if self.wide_widths:
+            text += f", wide {_widths_text(self.wide_widths)}"
         return text
+
+
+def _widths_text(widths) -> str:
+    return "/".join(str(w) for w in widths)
 
 
 def _finish(c, scale, bias, relu6: bool, q8: bool):
@@ -227,15 +246,21 @@ class _DenseKernel:
     GEMM on fixed document tiles (:class:`~repro.runtime.base.
     StableTiles`, the preallocated form of
     :func:`~repro.runtime.base.stable_matmul`), whose bits do not depend
-    on the batch shape.
+    on the batch shape, covering full tiles with the probe-verified
+    ``wide`` widths (:func:`~repro.runtime.base.wide_widths`).
     With ``out_gain`` (feeding a fused int8 layer) the frozen weights
     and bias are pre-scaled by ``127/6`` so the epilogue's requantize is
     a bare round+clip.
     """
 
-    __slots__ = ("w", "wt", "bias", "relu6", "emit_q8", "scratch", "_exact", "_stable")
+    __slots__ = (
+        "w", "wt", "bias", "relu6", "emit_q8", "scratch", "wide", "_exact", "_stable",
+    )
 
-    def __init__(self, linear: Linear, dtype, stable: bool, *, relu6: bool, out_gain=None) -> None:
+    def __init__(
+        self, linear: Linear, dtype, stable: bool, *, relu6: bool, out_gain=None,
+        max_batch: int,
+    ) -> None:
         w = np.asarray(linear.weight.data, dtype=np.float64)
         b = np.asarray(linear.bias.data, dtype=np.float64)
         if out_gain is not None:
@@ -248,11 +273,12 @@ class _DenseKernel:
         self.emit_q8 = out_gain is not None
         m, k = self.w.shape
         self.scratch = {"tile": k, "tprod": m} if stable else {}
+        self.wide = wide_widths(m, k, dtype, max_batch) if stable else ()
         self._exact = dtype == np.float64
         self._stable = stable
 
     def make_views(self, buffers, a, c) -> "_LayerViews":
-        tiles = _stable_tiles(buffers, a, c) if self._stable else None
+        tiles = _stable_tiles(buffers, a, c, self.wide) if self._stable else None
         return _LayerViews(c, tiles=tiles)
 
     def apply(self, a: np.ndarray, views) -> np.ndarray:
@@ -330,15 +356,20 @@ class _BlockPanelKernel:
     LIBXSMM micro-kernel story, Section 4.3).  Stable mode runs the
     gathered panel on fixed document tiles
     (:class:`~repro.runtime.base.StableTiles`, panel weights stored
-    ``(rows, cols)`` for the weights-left product).  Column-block-pruned layers
+    ``(rows, cols)`` for the weights-left product), with each panel's
+    own probe-verified wide widths.  Column-block-pruned layers
     produce a single full-height panel, so the GEMM writes the whole
     contiguous output buffer.
     """
 
-    __slots__ = ("panels", "zero_spans", "bias", "relu6", "emit_q8", "scratch", "_stable")
+    __slots__ = (
+        "panels", "panel_wide", "zero_spans", "bias", "relu6", "emit_q8",
+        "scratch", "wide", "_stable",
+    )
 
     def __init__(
-        self, linear: Linear, block: BlockCsrMatrix, dtype, stable: bool, *, relu6: bool, out_gain=None
+        self, linear: Linear, block: BlockCsrMatrix, dtype, stable: bool, *,
+        relu6: bool, out_gain=None, max_batch: int,
     ) -> None:
         m, k = block.shape
         r, c = block.block_shape
@@ -370,6 +401,11 @@ class _BlockPanelKernel:
                 panels.append((r0, r1, cols, wp))
             i = j
         self.panels = panels
+        self.panel_wide = tuple(
+            wide_widths(*wp.shape, dtype, max_batch) if stable else ()
+            for _, _, _, wp in panels
+        )
+        self.wide = tuple(sorted(set().union(*self.panel_wide), reverse=True))
         self.zero_spans = zero_spans
         self.bias = np.ascontiguousarray(b, dtype=dtype)
         self.relu6 = relu6
@@ -389,7 +425,9 @@ class _BlockPanelKernel:
         )
         outs = tuple(c[:, r0:r1] for r0, r1, _, _ in self.panels)
         if self._stable:
-            tiles = tuple(_stable_tiles(buffers, *io) for io in zip(g, outs))
+            tiles = tuple(
+                _stable_tiles(buffers, *io) for io in zip(g, outs, self.panel_wide)
+            )
         else:
             tiles = (None,) * len(outs)
         return _LayerViews(c, g=g, outs=outs, tiles=tiles)
@@ -518,15 +556,17 @@ class _Int16Kernel:
         return views.c
 
 
-def _stable_tiles(buffers, a, out) -> StableTiles:
+def _stable_tiles(buffers, a, out, wide) -> StableTiles:
     """:class:`StableTiles` for ``out = a @ w.T`` over the shared
-    ``tile`` / ``tprod`` pools (layers run one at a time per thread)."""
+    ``tile`` / ``tprod`` pools (layers run one at a time per thread;
+    the tile products and the wide products take turns in ``tprod``)."""
     n, k = a.shape
     m = out.shape[1]
     tiles = product_tiles(n)
     tile = buffers["tile"][: STABLE_TILE * k].reshape(STABLE_TILE, k)
-    prod = buffers["tprod"][: tiles * m * STABLE_TILE]
-    return StableTiles(a, out, tile, prod.reshape(tiles, m, STABLE_TILE))
+    pool = buffers["tprod"]
+    prod = pool[: tiles * m * STABLE_TILE].reshape(tiles, m, STABLE_TILE)
+    return StableTiles(a, out, tile, prod, wide=wide, wide_prod=pool)
 
 
 class _LayerViews:
@@ -549,7 +589,8 @@ class _LayerViews:
 
 #: Scratch pools and their dtypes: plan-dtype pools vs fixed-f64 pools.
 #: Stable-mode ``tile`` holds one zero-padded tail tile; ``tprod`` the
-#: ``(tiles, m, STABLE_TILE)`` GEMM products.
+#: ``(tiles, m, STABLE_TILE)`` GEMM products or one ``(m, width)`` wide
+#: product.
 _PLAN_POOLS = ("xt", "yt", "g", "qx", "tile", "tprod")
 _F64_POOLS = ("qx64", "qc64")
 
@@ -604,9 +645,12 @@ class InferencePlan:
             for key, per_doc in kernel.scratch.items():
                 pools[key] = max(pools[key], per_doc)
         # Rows each pool holds per unit of a kernel's ``scratch`` entry.
+        widest = max(
+            (w for kern in kernels for w in getattr(kern, "wide", ())), default=0
+        )
         rows = {
             "tile": STABLE_TILE,
-            "tprod": product_tiles(self.max_batch) * STABLE_TILE,
+            "tprod": max(product_tiles(self.max_batch) * STABLE_TILE, widest),
         }
         self._pool_sizes = {
             k: v * rows.get(k, self.max_batch) for k, v in pools.items()
@@ -618,7 +662,8 @@ class InferencePlan:
         # Arenas and view caches live per thread: ShardedScorer scores
         # shards of one plan concurrently, and two in-flight batches
         # must never share the ping-pong activation scratch.  Within a
-        # thread the views are still built once per batch size, so
+        # thread the views are still built once per batch size (for
+        # the VIEW_CACHE_SIZES most recently used sizes), so
         # steady-state scoring allocates nothing.
         self._local = threading.local()
 
@@ -651,6 +696,11 @@ class InferencePlan:
         )
         if self.score_tolerance is not None:
             text += f", tol {self.score_tolerance:.1e}"
+        wide = [lp for lp in self.layers if lp.wide_widths]
+        if wide:
+            text += ", wide " + " ".join(
+                f"L{lp.index}:{_widths_text(lp.wide_widths)}" for lp in wide
+            )
         return text
 
     # ------------------------------------------------------------------
@@ -669,9 +719,11 @@ class InferencePlan:
                 for key, size in self._pool_sizes.items()
                 if size
             }
-            cache = local.views = {}
+            cache = local.views = OrderedDict()
         views = cache.get(n)
-        if views is None:
+        if views is not None:
+            cache.move_to_end(n)
+        else:
             built = []
             entry = local.ping[: n * self.input_dim].reshape(n, self.input_dim)
             a, src, dst = entry, local.ping, local.pong
@@ -680,6 +732,8 @@ class InferencePlan:
                 built.append(kernel.make_views(local.buffers, a, c))
                 a, src, dst = c, dst, src
             views = cache[n] = (entry, tuple(built))
+            if len(cache) > VIEW_CACHE_SIZES:
+                cache.popitem(last=False)
         return views
 
     def execute_into(self, features: np.ndarray, out: np.ndarray) -> None:
@@ -935,12 +989,15 @@ def _wire_plan(
             else:
                 kern = _BlockPanelKernel(
                     linear, choice.block, np_dtype, stable,
-                    relu6=relu6, out_gain=out_gain,
+                    relu6=relu6, out_gain=out_gain, max_batch=max_batch,
                 )
             weight_scale = None
         else:
             kernel_name = DENSE_KERNEL
-            kern = _DenseKernel(linear, np_dtype, stable, relu6=relu6, out_gain=out_gain)
+            kern = _DenseKernel(
+                linear, np_dtype, stable, relu6=relu6, out_gain=out_gain,
+                max_batch=max_batch,
+            )
             weight_scale = None
 
         kernels.append(kern)
@@ -965,6 +1022,7 @@ def _wire_plan(
                 weight_scale=weight_scale,
                 input_scale=in_scale,
                 emits_quantized=emits[i],
+                wide_widths=getattr(kern, "wide", ()),
             )
         )
         ws = weight_scale if weight_scale is not None else 0.0

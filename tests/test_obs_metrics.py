@@ -234,6 +234,37 @@ class TestMetricsRegistry:
         reg.reset()
         assert reg.snapshot()["series"] == []
 
+    def test_keyword_order_never_creates_a_second_series(self):
+        reg = MetricsRegistry()
+        first = reg.histogram("lat", backend="qs", stage=1, tenant="web")
+        for labels in (
+            {"stage": 1, "backend": "qs", "tenant": "web"},
+            {"tenant": "web", "stage": 1, "backend": "qs"},
+            {"tenant": "web", "stage": "1", "backend": "qs"},
+        ):
+            for _ in range(2):  # first lookup fills the index, second hits it
+                assert reg.histogram("lat", **labels) is first
+        assert len(reg.snapshot()["series"]) == 1
+
+    def test_equal_values_with_different_text_stay_apart(self):
+        """``True == 1`` and ``-0.0 == 0.0``, but their label text
+        differs, so they name different series."""
+        reg = MetricsRegistry()
+        one = reg.counter("x", flag=1)
+        assert reg.counter("x", flag=True) is not one
+        assert reg.counter("x", flag=1) is one
+        zero = reg.counter("y", at=0.0)
+        assert reg.counter("y", at=-0.0) is not zero
+        assert reg.counter("y", at=0.0) is zero
+
+    def test_reset_clears_the_unsorted_index(self):
+        reg = MetricsRegistry()
+        old = reg.counter("x", backend="a")
+        reg.reset()
+        new = reg.counter("x", backend="a")
+        assert new is not old
+        assert reg.counter("x", backend="a") is new
+
 
 class TestPrometheusExport:
     def test_name_sanitisation(self):

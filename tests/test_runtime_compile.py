@@ -38,8 +38,20 @@ from repro.runtime import (
     reference_scores,
     stable_forward,
 )
-from repro.runtime.base import STABLE_TILE, StableTiles, stable_matmul
-from repro.runtime.compile import BLOCK_KERNEL, DENSE_KERNEL, SPARSE_KERNEL
+from repro.runtime import base
+from repro.runtime.base import (
+    STABLE_TILE,
+    STABLE_WIDE_WIDTHS,
+    StableTiles,
+    stable_matmul,
+    wide_widths,
+)
+from repro.runtime.compile import (
+    BLOCK_KERNEL,
+    DENSE_KERNEL,
+    SPARSE_KERNEL,
+    VIEW_CACHE_SIZES,
+)
 from repro.runtime.compile_smoke import ALLOC_TOLERANCE
 
 
@@ -185,10 +197,17 @@ class TestBitIdentity:
 #: The served student's shape: 136 -> 300 -> 200 -> 100 -> 1.
 SERVING_HIDDEN = (300, 200, 100)
 #: Stable plan variants checked at serving scale: all-dense float64 and
-#: float32, a 90%-pruned hybrid (CSR first layer) float64 net, and a
+#: float32, a 90%-pruned hybrid (CSR first layer) float64 net, a
 #: column-block-pruned float32 net whose first layer runs the
-#: block-panel kernel.
-STABLE_VARIANTS = ("float64", "float32", "pruned-float64", "block-float32")
+#: block-panel kernel, and an all-dense float64 136 -> 50 -> 200 -> 100
+#: net whose 50x136 first layer fails the wide-GEMM probe on OpenBLAS
+#: 0.3.31 and so stays on 16-document tiles.
+STABLE_VARIANTS = (
+    "float64", "float32", "pruned-float64", "block-float32", "narrow-float64",
+)
+#: Variants whose every layer is a float64 dense GEMM: they must equal
+#: ``stable_forward`` bit for bit.
+ALL_DENSE_F64 = ("float64", "narrow-float64")
 #: ``(m, k)`` layer shapes of the benchmark's students (136->300->200->
 #: 100->1, 136->200->50->50->25->1 and 136->50->25->25->10->1), plus a
 #: 1040-wide layer (the int8 exactness bound) and a 1-wide input.
@@ -219,9 +238,28 @@ def _stable_serving_plan(variant: str, context):
             kernels=[BLOCK_KERNEL, None, None, None],
         )
         return network, plan
+    if variant == "narrow-float64":
+        network = _network((50, 200, 100), input_dim=136, seed=9)
+        plan = compile_network(
+            network, context=context, stable=True,
+            kernels=[DENSE_KERNEL] * network.n_layers,
+        )
+        return network, plan
     network = _network(SERVING_HIDDEN, input_dim=136, seed=7)
     return network, compile_network(
         network, context=context, dtype=variant, stable=True
+    )
+
+
+def _wide_matches_tiles(m: int, k: int, dtype, width: int) -> bool:
+    """Whether one ``w @ block.T`` call over ``width`` documents gives
+    every document its 16-document-tile bits, on operands the plan's
+    probe never saw."""
+    rng = np.random.default_rng(m * 31 + k * 7 + width)
+    w = np.ascontiguousarray(rng.normal(size=(m, k)), dtype=dtype)
+    a = np.ascontiguousarray(rng.normal(size=(width, k)), dtype=dtype)
+    return np.array_equal(
+        (w @ a.T).view(np.uint8), stable_matmul(a, w).T.copy().view(np.uint8)
     )
 
 
@@ -279,9 +317,9 @@ class TestStableMode:
         against tiling with documents as rows (``tile @ w.T``), whose
         bits move when rows are permuted inside a tile."""
         network, plan = _stable_serving_plan(variant, context)
-        x = np.random.default_rng(21).normal(size=(1000, 136))
+        x = np.random.default_rng(21).normal(size=(1100, 136))
         whole = plan.score(x)
-        for split in (1, 3, 15, 16, 17, 70, 255, 256, 257):
+        for split in (1, 3, 15, 16, 17, 63, 64, 65, 70, 255, 256, 257, 1000):
             parts = np.concatenate(
                 [plan.score(x[i : i + split]) for i in range(0, len(x), split)]
             )
@@ -306,6 +344,70 @@ class TestStableMode:
         )
         with ShardedScorer(_PlanScorer(plan), config) as sharded:
             np.testing.assert_array_equal(sharded.score(x), whole)
+        if plan.dtype_name != "float64":
+            return
+        # Whole batches: the plan's wide GEMMs against the references,
+        # which stay on 16-document tiles.
+        for n in (1000, 1100):
+            np.testing.assert_array_equal(
+                reference_scores(network, plan, x[:n]), whole[:n],
+                err_msg=f"{variant} left the reference at {n} documents",
+            )
+            if variant in ALL_DENSE_F64:
+                np.testing.assert_array_equal(
+                    stable_forward(network, x[:n]), whole[:n]
+                )
+
+    @pytest.mark.parametrize("variant", STABLE_VARIANTS)
+    def test_wide_widths_follow_the_probe(self, context, variant):
+        """A layer runs a width exactly when that width reproduces the
+        tile bits for its shape on fresh operands; a layer failing the
+        probe (the narrow variant's 50x136 on OpenBLAS) stays tiled."""
+        _, plan = _stable_serving_plan(variant, context)
+        for lp in plan.layers:
+            if lp.kernel != DENSE_KERNEL:
+                continue
+            expected = tuple(
+                width for width in STABLE_WIDE_WIDTHS
+                if width <= plan.max_batch and _wide_matches_tiles(
+                    lp.out_width, lp.in_width, plan.dtype, width
+                )
+            )
+            assert lp.wide_widths == expected, lp.describe()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "shape", TILE_SHAPES, ids=[f"{m}x{k}" for m, k in TILE_SHAPES]
+    )
+    def test_probe_verdicts_hold_on_fresh_operands(self, shape, dtype):
+        """The probe decides a shape once, on its own random operands:
+        BLAS must pick its code path from the shape, never the values."""
+        m, k = shape
+        enabled = wide_widths(m, k, dtype, max(STABLE_WIDE_WIDTHS))
+        for width in STABLE_WIDE_WIDTHS:
+            assert (width in enabled) == _wide_matches_tiles(m, k, dtype, width), (
+                f"{m}x{k} {np.dtype(dtype)} at {width} documents"
+            )
+
+    def test_wide_widths_leave_the_fingerprint_and_bits(
+        self, context, monkeypatch
+    ):
+        """Wide GEMMs are an execution detail: a plan with them disabled
+        has the same fingerprint and the same bits, only its describe()
+        differs."""
+        network, wide = _stable_serving_plan("float64", context)
+        monkeypatch.setattr(base, "STABLE_WIDE_WIDTHS", ())
+        tiled = compile_network(network, context=context, stable=True)
+        assert all(lp.wide_widths == () for lp in tiled.layers)
+        assert "wide" not in tiled.describe()
+        assert tiled.fingerprint == wide.fingerprint
+        for lp in wide.layers:
+            assert ("wide" in lp.describe()) == bool(lp.wide_widths)
+        assert ("wide" in wide.describe()) == any(
+            lp.wide_widths for lp in wide.layers
+        )
+        x = np.random.default_rng(23).normal(size=(1100, 136))
+        np.testing.assert_array_equal(wide.score(x), tiled.score(x))
 
     def test_all_dense_stable_plan_matches_stable_forward(self, context):
         """One stable contraction: the dense adapters' forward, the
@@ -355,13 +457,23 @@ class TestStableMode:
             )
 
     def test_tile_invariance_on_one_blas_thread(self):
-        """The sweep above, re-run with one BLAS thread (fixed at process
-        start, hence the subprocess): there, tiling with documents as
-        rows (``tile @ w.T``) moves bits with a row's place in its tile."""
-        node = f"{__file__}::TestStableMode::test_stable_matmul_is_tile_invariant"
+        """The tile, wide-GEMM and serving-shape sweeps, re-run with one
+        BLAS thread (fixed at process start, hence the subprocess):
+        there, tiling with documents as rows (``tile @ w.T``) moves bits
+        with a row's place in its tile, and BLAS may pick other code
+        paths for the wide calls."""
+        nodes = [
+            f"{__file__}::TestStableMode::{name}"
+            for name in (
+                "test_stable_matmul_is_tile_invariant",
+                "test_probe_verdicts_hold_on_fresh_operands",
+                "test_wide_widths_follow_the_probe",
+                "test_chunk_invariant_at_serving_shape",
+            )
+        ]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *nodes],
             env=env, capture_output=True, text=True, timeout=600,
         )
         assert result.returncode == 0, result.stdout[-4000:]
@@ -409,6 +521,26 @@ class TestStableMode:
             assert after - before < ALLOC_TOLERANCE, (
                 f"{variant}: 100 executes at n={n} grew {after - before} B"
             )
+
+    def test_view_cache_keeps_the_most_recent_sizes(self, context):
+        """The per-thread views are capped at VIEW_CACHE_SIZES batch
+        sizes, least recently used out first; a rebuilt size scores
+        the same bits."""
+        network = _network((16, 8), seed=3)
+        plan = compile_network(network, context=context, stable=True)
+        sizes = VIEW_CACHE_SIZES + 40
+        x = np.random.default_rng(43).normal(size=(sizes, 12))
+        first = plan.score(x[:1])
+        for n in range(1, sizes + 1):
+            plan.execute_into(x[:n], np.empty(n))
+            if n == sizes - 100:
+                plan.execute_into(x[:1], np.empty(1))  # size 1 is recent again
+        cache = plan._local.views
+        assert len(cache) == VIEW_CACHE_SIZES
+        # Last use, oldest first: 2 .. sizes-100, 1, sizes-99 .. sizes.
+        assert 1 in cache and sizes in cache and 42 in cache
+        assert 2 not in cache and 41 not in cache
+        np.testing.assert_array_equal(plan.score(x[:2])[:1], first)
 
     def test_stable_tiles_reject_non_contiguous_operands(self):
         a = np.zeros((40, 12))[:, ::2]
