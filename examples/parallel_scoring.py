@@ -63,7 +63,6 @@ def sharded_service() -> None:
         student,
         ServiceConfig(
             backend="dense-network",
-            max_batch_size=None,  # hand the sharder whole requests
             parallel=ParallelConfig(
                 workers=2,
                 strategy="size-capped",

@@ -881,7 +881,6 @@ def cmd_swap(args) -> int:
     service = ScoringService(
         student,
         ServiceConfig(
-            max_batch_size=None,
             parallel=ParallelConfig(workers=2, cache_entries=4096),
             lifecycle=LifecycleConfig(
                 shadow_mode="sync",

@@ -30,7 +30,78 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import (
+    Counter,
+    MetricsRegistry,
+    StreamingHistogram,
+    get_registry,
+)
+
+
+class CascadeSeries:
+    """The ``cascade.*`` series of one pipeline, looked up once.
+
+    Each series is fetched from the registry on first use and kept, so
+    recording a query costs a few dict probes instead of a label-keyed
+    registry lookup per series.  The handles follow the default registry
+    (unless one is given) and are dropped when it is replaced or reset.
+    """
+
+    def __init__(
+        self, pipeline: str, registry: MetricsRegistry | None = None
+    ) -> None:
+        self.pipeline = pipeline
+        self._registry = registry
+        self._bound: tuple[MetricsRegistry, int] | None = None
+        self._handles: dict[tuple, Counter | StreamingHistogram] = {}
+
+    def _handle(self, registry, name, level=None, stage=None):
+        key = (name, level, stage)
+        metric = self._handles.get(key)
+        if metric is None:
+            labels = {"pipeline": self.pipeline}
+            if level is not None:
+                labels.update(stage=stage, level=str(level))
+            get = (
+                registry.histogram
+                if name == "cascade.predicted_spend_us"
+                else registry.counter
+            )
+            metric = self._handles[key] = get(name, **labels)
+        return metric
+
+    def record(
+        self,
+        *,
+        stage_names: Sequence[str],
+        stage_docs: Sequence[int],
+        stage_us: Sequence[float],
+        predicted_spend_us: float,
+        exited_early: bool,
+    ) -> None:
+        """Fold one scored query in (see :func:`record_cascade_query`)."""
+        registry = self._registry or get_registry()
+        if self._bound != (registry, registry.generation):
+            self._handles = {}
+            self._bound = (registry, registry.generation)
+        handle = self._handle
+        handle(registry, "cascade.queries").inc()
+        if exited_early:
+            handle(registry, "cascade.early_exits").inc()
+        if math.isfinite(predicted_spend_us):
+            handle(registry, "cascade.predicted_spend_us").add(
+                predicted_spend_us
+            )
+        for level, (name, docs, us) in enumerate(
+            zip(stage_names, stage_docs, stage_us)
+        ):
+            handle(registry, "cascade.stage_queries", level, name).inc()
+            if docs:
+                handle(registry, "cascade.stage_docs", level, name).inc(
+                    int(docs)
+                )
+            if math.isfinite(us) and us > 0:
+                handle(registry, "cascade.stage_us", level, name).inc(us)
 
 
 def record_cascade_query(
@@ -48,25 +119,16 @@ def record_cascade_query(
     ``stage_names``/``stage_docs``/``stage_us`` are aligned over the
     stages the query *executed* (a budget exit shortens them).
     Zero-doc queries should not be recorded — the engine treats them as
-    no-ops and so does this layer.
+    no-ops and so does this layer.  A scorer that records many queries
+    keeps one :class:`CascadeSeries` instead.
     """
-    registry = registry or get_registry()
-    registry.counter("cascade.queries", pipeline=pipeline).inc()
-    if exited_early:
-        registry.counter("cascade.early_exits", pipeline=pipeline).inc()
-    if math.isfinite(predicted_spend_us):
-        registry.histogram(
-            "cascade.predicted_spend_us", pipeline=pipeline
-        ).add(predicted_spend_us)
-    for level, (name, docs, us) in enumerate(
-        zip(stage_names, stage_docs, stage_us)
-    ):
-        labels = {"pipeline": pipeline, "stage": name, "level": str(level)}
-        registry.counter("cascade.stage_queries", **labels).inc()
-        if docs:
-            registry.counter("cascade.stage_docs", **labels).inc(int(docs))
-        if math.isfinite(us) and us > 0:
-            registry.counter("cascade.stage_us", **labels).inc(us)
+    CascadeSeries(pipeline, registry).record(
+        stage_names=stage_names,
+        stage_docs=stage_docs,
+        stage_us=stage_us,
+        predicted_spend_us=predicted_spend_us,
+        exited_early=exited_early,
+    )
 
 
 # ----------------------------------------------------------------------

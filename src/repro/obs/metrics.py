@@ -7,16 +7,18 @@ dictionary operations per event.
 
 Histograms are **bounded**: a :class:`StreamingHistogram` keeps a fixed
 ``capacity``-sized reservoir (Vitter's Algorithm R with a seeded
-generator, so runs are reproducible) plus exact count/sum/min/max
-accumulators.  Percentiles are exact while ``count <= capacity`` and an
-unbiased sample estimate after, at O(capacity) memory regardless of how
-many observations stream through — the property ``ServiceStats`` relies
-on to stay bounded under unbounded request volume.
+``random.Random`` per histogram, so runs are reproducible) plus exact
+count/sum/min/max accumulators.  Percentiles are exact while ``count <=
+capacity`` and an unbiased sample estimate after, at O(capacity) memory
+regardless of how many observations stream through — the property
+``ServiceStats`` relies on to stay bounded under unbounded request
+volume.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import threading
 from typing import Any, Iterable
 
@@ -92,7 +94,10 @@ class StreamingHistogram:
             raise MetricError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._lock = threading.Lock()
-        self._rng = np.random.default_rng(seed)
+        #: Algorithm R's index draws: ``randrange`` costs a tenth of a
+        #: numpy ``Generator.integers`` call per value.
+        self._draw = random.Random(seed).randrange
+        self._rng = np.random.default_rng(seed)  # merge's weighted draw
         self._reservoir = np.empty(self.capacity, dtype=np.float64)
         self._count = 0
         self._sum = 0.0
@@ -111,7 +116,7 @@ class StreamingHistogram:
             else:
                 # Algorithm R: keep each of the n seen values with
                 # probability capacity/n — an unbiased fixed-size sample.
-                j = int(self._rng.integers(0, self._count + 1))
+                j = self._draw(self._count + 1)
                 if j < self.capacity:
                     self._reservoir[j] = v
             self._count += 1
@@ -262,6 +267,9 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: dict[MetricKey, Metric] = {}
         self._fast: dict[tuple, Metric] = {}
+        #: Bumped by :meth:`reset`, so holders of pre-bound metric
+        #: handles can tell that theirs were discarded.
+        self.generation = 0
 
     # ------------------------------------------------------------------
     def _get_or_create(self, name: str, factory, labels: dict) -> Metric:
@@ -325,6 +333,7 @@ class MetricsRegistry:
         with self._lock:
             self._metrics.clear()
             self._fast.clear()
+            self.generation += 1
 
 
 # ----------------------------------------------------------------------

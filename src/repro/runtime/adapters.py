@@ -29,6 +29,7 @@ from repro.design.cascade import EarlyExitCascade
 from repro.distill.student import DistilledStudent
 from repro.forest.ensemble import TreeEnsemble
 from repro.matmul.csr import CsrMatrix
+from repro.obs.cascade import CascadeSeries
 from repro.quickscorer.scorer import QuickScorer
 from repro.runtime.base import BaseScorer, stable_forward
 from repro.runtime.context import PricingContext
@@ -340,6 +341,7 @@ class CascadeScorer(BaseScorer):
             )
         self.cascade = cascade
         self.pipeline_name = getattr(cascade, "name", None) or "cascade"
+        self._series = CascadeSeries(self.pipeline_name)
         super().__init__(
             price_fn=cascade.expected_cost_us_per_doc,
             input_dim=None,
@@ -353,8 +355,7 @@ class CascadeScorer(BaseScorer):
                 stage.name
                 for stage in self.cascade.stages[: result.stages_run]
             )
-            obs.record_cascade_query(
-                self.pipeline_name,
+            self._series.record(
                 stage_names=stage_names,
                 stage_docs=result.stage_docs,
                 stage_us=tuple(

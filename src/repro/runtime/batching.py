@@ -41,6 +41,7 @@ from repro.exceptions import ReproError
 from repro.obs.metrics import StreamingHistogram
 from repro.obs.requests import activate_batch
 from repro.runtime.base import Scorer, pinned_scope
+from repro.runtime.parallel import ShardedScorer
 from repro.utils.validation import check_array_2d
 
 #: Reservoir size of the per-service latency histogram.  Percentiles are
@@ -196,6 +197,58 @@ class ServiceStats:
         }
 
 
+def score_chunked(scorer, x: np.ndarray, size: int | None) -> np.ndarray:
+    """``scorer.score(x)`` in calls of at most ``size`` rows: full
+    pieces plus one remainder.  ``None`` or a non-batchable scorer
+    (cascades) takes ``x`` whole."""
+    if (
+        size is None
+        or len(x) <= size
+        or not getattr(scorer, "batchable", True)
+    ):
+        return np.asarray(scorer.score(x), dtype=np.float64)
+    out = np.empty(len(x), dtype=np.float64)
+    for lo in range(0, len(x), size):
+        chunk = x[lo : lo + size]
+        out[lo : lo + len(chunk)] = scorer.score(chunk)
+    return out
+
+
+class ChunkedScorer:
+    """``inner`` with every call capped at ``max_batch_size`` rows.
+
+    A :class:`~repro.serving.ScoringService` with ``parallel`` hands its
+    fallback chain whole requests, and only the primary's shard stack
+    splits them.  The fallback tiers are wrapped in this class so that
+    they, too, never see more than ``max_batch_size`` rows in one call.
+    Scores are bit-identical for chunk-invariant scorers.
+    """
+
+    backend = "chunked"
+    batchable = True
+
+    def __init__(self, inner: Scorer, max_batch_size: int) -> None:
+        self.inner = inner
+        self.max_batch_size = max_batch_size
+        self.backend = inner.backend
+        self.batchable = getattr(inner, "batchable", True)
+
+    @property
+    def input_dim(self) -> int | None:
+        return self.inner.input_dim
+
+    @property
+    def predicted_us_per_doc(self) -> float:
+        return self.inner.predicted_us_per_doc
+
+    def describe(self) -> str:
+        return f"chunked[{self.max_batch_size}]({self.inner.describe()})"
+
+    def score(self, features) -> np.ndarray:
+        x = np.asarray(features, dtype=np.float64)
+        return score_chunked(self.inner, x, self.max_batch_size)
+
+
 class BatchEngine:
     """Micro-batched, budget-checked execution of one scorer.
 
@@ -206,7 +259,8 @@ class BatchEngine:
     max_batch_size:
         Largest micro-batch handed to the scorer in one call; ``None``
         disables splitting.  Non-batchable scorers (cascades) always
-        receive the request whole.
+        receive the request whole.  A sharded scorer splits instead of
+        the engine (see ``parallel``).
     budget_us_per_doc:
         Optional per-document budget; construction raises
         :class:`BudgetExceededError` when the scorer's calibrated price
@@ -224,8 +278,13 @@ class BatchEngine:
         Optional :class:`~repro.runtime.parallel.ParallelConfig`; when
         given, the scorer is wrapped in a :class:`~repro.runtime.
         parallel.ShardedScorer` so each (micro-)batch is scored on a
-        worker pool — bit-identically to the unwrapped scorer.  Pair
-        with ``max_batch_size=None`` to hand the sharder whole requests.
+        worker pool — bit-identically to the unwrapped scorer.  The
+        engine then hands the sharder whole requests and the sharder
+        splits, after the cache: it keys and looks up a request once and
+        scores only the missing rows, in calls of at most
+        ``max_batch_size``.  A pre-built
+        :class:`~repro.runtime.parallel.ShardedScorer` is used as given,
+        with its own ``max_batch_size``.
     """
 
     def __init__(
@@ -242,11 +301,12 @@ class BatchEngine:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {max_batch_size}"
             )
-        if parallel is not None:
-            from repro.runtime.parallel import ShardedScorer
-
-            if not isinstance(scorer, ShardedScorer):
-                scorer = ShardedScorer(scorer, parallel)
+        if parallel is not None and not isinstance(scorer, ShardedScorer):
+            scorer = ShardedScorer(
+                scorer, parallel, max_batch_size=max_batch_size
+            )
+        if isinstance(scorer, ShardedScorer):
+            max_batch_size = None  # the sharder splits, after the cache
         self.scorer = scorer
         self.max_batch_size = max_batch_size
         self.stats = stats or ServiceStats()
@@ -466,18 +526,7 @@ class BatchEngine:
         return out
 
     def _score_chunked(self, x: np.ndarray) -> np.ndarray:
-        size = self.max_batch_size
-        if (
-            size is None
-            or len(x) <= size
-            or not getattr(self.scorer, "batchable", True)
-        ):
-            return np.asarray(self.scorer.score(x), dtype=np.float64)
-        out = np.empty(len(x), dtype=np.float64)
-        for lo in range(0, len(x), size):
-            chunk = x[lo : lo + size]
-            out[lo : lo + len(chunk)] = self.scorer.score(chunk)
-        return out
+        return score_chunked(self.scorer, x, self.max_batch_size)
 
     # ------------------------------------------------------------------
     def rank(self, features) -> np.ndarray:

@@ -75,7 +75,12 @@ class ResilienceConfig:
         Shared :class:`~repro.runtime.resilience.CircuitBreakerConfig`
         (each tier still gets its own breaker instance).
     deadline_us:
-        Per-request deadline in microseconds.
+        Deadline in microseconds on each call the engine makes to the
+        chain, retries and backoff included.  Under ``parallel`` that
+        call is a whole request, or a whole coalesced batch from the
+        async front-end, whose members all wait for it; without
+        ``parallel`` it is one ``max_batch_size`` micro-batch.  The
+        tier that answers the call serves every row of it.
     """
 
     fallback_models: tuple = ()
@@ -369,10 +374,15 @@ class ServiceConfig:
         Per-document latency budget checked against the calibrated cost
         model at construction (the paper's design rule at deploy time).
     max_batch_size:
-        Micro-batch size of the underlying
-        :class:`~repro.runtime.batching.BatchEngine`; ``None`` disables
-        splitting (recommended when ``parallel`` is set, so the sharder
-        sees whole requests).
+        Largest number of documents handed to the model in one call;
+        ``None`` disables splitting.  Without ``parallel`` the
+        :class:`~repro.runtime.batching.BatchEngine` cuts each request
+        into micro-batches of this size.  With ``parallel`` the engine
+        hands whole requests to the
+        :class:`~repro.runtime.parallel.ShardedScorer`, which looks the
+        request up in the cache once and scores only the missing rows,
+        in calls of at most this size; fallback tiers are capped the
+        same way.
     backend:
         Explicit runtime backend name (``None`` = registry
         auto-dispatch).

@@ -485,6 +485,10 @@ class VersionedScorer:
     is configured — so cache entries stay keyed by the fingerprint of
     the version that computed them.
 
+    ``max_batch_size`` caps each call the shard stack makes to a
+    version's scorer (the sharder splits a request's cache misses; see
+    :class:`~repro.runtime.parallel.ShardedScorer`).
+
     Version resolution is snapshotted per engine pin
     (:func:`~repro.runtime.base.current_pin`): every chunk of one
     request — and every member of one coalesced batch — scores on the
@@ -497,6 +501,7 @@ class VersionedScorer:
         *,
         parallel: ParallelConfig | None = None,
         cache: ScoreCache | None = None,
+        max_batch_size: int | None = None,
     ) -> None:
         if not isinstance(registry, ModelRegistry):
             raise TypeError(
@@ -505,6 +510,7 @@ class VersionedScorer:
         self.registry = registry
         self.parallel = parallel
         self.cache = cache
+        self.max_batch_size = max_batch_size
         #: Set by the LifecycleManager that owns promotion policy.
         self.manager: "LifecycleManager | None" = None
         self._stacks: dict[str, Any] = {}
@@ -553,7 +559,10 @@ class VersionedScorer:
             if stack is None:
                 if self.parallel is not None:
                     stack = ShardedScorer(
-                        entry.scorer, self.parallel, cache=self.cache
+                        entry.scorer,
+                        self.parallel,
+                        cache=self.cache,
+                        max_batch_size=self.max_batch_size,
                     )
                 else:
                     stack = entry.scorer

@@ -59,7 +59,6 @@ def _service(incumbent, lifecycle=None, cache_entries: int = 4096):
     return ScoringService(
         incumbent,
         ServiceConfig(
-            max_batch_size=None,
             parallel=ParallelConfig(workers=2, cache_entries=cache_entries),
             lifecycle=lifecycle or LifecycleConfig(shadow_mode="sync"),
         ),

@@ -212,6 +212,18 @@ class ShardPlan:
             f"{self.n_shards} shards (balance {self.balance:.2f})"
         )
 
+    def capped(self, max_rows: int) -> "ShardPlan":
+        """This plan with every span longer than ``max_rows`` cut into
+        ``max_rows``-row pieces plus one remainder."""
+        if max_rows < 1:
+            raise ParallelError(f"max_rows must be >= 1, got {max_rows}")
+        spans = tuple(
+            (a, min(a + max_rows, hi))
+            for lo, hi in self.spans
+            for a in range(lo, hi, max_rows)
+        )
+        return ShardPlan(self.n_rows, spans, self.strategy)
+
     # ------------------------------------------------------------------
     @classmethod
     def even(cls, n_rows: int, n_shards: int) -> "ShardPlan":
@@ -530,6 +542,16 @@ class ShardedScorer:
 
     Non-batchable scorers (cascades) are served whole with no cache —
     their scores depend on the entire request.
+
+    ``max_batch_size`` caps the rows of every call to the inner scorer:
+    each shard of the plan is scored in ``max_batch_size``-row pieces
+    plus one remainder (:meth:`ShardPlan.capped`).  Shard counts and
+    balance describe the plan, not the pieces.  A
+    :class:`~repro.runtime.batching.BatchEngine` or
+    :class:`~repro.serving.ScoringService` with ``parallel`` set passes
+    its ``max_batch_size`` here and hands the stack whole requests, so
+    a request is keyed and looked up once and only its cache misses are
+    cut into micro-batches.
     """
 
     backend = "sharded"
@@ -541,6 +563,7 @@ class ShardedScorer:
         config: ParallelConfig | None = None,
         *,
         cache: ScoreCache | None = None,
+        max_batch_size: int | None = None,
     ) -> None:
         from repro.runtime.base import is_scorer
 
@@ -549,8 +572,13 @@ class ShardedScorer:
                 f"expected a Scorer, got {type(scorer).__name__} "
                 "(build one with make_scorer)"
             )
+        if max_batch_size is not None and max_batch_size < 1:
+            raise ParallelError(
+                f"max_batch_size must be >= 1, got {max_batch_size}"
+            )
         self.inner = scorer
         self.config = config or ParallelConfig()
+        self.max_batch_size = max_batch_size
         self.backend = scorer.backend
         self.batchable = getattr(scorer, "batchable", True)
         if self.batchable:
@@ -717,7 +745,8 @@ class ShardedScorer:
     def _execute(
         self, x: np.ndarray, plan: ShardPlan
     ) -> tuple[np.ndarray, float]:
-        """Run the plan; returns ``(scores, pool utilization)``."""
+        """Run the plan, each shard in calls of at most
+        ``max_batch_size`` rows; returns ``(scores, pool utilization)``."""
 
         def score_span(lo: int, hi: int) -> tuple[np.ndarray, float]:
             start = time.perf_counter()
@@ -726,6 +755,8 @@ class ShardedScorer:
             )
             return scores, time.perf_counter() - start
 
+        if self.max_batch_size is not None:
+            plan = plan.capped(self.max_batch_size)
         wall_start = time.perf_counter()
         if self._pool is None or plan.n_shards <= 1:
             parts = [score_span(lo, hi) for lo, hi in plan.spans]

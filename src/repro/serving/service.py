@@ -16,11 +16,13 @@ features a query processor needs:
   shards each request across a persistent worker pool and (optionally)
   short-circuits repeated documents through a
   :class:`~repro.runtime.parallel.ScoreCache` — bit-identically to
-  single-threaded scoring;
+  single-threaded scoring.  The sharder then takes over micro-batching:
+  the engine hands it whole requests, and it splits only the rows the
+  cache misses into ``max_batch_size`` calls;
 * **graceful degradation**: a :class:`~repro.runtime.config.
   ResilienceConfig` serves through a
   :class:`~repro.runtime.resilience.FallbackChain` — retries with
-  backoff, per-request deadlines, and per-tier circuit breakers that
+  backoff, deadlines, and per-tier circuit breakers that
   trip on failure rate or predicted-vs-measured latency drift.  The
   resilience layer wraps the sharded scorer unchanged;
 * **versioned models with zero-downtime hot swap**: every service
@@ -71,6 +73,7 @@ from repro.runtime import (
     PricingContext,
     RankingPipeline,
     ResilienceConfig,
+    ResilientScorer,
     ScoreCache,
     ServiceConfig,
     ServiceStats,
@@ -80,6 +83,7 @@ from repro.runtime import (
     is_scorer,
     make_scorer,
 )
+from repro.runtime.batching import ChunkedScorer
 
 __all__ = [
     "BudgetExceededError",
@@ -278,8 +282,15 @@ allow_unpriced:
         self.cache: ScoreCache | None = None
         if config.parallel is not None and config.parallel.cache_entries:
             self.cache = ScoreCache(config.parallel.cache_entries)
+        # Under ``parallel`` the sharder is the one place a request is
+        # split: it keys and looks up the whole (coalesced) request once,
+        # then cuts only the cache misses into ``max_batch_size`` calls.
+        sharding = config.parallel is not None
         self.versioned = VersionedScorer(
-            self.registry, parallel=config.parallel, cache=self.cache
+            self.registry,
+            parallel=config.parallel,
+            cache=self.cache,
+            max_batch_size=config.max_batch_size,
         )
         self.scorer = self.versioned
         engine_scorer = self.scorer
@@ -288,11 +299,20 @@ allow_unpriced:
         if resilience is not None:
             tiers = [engine_scorer]
             for fallback in resilience.fallback_models:
-                tiers.append(
+                tier = (
                     fallback
                     if is_scorer(fallback)
                     else make_scorer(fallback, context=context)
                 )
+                if (
+                    sharding
+                    and config.max_batch_size is not None
+                    and not isinstance(tier, ResilientScorer)
+                ):
+                    # Only the primary's shard stack splits, so cap the
+                    # stand-ins' calls here (inside their deadline).
+                    tier = ChunkedScorer(tier, config.max_batch_size)
+                tiers.append(tier)
             self.chain = FallbackChain(
                 tiers,
                 retry=resilience.retry,
@@ -304,7 +324,7 @@ allow_unpriced:
             engine_scorer = self.chain
         self.engine = BatchEngine(
             engine_scorer,
-            max_batch_size=config.max_batch_size,
+            max_batch_size=None if sharding else config.max_batch_size,
             budget_us_per_doc=config.budget_us_per_doc,
             allow_unpriced=config.allow_unpriced,
         )

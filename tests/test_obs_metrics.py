@@ -83,6 +83,29 @@ class TestStreamingHistogram:
         # The sampled median of a uniform 0..99 stream lands mid-range.
         assert 20.0 <= h.percentile(50) <= 80.0
 
+    def test_same_seed_same_reservoir(self):
+        stream = np.random.default_rng(3).standard_normal(5000)
+        a, b, c = (StreamingHistogram(capacity=64, seed=s) for s in (7, 7, 8))
+        for h in (a, b, c):
+            h.extend(stream)
+        np.testing.assert_array_equal(a._reservoir, b._reservoir)
+        assert not np.array_equal(a._reservoir, c._reservoir)
+
+    def test_reservoir_is_a_uniform_sample_of_a_long_stream(self):
+        """Every position of a 10k stream is kept with probability
+        capacity / 10k: pooled over 20 seeds, each tenth of the stream
+        holds a tenth of the kept values (400 +- 5 sd of ~19)."""
+        kept = []
+        for seed in range(20):
+            h = StreamingHistogram(capacity=200, seed=seed)
+            h.extend(float(i) for i in range(10_000))
+            kept.append(h._reservoir.copy())
+        deciles = np.bincount(
+            (np.concatenate(kept) // 1000).astype(int), minlength=10
+        )
+        assert deciles.sum() == 4000
+        assert np.all(np.abs(deciles - 400) <= 95), deciles
+
     def test_percentile_domain(self):
         h = StreamingHistogram()
         h.add(1.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from repro.design.cascade import CascadeStage, EarlyExitCascade
 from repro.exceptions import ConfigError
 from repro.runtime import (
     BatchEngine,
+    BaseScorer,
     ParallelConfig,
     ParallelError,
     PoolClosedError,
@@ -22,6 +25,7 @@ from repro.runtime import (
     plan_shards,
     scorer_fingerprint,
 )
+from repro.serving import ScoringService, ServiceConfig
 from repro.utils.rowkeys import row_keys
 
 
@@ -81,6 +85,26 @@ class TestShardPlan:
         assert plan.strategy == "cost-weighted"
         assert max(plan.sizes) <= 25
         assert sum(plan.sizes) == 100
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n_rows=st.integers(min_value=0, max_value=2000),
+        workers=st.integers(min_value=1, max_value=4),
+        max_rows=st.integers(min_value=1, max_value=300),
+    )
+    def test_even_capped_cuts_full_pieces_plus_remainder(
+        self, n_rows, workers, max_rows
+    ):
+        even = ShardPlan.even(n_rows, workers)
+        plan = even.capped(max_rows)
+        assert plan.strategy == "even"
+        assert sum(plan.sizes) == n_rows
+        assert all(size <= max_rows for size in plan.sizes)
+        # Each even shard becomes full pieces and one shorter tail, so
+        # every cut lies on a max_rows boundary of its shard.
+        for lo, hi in even.spans:
+            pieces = [s for s in plan.spans if lo <= s[0] < hi]
+            assert [a for a, _ in pieces] == list(range(lo, hi, max_rows))
 
     def test_cost_weighted_rejects_unpriced(self):
         with pytest.raises(ParallelError, match="finite positive"):
@@ -569,6 +593,168 @@ class TestParallelIntegration:
         with ShardedScorer(forest_scorer, ParallelConfig(workers=2)) as s:
             engine = BatchEngine(s, parallel=ParallelConfig(workers=4))
             assert engine.scorer is s
+
+
+# ----------------------------------------------------------------------
+# Under a service, the sharder splits: after the cache, misses only
+# ----------------------------------------------------------------------
+class _Recording(BaseScorer):
+    """Wraps a scorer and keeps a copy of every batch it is handed."""
+
+    backend = "recording"
+
+    def __init__(self, inner) -> None:
+        super().__init__(
+            price_fn=lambda: inner.predicted_us_per_doc,
+            input_dim=inner.input_dim,
+        )
+        self.inner = inner
+        self.calls: list[np.ndarray] = []
+        self._lock = threading.Lock()
+
+    def score(self, features) -> np.ndarray:
+        x = np.array(features, dtype=np.float64)
+        with self._lock:
+            self.calls.append(x)
+        return self.inner.score(x)
+
+    def describe(self) -> str:
+        return "recording"
+
+
+class TestSplitBelowTheCache:
+    """A coalesced batch is keyed and looked up once; only its misses
+    reach the model, cut into calls of at most ``max_batch_size``."""
+
+    @pytest.mark.parametrize(
+        "parallel, cap, sizes",
+        [
+            (ParallelConfig(workers=1, cache_entries=4096), 256, [150]),
+            (ParallelConfig(workers=1, cache_entries=4096), 64, [64, 64, 22]),
+            (
+                ParallelConfig(workers=2, cache_entries=4096),
+                64,
+                [64, 11, 64, 11],
+            ),
+            (
+                ParallelConfig(
+                    workers=2,
+                    strategy="size-capped",
+                    max_shard_rows=100,
+                    cache_entries=4096,
+                ),
+                64,
+                [64, 11, 64, 11],
+            ),
+            (
+                ParallelConfig(
+                    workers=2,
+                    strategy="size-capped",
+                    max_shard_rows=40,
+                    cache_entries=4096,
+                ),
+                256,
+                [38, 38, 37, 37],
+            ),
+        ],
+        ids=["one-worker", "one-worker-cap64", "even-2w", "size-capped",
+             "size-capped-own-cap"],
+    )
+    def test_one_lookup_and_only_misses_reach_the_model(
+        self, forest_scorer, parallel, cap, sizes
+    ):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((1000, forest_scorer.input_dim))
+        cached = np.zeros(len(x), dtype=bool)
+        cached[rng.permutation(len(x))[:850]] = True
+        bounds = np.concatenate(
+            [[0], np.sort(rng.choice(np.arange(1, len(x)), 31, replace=False)),
+             [len(x)]]
+        )
+        requests = [x[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+        recording = _Recording(forest_scorer)
+        service = ScoringService(
+            recording, ServiceConfig(max_batch_size=cap, parallel=parallel)
+        )
+        try:
+            service.score(x[cached])
+            recording.calls.clear()
+            lookups = {"get_many": 0, "put_many": 0}
+            cache = service.cache
+            for name in lookups:
+                method = getattr(cache, name)
+
+                def counted(*args, _method=method, _name=name):
+                    lookups[_name] += 1
+                    return _method(*args)
+
+                setattr(cache, name, counted)
+            out = service.engine.score_coalesced(requests)
+        finally:
+            service.close()
+
+        assert lookups == {"get_many": 1, "put_many": 1}
+        # Reorder pool calls by where their first row sits in x.
+        position = {row.tobytes(): i for i, row in enumerate(x)}
+        calls = sorted(
+            recording.calls, key=lambda c: position[c[0].tobytes()]
+        )
+        assert [len(c) for c in calls] == sizes
+        np.testing.assert_array_equal(np.concatenate(calls), x[~cached])
+        for request, scores in zip(requests, out):
+            np.testing.assert_array_equal(
+                scores, forest_scorer.score(request)
+            )
+
+    def test_standalone_engine_splits_after_the_cache(
+        self, forest_scorer, features
+    ):
+        recording = _Recording(forest_scorer)
+        engine = BatchEngine(
+            recording,
+            max_batch_size=128,
+            parallel=ParallelConfig(workers=1, cache_entries=1024),
+        )
+        assert engine.max_batch_size is None
+        assert engine.scorer.max_batch_size == 128
+        try:
+            for _ in range(2):
+                np.testing.assert_array_equal(
+                    engine.score(features), forest_scorer.score(features)
+                )
+        finally:
+            engine.scorer.close()
+        # One sharder call per request; the warm one reaches no model.
+        assert [len(c) for c in recording.calls] == [128, 128, 44]
+        assert engine.scorer.requests == 2
+
+    def test_pieces_are_not_counted_as_shards(
+        self, obs_clean, forest_scorer
+    ):
+        """A one-worker stack scores 600 misses in three capped calls on
+        one lane: one shard, balance 1.0."""
+        x = np.random.default_rng(5).standard_normal(
+            (600, forest_scorer.input_dim)
+        )
+        recording = _Recording(forest_scorer)
+        with ShardedScorer(
+            recording, ParallelConfig(workers=1), max_batch_size=256
+        ) as sharded:
+            sharded.score(x)
+            summary = sharded.summary()
+        assert [len(c) for c in recording.calls] == [256, 256, 88]
+        assert summary["last_shards"] == summary["shards_executed"] == 1
+        assert summary["last_balance"] == 1.0
+        row = obs_clean.parallel_report().backend(recording.backend)
+        assert row.mean_shards_per_request == 1.0
+        assert row.shard_balance == 1.0
+
+    def test_max_batch_size_must_be_positive(self, forest_scorer):
+        with pytest.raises(ParallelError, match="max_batch_size"):
+            ShardedScorer(forest_scorer, max_batch_size=0)
+        with pytest.raises(ParallelError, match="max_rows"):
+            ShardPlan.even(10, 1).capped(0)
 
 
 # ----------------------------------------------------------------------

@@ -331,5 +331,46 @@ class TestCascadeObsReport:
         assert "Cascade funnel" in rendered
         assert "1 budget early-exits" in rendered
 
+    QUERIES = (
+        dict(stage_names=("a", "b"), stage_docs=(10, 4),
+             stage_us=(5.0, 20.0), predicted_spend_us=12.5,
+             exited_early=False),
+        dict(stage_names=("a",), stage_docs=(8,), stage_us=(4.0,),
+             predicted_spend_us=8.0, exited_early=True),
+        dict(stage_names=("a", "b"), stage_docs=(6, 0),
+             stage_us=(3.0, float("nan")), predicted_spend_us=float("nan"),
+             exited_early=False),
+    )
+
+    def test_bound_series_match_per_query_lookups(self, obs_clean):
+        from repro.obs.cascade import CascadeSeries
+
+        looked_up, bound = obs_clean.MetricsRegistry(), obs_clean.MetricsRegistry()
+        series = CascadeSeries("p", bound)
+        for query in self.QUERIES * 2:
+            obs_clean.record_cascade_query("p", registry=looked_up, **query)
+            series.record(**query)
+        assert bound.snapshot() == looked_up.snapshot()
+        assert obs_clean.cascade_report(bound) == obs_clean.cascade_report(
+            looked_up
+        )
+
+    def test_bound_series_follow_registry_swaps_and_resets(self, obs_clean):
+        from repro.obs.cascade import CascadeSeries
+
+        series = CascadeSeries("p")
+        series.record(**self.QUERIES[0])
+        obs_clean.get_registry().reset()
+        series.record(**self.QUERIES[1])
+        assert obs_clean.cascade_report().queries == {"p": 1}
+        fresh = obs_clean.MetricsRegistry()
+        previous = obs_clean.set_registry(fresh)
+        try:
+            series.record(**self.QUERIES[0])
+        finally:
+            obs_clean.set_registry(previous)
+        assert obs_clean.cascade_report(fresh).queries == {"p": 1}
+        assert obs_clean.cascade_report().queries == {"p": 1}
+
     def test_empty_report_renders(self, obs_clean):
         assert "no cascade queries" in obs_clean.cascade_report().render()

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.runtime import (
     AllTiersFailedError,
+    BaseScorer,
     BreakerState,
     CircuitBreaker,
     CircuitBreakerConfig,
@@ -25,6 +26,7 @@ from repro.runtime import (
     FaultPolicy,
     InjectedFaultError,
     ManualClock,
+    ParallelConfig,
     ResilientScorer,
     RetryPolicy,
     ScorerFaultError,
@@ -557,6 +559,168 @@ class TestScoringServiceIntegration:
         )
         np.testing.assert_array_equal(resilient.score(x), plain.score(x))
         assert resilient.fallback_ratio == 0.0
+
+
+class _Hooked(BaseScorer):
+    """Wraps a scorer and runs ``hook(features)`` before every call."""
+
+    backend = "hooked"
+
+    def __init__(self, inner, hook) -> None:
+        super().__init__(
+            price_fn=lambda: inner.predicted_us_per_doc,
+            input_dim=inner.input_dim,
+        )
+        self.inner = inner
+        self.hook = hook
+        self.calls: list[int] = []
+
+    def score(self, features) -> np.ndarray:
+        self.calls.append(len(features))
+        self.hook(features)
+        return self.inner.score(features)
+
+    def describe(self) -> str:
+        return "hooked"
+
+
+class TestOneTierPerRequest:
+    """Under ``parallel`` the sharder splits a request below the chain,
+    so the chain's tier choice and deadline cover the whole request."""
+
+    ROWS = 600
+
+    def request(self, small_forest):
+        x = np.random.default_rng(18).normal(
+            size=(self.ROWS, small_forest.n_features)
+        )
+        x[:, 0] = np.arange(self.ROWS)  # row index, for the hooks
+        return x
+
+    def service(
+        self, primary, *, deadline_us=None, clock=None, fallback=None
+    ):
+        clock = clock or ManualClock()
+        return ScoringService(
+            primary,
+            ServiceConfig(
+                resilience=ResilienceConfig(
+                    fallback_models=(fallback or StubScorer(),),
+                    retry=RetryPolicy(max_attempts=1),
+                    deadline_us=deadline_us,
+                ),
+                parallel=ParallelConfig(workers=1, cache_entries=4096),
+            ),
+            clock=clock,
+            sleep=clock.sleep,
+        )
+
+    def test_a_failing_slice_fails_over_the_whole_request(
+        self, small_forest
+    ):
+        def fail_past_256(features):
+            if np.asarray(features)[:, 0].max() >= 256:
+                raise InjectedFaultError("row past 256")
+
+        primary = _Hooked(
+            make_scorer(small_forest, backend="quickscorer"), fail_past_256
+        )
+        service = self.service(primary)
+        x = self.request(small_forest)
+        try:
+            scores = service.score(x)
+        finally:
+            service.close()
+        assert primary.calls == [256, 256]  # the second slice raised
+        assert service.chain.served == [0, 1]
+        np.testing.assert_array_equal(scores, StubScorer().score(x))
+
+    def test_deadline_covers_the_whole_request(self, small_forest):
+        """Each 256-row call takes 256 us on the manual clock: one call
+        meets a 400 us deadline, the whole 600-row request does not."""
+        clock = ManualClock()
+        primary = _Hooked(
+            make_scorer(small_forest, backend="quickscorer"),
+            lambda features: clock.advance(len(features) * 1e-6),
+        )
+        service = self.service(primary, deadline_us=400.0, clock=clock)
+        x = self.request(small_forest)
+        try:
+            scores = service.score(x)
+        finally:
+            service.close()
+        assert primary.calls == [256, 256, 88]
+        assert service.chain.served == [0, 1]
+        assert service.chain.primary.failures == 1
+        np.testing.assert_array_equal(scores, StubScorer().score(x))
+
+    def test_deadline_covers_the_whole_coalesced_batch(self, small_forest):
+        """Four coalesced 150-row requests share one 600 us kernel, so a
+        400 us deadline sends all four to the fallback; 700 us does not."""
+        x = self.request(small_forest)
+        requests = np.split(x, 4)
+        for deadline_us, served in ((400.0, [0, 1]), (700.0, [1, 0])):
+            clock = ManualClock()
+            primary = _Hooked(
+                make_scorer(small_forest, backend="quickscorer"),
+                lambda features, clock=clock: clock.advance(
+                    len(features) * 1e-6
+                ),
+            )
+            service = self.service(
+                primary, deadline_us=deadline_us, clock=clock
+            )
+            try:
+                out = service.engine.score_coalesced(requests)
+            finally:
+                service.close()
+            assert primary.calls == [256, 256, 88]
+            assert service.chain.served == served
+            tier = primary.inner if served[0] else StubScorer()
+            for request, scores in zip(requests, out):
+                np.testing.assert_array_equal(scores, tier.score(request))
+
+    def test_fallback_tiers_are_capped_at_max_batch_size(self, small_forest):
+        def always_fail(features):
+            raise InjectedFaultError("primary down")
+
+        primary = _Hooked(
+            make_scorer(small_forest, backend="quickscorer"), always_fail
+        )
+        stub = StubScorer()
+        fallback = _Hooked(stub, lambda features: None)
+        service = self.service(primary, fallback=fallback)
+        x = self.request(small_forest)
+        try:
+            scores = service.score(x)
+        finally:
+            service.close()
+        assert service.chain.served == [0, 1]
+        assert fallback.calls == [256, 256, 88]
+        np.testing.assert_array_equal(scores, stub.score(x))
+
+    def test_one_version_serves_the_request_across_a_swap(
+        self, small_forest
+    ):
+        plain = make_scorer(small_forest, backend="quickscorer")
+        candidate = StubScorer(weights=np.ones(small_forest.n_features))
+        swapped = []
+
+        def swap_on_first_call(features):
+            if not swapped:
+                swapped.append(service.swap(candidate, force=True))
+
+        service = self.service(_Hooked(plain, swap_on_first_call))
+        x = self.request(small_forest)
+        try:
+            first = service.score(x)
+            second = service.score(x[:10])
+        finally:
+            service.close()
+        assert swapped and service.registry.active.version_id != "v1"
+        np.testing.assert_array_equal(first, plain.score(x))
+        np.testing.assert_array_equal(second, candidate.score(x[:10]))
+        assert service.versioned.served_by_version["v1"] == 1
 
 
 class TestObsIntegration:
