@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast verify bench-test smoke obs-smoke resilience-smoke parallel-smoke compile-smoke quant-smoke serving-smoke trace-smoke cascade-smoke lifecycle-smoke bench examples report clean
+.PHONY: install test test-fast verify bench-test smoke obs-smoke resilience-smoke parallel-smoke compile-smoke quant-smoke serving-smoke trace-smoke lifecycle-smoke bench examples report clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -14,7 +14,7 @@ test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow" -x
 
 # Tier-1 gate: the full suite plus a bytecode compile of the library.
-verify: obs-smoke resilience-smoke parallel-smoke compile-smoke quant-smoke serving-smoke trace-smoke cascade-smoke lifecycle-smoke bench-test
+verify: obs-smoke resilience-smoke parallel-smoke compile-smoke quant-smoke serving-smoke trace-smoke lifecycle-smoke bench-test
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(PYTHON) -m compileall -q src
 
@@ -68,13 +68,6 @@ serving-smoke:
 # every exemplar, and each trace's stage timeline tiles its wall time.
 trace-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.obs.trace_smoke
-
-# Cascade gate: a fixed-seed budgeted pipeline is bit-deterministic, a
-# strict refinement (dropouts never outrank survivors), never exceeds
-# its predicted-spend bound, no-ops on zero-doc queries, and feeds the
-# cascade.* funnel series.
-cascade-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.runtime.cascade_smoke
 
 # Lifecycle gate: a forced mid-load hot swap loses zero requests and
 # stays bit-identical pre/post; the shadow gate promotes a good

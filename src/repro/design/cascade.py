@@ -26,6 +26,13 @@ Two execution policies, both deterministic:
   always runs (otherwise there is no ranking at all), so the predicted
   per-query spend is bounded by ``max(budget, n_docs * cost_1)``.
 
+Several queries can run through the cascade together
+(:meth:`EarlyExitCascade.score_queries_detailed`): each stage scores
+every live query's survivors in shared calls of at most
+:data:`STAGE_CALL_DOCS` documents, while cuts, band offsets and budget
+exits stay per query.  Stage scorers are chunk-invariant, so every
+score equals the one-query run's bits.
+
 The declarative, JSON-round-trippable face of this module — stages named
 by backend and built from a model-role mapping — is
 :class:`repro.runtime.ranking.RankingPipeline`; see ``docs/cascade.md``.
@@ -45,6 +52,11 @@ from repro.exceptions import CascadeError
 
 #: A scoring function over a feature matrix.
 ScoreFn = Callable[[np.ndarray], np.ndarray]
+
+#: Most documents one stage call holds.  Not a tuning option: larger
+#: shared calls touch larger plan arenas and temporaries for no gain
+#: (128 x 136 float64 rows is about glibc's 128 KiB mmap threshold).
+STAGE_CALL_DOCS = 128
 
 
 @dataclass(frozen=True)
@@ -69,6 +81,17 @@ class CascadeStage:
             raise ValueError(
                 f"keep_fraction must be in (0, 1], got {self.keep_fraction}"
             )
+
+    @property
+    def batchable(self) -> bool:
+        """Whether several queries' documents may share one call.
+
+        Read from the scorer a bound ``score_fn`` belongs to (a nested
+        cascade is not batchable); plain functions are taken to be
+        chunk-invariant, as the stage contract asks.
+        """
+        owner = getattr(self.score_fn, "__self__", None)
+        return bool(getattr(owner, "batchable", True))
 
     def survivor_count(self, n_alive: int) -> int:
         """How many of ``n_alive`` documents this stage promotes.
@@ -141,6 +164,10 @@ class CascadeQueryResult:
     exited_early:
         True when the budget stopped promotion before the configured
         last stage.
+    stage_batch_docs:
+        Documents of the (possibly shared) stage calls behind each
+        ``stage_spans`` entry: this query's own count when it ran alone,
+        every live query's survivors when it ran in a batch.
     """
 
     scores: np.ndarray
@@ -149,6 +176,7 @@ class CascadeQueryResult:
     predicted_spend_us: float
     budget_us: float | None
     exited_early: bool
+    stage_batch_docs: tuple[int, ...] = field(repr=False)
 
     @property
     def stages_run(self) -> int:
@@ -159,6 +187,21 @@ class CascadeQueryResult:
     def stage_docs(self) -> tuple[int, ...]:
         """Documents evaluated per executed stage."""
         return tuple(len(s) for s in self.survivors)
+
+    @property
+    def stage_us(self) -> tuple[float, ...]:
+        """This query's share of each executed stage's wall time, in µs.
+
+        A stage call shared with other queries is split in proportion to
+        documents; a query that ran alone gets the whole span.
+        """
+        shares = []
+        for (start, end), docs, total in zip(
+            self.stage_spans, self.stage_docs, self.stage_batch_docs
+        ):
+            us = (end - start) * 1e6
+            shares.append(us if docs == total else us * docs / total)
+        return tuple(shares)
 
 
 class EarlyExitCascade:
@@ -264,67 +307,154 @@ class EarlyExitCascade:
         Beyond the banded scores this returns the per-stage survivor
         sets, wall-clock spans, the predicted spend and whether the
         per-query budget forced an early exit — the raw material of the
-        ``cascade.*`` observability series and request timelines.
+        ``cascade.*`` observability series and request timelines.  The
+        one-query case of :meth:`score_queries_detailed`.
         """
         features = np.asarray(features, dtype=np.float64)
-        n = len(features)
-        if n == 0:
-            return CascadeQueryResult(
-                scores=np.zeros(0, dtype=np.float64),
-                survivors=(),
-                stage_spans=(),
-                predicted_spend_us=0.0,
-                budget_us=self.budget_us_per_query,
-                exited_early=False,
+        return self.score_queries_detailed(features, (len(features),))[1][0]
+
+    def score_queries_detailed(
+        self, features: np.ndarray, rows
+    ) -> tuple[np.ndarray, list[CascadeQueryResult]]:
+        """Score consecutive queries together.
+
+        ``features`` holds the queries' documents back to back and
+        ``rows`` each query's document count.  Each stage runs once per
+        level over every live query's survivors, in calls of at most
+        :data:`STAGE_CALL_DOCS` documents: the first stage reads views
+        of ``features``, later stages one gather of the survivors.  A
+        stage that is not batchable (a nested cascade) is called once
+        per query instead.  Ceil cuts, band offsets and budget exits
+        stay per query, so each result — scores, survivors, predicted
+        spend, early exit — equals :meth:`score_query_detailed` on that
+        query alone; only the wall-clock spans are shared.
+
+        Returns the banded scores of every row, and one result per
+        query whose ``scores`` is a view of them.
+        """
+        features = np.asarray(features, dtype=np.float64)
+        rows = [int(n) for n in rows]
+        if any(n < 0 for n in rows) or sum(rows) != len(features):
+            raise ValueError(
+                f"query row counts {rows} do not tile {len(features)} "
+                "documents"
             )
-        alive = np.arange(n)
-        out = np.zeros(n, dtype=np.float64)
-        survivors: list[np.ndarray] = []
-        spans: list[tuple[float, float]] = []
-        spend = 0.0
-        exited_early = False
+        out = np.zeros(len(features), dtype=np.float64)
+        starts = [0] * len(rows)
+        for q in range(1, len(rows)):
+            starts[q] = starts[q - 1] + rows[q - 1]
+        # Survivors held as global row indices into ``features``.
+        alive = {
+            q: np.arange(starts[q], starts[q] + n)
+            for q, n in enumerate(rows)
+            if n
+        }
+        survivors: list[list[np.ndarray]] = [[] for _ in rows]
+        spans: list[list[tuple[float, float]]] = [[] for _ in rows]
+        batch_docs: list[list[int]] = [[] for _ in rows]
+        spend = [0.0] * len(rows)
+        exited = [False] * len(rows)
+        last = len(self.stages) - 1
         for level, stage in enumerate(self.stages):
-            start_s = time.perf_counter()
-            scores = np.asarray(stage.score_fn(features[alive]), dtype=np.float64)
-            spans.append((start_s, time.perf_counter()))
-            if scores.shape != (len(alive),):
-                raise ValueError(
-                    f"stage {stage.name!r} returned shape {scores.shape}, "
-                    f"expected ({len(alive)},)"
-                )
-            finite = np.isfinite(scores)
-            if not finite.all():
-                bad = scores[~finite]
-                raise CascadeError(
-                    f"stage {stage.name!r} (level {level}) emitted "
-                    f"{int(np.isnan(bad).sum())} NaN and "
-                    f"{int(np.isinf(bad).sum())} infinite scores over "
-                    f"{len(alive)} documents; cascade band offsets require "
-                    "finite stage scores ('refinement, never a shuffle')"
-                )
-            survivors.append(alive)
-            spend += len(alive) * stage.cost_us_per_doc
-            # Normalize the stage's scores into (0, 1) and add the band
-            # offset: survivors of later stages always outrank dropouts.
-            lo, hi = scores.min(), scores.max()
-            span = (hi - lo) or 1.0
-            out[alive] = level + (scores - lo) / span * 0.999
-            if level == len(self.stages) - 1:
+            if not alive:
                 break
-            n_keep = stage.survivor_count(len(alive))
-            if self._budget_stops_promotion(spend, n_keep, level):
-                exited_early = True
-                break
-            order = np.argsort(-scores, kind="stable")
-            alive = alive[order[:n_keep]]
-        return CascadeQueryResult(
-            scores=out,
-            survivors=tuple(survivors),
-            stage_spans=tuple(spans),
-            predicted_spend_us=spend,
-            budget_us=self.budget_us_per_query,
-            exited_early=exited_early,
-        )
+            if stage.batchable:
+                live = list(alive)
+                if level == 0:
+                    block = features
+                else:
+                    block = features[np.concatenate([alive[q] for q in live])]
+                start_s = time.perf_counter()
+                scores = self._run_stage(stage, level, block)
+                span = (start_s, time.perf_counter())
+                parts = []
+                pos = 0
+                for q in live:
+                    n_alive = len(alive[q])
+                    parts.append(
+                        (q, scores[pos : pos + n_alive], span, len(block))
+                    )
+                    pos += n_alive
+            else:
+                parts = []
+                for q, idx in alive.items():
+                    start_s = time.perf_counter()
+                    scores = self._checked_call(stage, level, features[idx])
+                    parts.append(
+                        (q, scores, (start_s, time.perf_counter()), len(idx))
+                    )
+            for q, scores, span, total in parts:
+                idx = alive[q]
+                survivors[q].append(idx - starts[q])
+                spans[q].append(span)
+                batch_docs[q].append(total)
+                spend[q] += len(idx) * stage.cost_us_per_doc
+                # Normalize the stage's scores into (0, 1) and add the
+                # band offset: survivors of later stages always outrank
+                # dropouts.
+                lo, hi = scores.min(), scores.max()
+                width = (hi - lo) or 1.0
+                out[idx] = level + (scores - lo) / width * 0.999
+                if level == last:
+                    del alive[q]
+                    continue
+                n_keep = stage.survivor_count(len(idx))
+                if self._budget_stops_promotion(spend[q], n_keep, level):
+                    exited[q] = True
+                    del alive[q]
+                    continue
+                order = np.argsort(-scores, kind="stable")
+                alive[q] = idx[order[:n_keep]]
+        results = []
+        for q, n in enumerate(rows):
+            results.append(
+                CascadeQueryResult(
+                    scores=out[starts[q] : starts[q] + n],
+                    survivors=tuple(survivors[q]),
+                    stage_spans=tuple(spans[q]),
+                    predicted_spend_us=spend[q],
+                    budget_us=self.budget_us_per_query,
+                    exited_early=exited[q],
+                    stage_batch_docs=tuple(batch_docs[q]),
+                )
+            )
+        return out, results
+
+    def _run_stage(
+        self, stage: CascadeStage, level: int, block: np.ndarray
+    ) -> np.ndarray:
+        """``stage`` over ``block`` in calls of at most
+        :data:`STAGE_CALL_DOCS` documents."""
+        n = len(block)
+        if n <= STAGE_CALL_DOCS:
+            return self._checked_call(stage, level, block)
+        scores = np.empty(n, dtype=np.float64)
+        for lo in range(0, n, STAGE_CALL_DOCS):
+            part = block[lo : lo + STAGE_CALL_DOCS]
+            scores[lo : lo + len(part)] = self._checked_call(stage, level, part)
+        return scores
+
+    @staticmethod
+    def _checked_call(
+        stage: CascadeStage, level: int, x: np.ndarray
+    ) -> np.ndarray:
+        """One stage call, its output checked for shape and finiteness."""
+        scores = np.asarray(stage.score_fn(x), dtype=np.float64)
+        if scores.shape != (len(x),):
+            raise ValueError(
+                f"stage {stage.name!r} returned shape {scores.shape}, "
+                f"expected ({len(x)},)"
+            )
+        if not np.isfinite(scores).all():
+            bad = scores[~np.isfinite(scores)]
+            raise CascadeError(
+                f"stage {stage.name!r} (level {level}) emitted "
+                f"{int(np.isnan(bad).sum())} NaN and "
+                f"{int(np.isinf(bad).sum())} infinite scores over "
+                f"{len(x)} documents; cascade band offsets require "
+                "finite stage scores ('refinement, never a shuffle')"
+            )
+        return scores
 
     def score_dataset(self, dataset: LtrDataset) -> np.ndarray:
         """Cascade scores for every query of a dataset.

@@ -134,6 +134,7 @@ from repro.obs.requests import (
     current_request,
     enable_request_tracing,
     get_request_recorder,
+    request_slots,
     request_tracing_enabled,
     set_request_recorder,
 )
@@ -251,6 +252,7 @@ __all__ = [
     "render_prometheus",
     "render_record",
     "render_trace_tree",
+    "request_slots",
     "request_tracing_enabled",
     "resilience_report",
     "serving_report",

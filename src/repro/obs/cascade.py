@@ -30,45 +30,22 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.obs.metrics import (
-    Counter,
-    MetricsRegistry,
-    StreamingHistogram,
-    get_registry,
-)
+from repro.obs.metrics import BoundSeries, MetricsRegistry, get_registry
 
 
-class CascadeSeries:
+class CascadeSeries(BoundSeries):
     """The ``cascade.*`` series of one pipeline, looked up once.
 
-    Each series is fetched from the registry on first use and kept, so
-    recording a query costs a few dict probes instead of a label-keyed
-    registry lookup per series.  The handles follow the default registry
-    (unless one is given) and are dropped when it is replaced or reset.
+    Recording a query costs a few dict probes instead of a label-keyed
+    registry lookup per series (see :class:`~repro.obs.metrics.
+    BoundSeries`).
     """
 
     def __init__(
         self, pipeline: str, registry: MetricsRegistry | None = None
     ) -> None:
+        super().__init__(registry, pipeline=pipeline)
         self.pipeline = pipeline
-        self._registry = registry
-        self._bound: tuple[MetricsRegistry, int] | None = None
-        self._handles: dict[tuple, Counter | StreamingHistogram] = {}
-
-    def _handle(self, registry, name, level=None, stage=None):
-        key = (name, level, stage)
-        metric = self._handles.get(key)
-        if metric is None:
-            labels = {"pipeline": self.pipeline}
-            if level is not None:
-                labels.update(stage=stage, level=str(level))
-            get = (
-                registry.histogram
-                if name == "cascade.predicted_spend_us"
-                else registry.counter
-            )
-            metric = self._handles[key] = get(name, **labels)
-        return metric
 
     def record(
         self,
@@ -80,28 +57,35 @@ class CascadeSeries:
         exited_early: bool,
     ) -> None:
         """Fold one scored query in (see :func:`record_cascade_query`)."""
-        registry = self._registry or get_registry()
-        if self._bound != (registry, registry.generation):
-            self._handles = {}
-            self._bound = (registry, registry.generation)
-        handle = self._handle
-        handle(registry, "cascade.queries").inc()
+        self.refresh()
+        handle = self.handle
+        handle("counter", "cascade.queries").inc()
         if exited_early:
-            handle(registry, "cascade.early_exits").inc()
+            handle("counter", "cascade.early_exits").inc()
         if math.isfinite(predicted_spend_us):
-            handle(registry, "cascade.predicted_spend_us").add(
+            handle("histogram", "cascade.predicted_spend_us").add(
                 predicted_spend_us
             )
         for level, (name, docs, us) in enumerate(
             zip(stage_names, stage_docs, stage_us)
         ):
-            handle(registry, "cascade.stage_queries", level, name).inc()
+            self._stage_handle("cascade.stage_queries", level, name).inc()
             if docs:
-                handle(registry, "cascade.stage_docs", level, name).inc(
+                self._stage_handle("cascade.stage_docs", level, name).inc(
                     int(docs)
                 )
             if math.isfinite(us) and us > 0:
-                handle(registry, "cascade.stage_us", level, name).inc(us)
+                self._stage_handle("cascade.stage_us", level, name).inc(us)
+
+    def _stage_handle(self, name: str, level: int, stage: str):
+        """The per-stage counter ``name`` of ``stage`` at ``level``."""
+        key = (name, level, stage)
+        metric = self._handles.get(key)
+        if metric is None:
+            metric = self._handles[key] = self._bound[0].counter(
+                name, **self.labels, stage=stage, level=str(level)
+            )
+        return metric
 
 
 def record_cascade_query(

@@ -24,7 +24,45 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import BoundSeries, MetricsRegistry, get_registry
+
+
+class DriftSeries(BoundSeries):
+    """The ``scoring.*`` drift series of one backend, looked up once
+    (see :class:`~repro.obs.metrics.BoundSeries`); the batch engine
+    keeps one."""
+
+    def __init__(
+        self, backend: str, registry: MetricsRegistry | None = None
+    ) -> None:
+        super().__init__(registry, backend=backend)
+        self.backend = backend
+
+    def record(
+        self, *, n_docs: int, seconds: float, predicted_us_per_doc: float
+    ) -> None:
+        """Fold one executed request in (see :func:`record_request`)."""
+        self.refresh()
+        handle = self.handle
+        handle("counter", "scoring.requests").inc()
+        docs_total = handle("counter", "scoring.documents")
+        docs_total.inc(n_docs)
+        seconds_total = handle("counter", "scoring.wall_seconds")
+        seconds_total.inc(seconds)
+        handle("histogram", "scoring.request_us_per_doc").add(
+            seconds * 1e6 / n_docs
+        )
+        mean_us = seconds_total.value * 1e6 / docs_total.value
+        handle("gauge", "scoring.measured_us_per_doc").set(mean_us)
+        if math.isfinite(predicted_us_per_doc) and predicted_us_per_doc > 0:
+            handle("gauge", "scoring.predicted_us_per_doc").set(
+                predicted_us_per_doc
+            )
+            handle("gauge", "scoring.drift_pct").set(
+                (mean_us - predicted_us_per_doc)
+                / predicted_us_per_doc
+                * 100.0
+            )
 
 
 def record_request(
@@ -35,27 +73,15 @@ def record_request(
     predicted_us_per_doc: float,
     registry: MetricsRegistry | None = None,
 ) -> None:
-    """Fold one executed request into the per-backend drift series."""
-    registry = registry or get_registry()
-    registry.counter("scoring.requests", backend=backend).inc()
-    registry.counter("scoring.documents", backend=backend).inc(n_docs)
-    seconds_total = registry.counter("scoring.wall_seconds", backend=backend)
-    seconds_total.inc(seconds)
-    docs_total = registry.counter("scoring.documents", backend=backend)
+    """Fold one executed request into the per-backend drift series.
 
-    measured_us = seconds * 1e6 / n_docs
-    registry.histogram("scoring.request_us_per_doc", backend=backend).add(
-        measured_us
+    A recorder of many requests keeps one :class:`DriftSeries` instead.
+    """
+    DriftSeries(backend, registry).record(
+        n_docs=n_docs,
+        seconds=seconds,
+        predicted_us_per_doc=predicted_us_per_doc,
     )
-    mean_us = seconds_total.value * 1e6 / docs_total.value
-    registry.gauge("scoring.measured_us_per_doc", backend=backend).set(mean_us)
-    if math.isfinite(predicted_us_per_doc) and predicted_us_per_doc > 0:
-        registry.gauge(
-            "scoring.predicted_us_per_doc", backend=backend
-        ).set(predicted_us_per_doc)
-        registry.gauge("scoring.drift_pct", backend=backend).set(
-            (mean_us - predicted_us_per_doc) / predicted_us_per_doc * 100.0
-        )
 
 
 @dataclass(frozen=True)

@@ -355,6 +355,46 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     return previous
 
 
+class BoundSeries:
+    """Metric handles of one hot-path recorder, looked up once and kept.
+
+    A recorder that folds every request into a few series keeps one of
+    these: after the first lookup, each :meth:`handle` costs a dict
+    probe instead of a label-keyed registry lookup.  ``labels`` are
+    added to every series.  The handles follow the default registry
+    (unless one is given) and are dropped when it is replaced or reset
+    (:attr:`MetricsRegistry.generation`): call :meth:`refresh` once at
+    the top of each record.
+    """
+
+    def __init__(
+        self, registry: MetricsRegistry | None = None, **labels: Any
+    ) -> None:
+        self.labels = labels
+        self._registry = registry
+        self._bound: tuple[MetricsRegistry, int] | None = None
+        self._handles: dict[Any, Counter | Gauge | StreamingHistogram] = {}
+
+    def refresh(self) -> None:
+        """Drop the handles if the registry was replaced or reset."""
+        registry = self._registry or _default_registry
+        if self._bound is None or (
+            self._bound[0] is not registry
+            or self._bound[1] != registry.generation
+        ):
+            self._handles = {}
+            self._bound = (registry, registry.generation)
+
+    def handle(self, kind: str, name: str):
+        """The ``kind`` (``"counter"``, ``"gauge"`` or ``"histogram"``)
+        series ``name`` with the recorder's labels."""
+        metric = self._handles.get(name)
+        if metric is None:
+            get = getattr(self._bound[0], kind)
+            metric = self._handles[name] = get(name, **self.labels)
+        return metric
+
+
 def counter(name: str, **labels: Any) -> Counter:
     return _default_registry.counter(name, **labels)
 

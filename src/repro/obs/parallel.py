@@ -30,7 +30,44 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import BoundSeries, MetricsRegistry, get_registry
+
+
+class ParallelSeries(BoundSeries):
+    """The ``parallel.*`` request series of one backend, looked up once
+    (see :class:`~repro.obs.metrics.BoundSeries`); a
+    :class:`~repro.runtime.parallel.ShardedScorer` keeps one."""
+
+    def __init__(
+        self, backend: str, registry: MetricsRegistry | None = None
+    ) -> None:
+        super().__init__(registry, backend=backend)
+        self.backend = backend
+
+    def record(
+        self,
+        *,
+        n_shards: int,
+        balance: float,
+        utilization: float,
+        cache_hits: int = 0,
+        cache_misses: int = 0,
+    ) -> None:
+        """Fold one sharded request in (see
+        :func:`record_parallel_request`)."""
+        self.refresh()
+        handle = self.handle
+        handle("counter", "parallel.requests").inc()
+        if n_shards:
+            handle("counter", "parallel.shards").inc(n_shards)
+        if math.isfinite(balance):
+            handle("gauge", "parallel.shard_balance").set(balance)
+        if math.isfinite(utilization):
+            handle("gauge", "parallel.pool_utilization").set(utilization)
+        if cache_hits:
+            handle("counter", "parallel.cache_hits").inc(cache_hits)
+        if cache_misses:
+            handle("counter", "parallel.cache_misses").inc(cache_misses)
 
 
 def record_parallel_request(
@@ -47,25 +84,16 @@ def record_parallel_request(
 
     NaN ``balance``/``utilization`` (a fully cache-served request runs
     no shards) leave the gauges untouched rather than poisoning them.
+    A scorer that records many requests keeps one
+    :class:`ParallelSeries` instead.
     """
-    registry = registry or get_registry()
-    registry.counter("parallel.requests", backend=backend).inc()
-    if n_shards:
-        registry.counter("parallel.shards", backend=backend).inc(n_shards)
-    if math.isfinite(balance):
-        registry.gauge("parallel.shard_balance", backend=backend).set(balance)
-    if math.isfinite(utilization):
-        registry.gauge(
-            "parallel.pool_utilization", backend=backend
-        ).set(utilization)
-    if cache_hits:
-        registry.counter("parallel.cache_hits", backend=backend).inc(
-            cache_hits
-        )
-    if cache_misses:
-        registry.counter("parallel.cache_misses", backend=backend).inc(
-            cache_misses
-        )
+    ParallelSeries(backend, registry).record(
+        n_shards=n_shards,
+        balance=balance,
+        utilization=utilization,
+        cache_hits=cache_hits,
+        cache_misses=cache_misses,
+    )
 
 
 def record_cache_eviction(

@@ -40,7 +40,7 @@ import threading
 import uuid
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from repro.exceptions import ReproError
 from repro.obs.flight import ExemplarStore, FlightRecorder, render_record
@@ -210,9 +210,12 @@ class RequestContext:
 _CURRENT: ContextVar[RequestContext | None] = ContextVar(
     "repro_request", default=None
 )
-_ACTIVE_BATCH: ContextVar[tuple[RequestContext, ...]] = ContextVar(
-    "repro_request_batch", default=()
-)
+#: ``(live, slots)`` of the engine call bound in this context: the
+#: traced requests, and one slot per request of the call (``None`` for
+#: an untraced one).
+_ACTIVE_BATCH: ContextVar[
+    tuple[tuple[RequestContext, ...], tuple[RequestContext | None, ...]]
+] = ContextVar("repro_request_batch", default=((), ()))
 
 
 def current_request() -> RequestContext | None:
@@ -223,14 +226,25 @@ def current_request() -> RequestContext | None:
 def active_requests() -> tuple[RequestContext, ...]:
     """Every request live in the calling context (batch, else current).
 
-    Inside a coalesced engine call this is the whole batch; inside a
-    single-request scope it is a 1-tuple; elsewhere it is empty.
+    Inside a coalesced engine call this is the whole batch's traced
+    requests; inside a single-request scope it is a 1-tuple; elsewhere
+    it is empty.
     """
-    batch = _ACTIVE_BATCH.get()
+    batch = _ACTIVE_BATCH.get()[0]
     if batch:
         return batch
     ctx = _CURRENT.get()
     return (ctx,) if ctx is not None else ()
+
+
+def request_slots() -> tuple[RequestContext | None, ...]:
+    """One entry per request of the engine call bound in this context,
+    in request order, ``None`` for an untraced request; empty when no
+    batch is bound.  A scorer that splits a coalesced batch at its
+    request boundaries (a cascade) stamps each request's own context
+    through these slots.
+    """
+    return _ACTIVE_BATCH.get()[1]
 
 
 @contextmanager
@@ -245,18 +259,23 @@ def activate(ctx: RequestContext) -> Iterator[RequestContext]:
 
 @contextmanager
 def activate_batch(
-    contexts: tuple[RequestContext, ...]
+    contexts: Sequence[RequestContext | None],
 ) -> Iterator[tuple[RequestContext, ...]]:
     """Bind a coalesced batch's requests to the calling context.
 
-    Called *inside* the engine executor thread (a ``ContextVar.set`` in
-    a worker thread binds in that thread's own implicit context), which
-    is how request identity crosses the ``run_in_executor`` boundary
-    that thread-locals and the loop's context cannot.
+    ``contexts`` holds one slot per request of the engine call, ``None``
+    for an untraced one (see :func:`request_slots`); the ``with`` body
+    gets the traced ones.  Called *inside* the engine executor thread (a
+    ``ContextVar.set`` in a worker thread binds in that thread's own
+    implicit context), which is how request identity crosses the
+    ``run_in_executor`` boundary that thread-locals and the loop's
+    context cannot.
     """
-    token = _ACTIVE_BATCH.set(tuple(contexts))
+    slots = tuple(contexts)
+    live = tuple(ctx for ctx in slots if ctx is not None)
+    token = _ACTIVE_BATCH.set((live, slots))
     try:
-        yield _ACTIVE_BATCH.get()
+        yield live
     finally:
         _ACTIVE_BATCH.reset(token)
 

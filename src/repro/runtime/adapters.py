@@ -31,7 +31,12 @@ from repro.forest.ensemble import TreeEnsemble
 from repro.matmul.csr import CsrMatrix
 from repro.obs.cascade import CascadeSeries
 from repro.quickscorer.scorer import QuickScorer
-from repro.runtime.base import BaseScorer, stable_forward
+from repro.runtime.base import (
+    BaseScorer,
+    hidden_request_rows,
+    request_rows,
+    stable_forward,
+)
 from repro.runtime.context import PricingContext
 from repro.runtime.pricing import (
     NetworkShape,
@@ -319,18 +324,28 @@ class CascadeScorer(BaseScorer):
     """An early-exit cascade served as one scorer.
 
     Cascades rank *within* a request (survivor cuts are per-query), so
-    the adapter is **not batchable**: the batch engine hands it each
-    request whole.
+    the adapter is **not batchable**: no call may split a request.  It
+    is **coalescable**: the batch engine hands it a whole coalesced
+    batch in one call and pins the request boundaries
+    (:func:`~repro.runtime.base.request_rows`); the cascade then runs
+    each stage once over every request's survivors
+    (:meth:`~repro.design.cascade.EarlyExitCascade.
+    score_queries_detailed`), bit-identically to scoring each request
+    alone.  Without pinned boundaries the call is one query.
 
     Every scored query feeds the ``cascade.*`` series (survivor funnel,
-    budget early-exits, predicted spend — see :mod:`repro.obs.cascade`)
-    and, when request tracing is live, stamps one ``cascade:<stage>``
-    detail stage per executed level onto the request's timeline plus
-    ``cascade_*`` annotations.  Scores are unaffected.
+    budget early-exits, predicted spend — see :mod:`repro.obs.cascade`),
+    a shared stage call counting toward each query's ``stage_us`` in
+    proportion to its documents.  When request tracing is live, each
+    request's own timeline gets one ``cascade:<stage>`` detail stage per
+    executed level (the shared call's span, with the request's
+    ``share_us``) plus ``cascade_*`` annotations.  Scores are
+    unaffected.
     """
 
     backend = "cascade"
     batchable = False
+    coalescable = True
 
     def __init__(
         self, cascade: EarlyExitCascade, context: PricingContext
@@ -349,26 +364,48 @@ class CascadeScorer(BaseScorer):
 
     def score(self, features) -> np.ndarray:
         x = np.asarray(features, dtype=np.float64)
-        result = self.cascade.score_query_detailed(x)
-        if result.stages_run:
-            stage_names = tuple(
-                stage.name
-                for stage in self.cascade.stages[: result.stages_run]
-            )
+        rows = request_rows(len(x)) or (len(x),)
+        # The stages must not read this call's boundaries as their own.
+        with hidden_request_rows():
+            scores, results = self.cascade.score_queries_detailed(x, rows)
+        # Each request's traced context: its own slot of the engine
+        # call, or every live request when the call is one query.
+        slots = obs.request_slots()
+        if len(slots) == len(rows):
+            contexts = [(ctx,) if ctx is not None else () for ctx in slots]
+        elif len(rows) == 1:
+            contexts = [obs.active_requests()]
+        else:
+            contexts = [()] * len(rows)
+        names = tuple(stage.name for stage in self.cascade.stages)
+        for q, result in enumerate(results):
+            if not result.stages_run:
+                continue
+            stage_names = names[: result.stages_run]
+            stage_us = result.stage_us
             self._series.record(
                 stage_names=stage_names,
                 stage_docs=result.stage_docs,
-                stage_us=tuple(
-                    (end - start) * 1e6 for start, end in result.stage_spans
-                ),
+                stage_us=stage_us,
                 predicted_spend_us=result.predicted_spend_us,
                 exited_early=result.exited_early,
             )
-            for ctx in obs.active_requests():
-                for name, (start, end), docs in zip(
-                    stage_names, result.stage_spans, result.stage_docs
+            for ctx in contexts[q]:
+                for name, (start, end), docs, total, share in zip(
+                    stage_names,
+                    result.stage_spans,
+                    result.stage_docs,
+                    result.stage_batch_docs,
+                    stage_us,
                 ):
-                    ctx.stage(f"cascade:{name}", start, end, docs=docs)
+                    ctx.stage(
+                        f"cascade:{name}",
+                        start,
+                        end,
+                        docs=docs,
+                        batch_docs=total,
+                        share_us=round(share, 3),
+                    )
                 ctx.annotate(
                     cascade=self.pipeline_name,
                     cascade_stages=result.stages_run,
@@ -377,7 +414,7 @@ class CascadeScorer(BaseScorer):
                         result.predicted_spend_us, 3
                     ),
                 )
-        return result.scores
+        return scores
 
     def describe(self) -> str:
         return f"cascade [{self.cascade.describe()}]"

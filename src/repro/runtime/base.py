@@ -12,6 +12,10 @@ backends) is adapted to one small interface:
 * ``describe()`` — a human-readable one-liner;
 * ``batchable`` — whether a request may be split into micro-batches
   (cascades rank *within* a request, so they must see it whole);
+* ``coalescable`` (optional, default ``False``) — whether a
+  non-batchable scorer takes a whole coalesced batch of requests in
+  one call, splitting it itself at the request boundaries the engine
+  pins (:func:`request_rows`); cascades do;
 * ``input_dim`` — expected feature count, or ``None`` when the backend
   cannot know it.
 
@@ -29,7 +33,7 @@ the models' native ``predict``.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from contextlib import contextmanager
 from typing import Any, Protocol, runtime_checkable
 
@@ -48,6 +52,8 @@ class Scorer(Protocol):
     backend: str
     #: Whether requests may be split into micro-batches.
     batchable: bool
+    #: Optional: whether a non-batchable scorer takes a coalesced batch
+    #: whole (read with ``getattr(scorer, "coalescable", False)``).
 
     @property
     def input_dim(self) -> int | None:  # pragma: no cover - protocol
@@ -120,16 +126,18 @@ class BaseScorer:
 # ----------------------------------------------------------------------
 # Request-scoped version pinning
 # ----------------------------------------------------------------------
-#: Thread-local (token, n_requests) set by the batch engine around one
-#: logical request (or one coalesced batch).  Version-aware scorers
-#: (:class:`~repro.runtime.lifecycle.VersionedScorer`) snapshot the
-#: active model version once per token, so a hot swap landing mid-way
-#: through a chunked request can never mix versions within it.
+#: Thread-local (token, rows) set by the batch engine around one engine
+#: call: ``rows`` holds the row count of each logical request the call
+#: carries (one entry for a plain call), or ``None`` while hidden.
+#: Version-aware scorers (:class:`~repro.runtime.lifecycle.
+#: VersionedScorer`) snapshot the active model version once per token,
+#: so a hot swap landing mid-way through a chunked request can never mix
+#: versions within it.
 _PIN_STATE = threading.local()
 
 
 @contextmanager
-def pinned_scope(n_requests: int = 1):
+def pinned_scope(rows: Sequence[int]):
     """Pin version resolution for the duration of one engine call.
 
     The engine wraps each ``score`` / ``score_coalesced`` execution in
@@ -137,22 +145,54 @@ def pinned_scope(n_requests: int = 1):
     versioned registry scorer) cache their resolution against the
     scope's token: every chunk of the wrapped call sees the same model
     version — the "in-flight requests finish on the incumbent" half of
-    the zero-downtime swap contract.  ``n_requests`` tells such scorers
-    how many logical requests the scope carries (1 for a plain call,
-    the batch width for a coalesced one) so per-version served counts
-    stay request-accurate.  No-op overhead for ordinary scorers.
+    the zero-downtime swap contract.  ``rows`` gives the row count of
+    each logical request in the call (``(n,)`` for a plain call, one
+    entry per member of a coalesced one): per-version served counts
+    stay request-accurate, and scorers that split a coalesced batch
+    themselves read the boundaries back with :func:`request_rows`.
+    No-op overhead for ordinary scorers.
     """
     previous = getattr(_PIN_STATE, "state", None)
-    _PIN_STATE.state = (object(), int(n_requests))
+    _PIN_STATE.state = (object(), tuple(rows))
     try:
         yield
     finally:
         _PIN_STATE.state = previous
 
 
-def current_pin() -> tuple[object, int] | None:
-    """The calling thread's active pin ``(token, n_requests)``, if any."""
+def current_pin() -> tuple[object, tuple[int, ...] | None] | None:
+    """The calling thread's active pin ``(token, rows)``, if any."""
     return getattr(_PIN_STATE, "state", None)
+
+
+def request_rows(n_rows: int) -> tuple[int, ...] | None:
+    """The pinned per-request row counts, when they tile an
+    ``n_rows``-row call exactly; ``None`` otherwise (no pin, hidden
+    boundaries, or a call that is a chunk of the engine call)."""
+    state = getattr(_PIN_STATE, "state", None)
+    if state is None or state[1] is None or sum(state[1]) != n_rows:
+        return None
+    return state[1]
+
+
+@contextmanager
+def hidden_request_rows():
+    """Hide the pinned request boundaries from nested calls.
+
+    A scorer that consumed the boundaries (a cascade running its
+    stages) wraps its inner calls in this scope, so a nested scorer
+    never mistakes the outer requests for its own.  The version pin
+    itself stays in force.
+    """
+    state = getattr(_PIN_STATE, "state", None)
+    if state is None or state[1] is None:
+        yield
+        return
+    _PIN_STATE.state = (state[0], None)
+    try:
+        yield
+    finally:
+        _PIN_STATE.state = state
 
 
 #: Documents per stable-mode GEMM tile.  Part of the bit contract, not a

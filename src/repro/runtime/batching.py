@@ -10,7 +10,9 @@ goes through:
   micro-batch (:meth:`BatchEngine.score_coalesced`) — the asyncio
   front-end's path: one GEMM for N users' candidate lists, sliced back
   out bit-identically, with per-request latency accounted
-  enqueue→response while drift keeps pricing kernel time;
+  enqueue→response while drift keeps pricing kernel time.  Cascades
+  take the batch in one call too, with the request boundaries pinned,
+  and run each stage over every request's survivors;
 * the request is **priced before execution** against the scorer's
   calibrated cost model, and construction fails when the price exceeds
   the latency budget — the paper's design rule enforced at deployment
@@ -38,6 +40,7 @@ import numpy as np
 
 from repro import obs
 from repro.exceptions import ReproError
+from repro.obs.drift import DriftSeries
 from repro.obs.metrics import StreamingHistogram
 from repro.obs.requests import activate_batch
 from repro.runtime.base import Scorer, pinned_scope
@@ -226,12 +229,14 @@ class ChunkedScorer:
 
     backend = "chunked"
     batchable = True
+    coalescable = False
 
     def __init__(self, inner: Scorer, max_batch_size: int) -> None:
         self.inner = inner
         self.max_batch_size = max_batch_size
         self.backend = inner.backend
         self.batchable = getattr(inner, "batchable", True)
+        self.coalescable = getattr(inner, "coalescable", False)
 
     @property
     def input_dim(self) -> int | None:
@@ -333,6 +338,7 @@ class BatchEngine:
                 )
         self.budget_us_per_doc = budget_us_per_doc
         self.allow_unpriced = allow_unpriced
+        self._drift = DriftSeries(scorer.backend)
 
     # ------------------------------------------------------------------
     def score(self, features) -> np.ndarray:
@@ -353,17 +359,12 @@ class BatchEngine:
         x = check_array_2d(x, "features")
         with obs.span("engine.score", backend=self.scorer.backend) as sp:
             start = time.perf_counter()
-            with pinned_scope(1):
+            with pinned_scope((len(x),)):
                 scores = self._score_chunked(x)
             elapsed = time.perf_counter() - start
             sp.set(docs=len(x), us=round(elapsed * 1e6, 1))
         self.stats.record(len(x), elapsed)
-        obs.record_request(
-            backend=self.scorer.backend,
-            n_docs=len(x),
-            seconds=elapsed,
-            predicted_us_per_doc=self.stats.predicted_us_per_doc,
-        )
+        self._record_drift(len(x), elapsed)
         return scores
 
     def score_coalesced(
@@ -382,9 +383,13 @@ class BatchEngine:
         out per request.  For chunk-invariant scorers — ``stable=True``
         compiled plans, the fixed-tile network adapters, row-independent
         QuickScorer traversal — the slices are **bit-identical** to
-        scoring each request alone.  Non-batchable scorers (cascades
-        rank within a request) are scored request-by-request instead;
-        the accounting below is identical either way.
+        scoring each request alone.  A non-batchable but
+        ``coalescable`` scorer (a cascade, which ranks within a request)
+        also gets the batch in one call and splits it at the request
+        boundaries the engine pins (:func:`~repro.runtime.base.
+        request_rows`), again bit-identically; any other non-batchable
+        scorer is called once per request.  The accounting below is
+        identical either way.
 
         Accounting: each request's latency percentile entry is its
         **enqueue→response wall time** (``clock()`` at completion minus
@@ -458,37 +463,10 @@ class BatchEngine:
                     start,
                     requests=len(items),
                 )
-            ctx_scope = (
-                activate_batch(live_contexts)
-                if live_contexts
-                else contextlib.nullcontext()
-            )
-            with ctx_scope, pinned_scope(len(live)):
-                if getattr(self.scorer, "batchable", True):
-                    stacked = (
-                        live[0] if len(live) == 1 else np.concatenate(live)
-                    )
-                    flat = self._score_chunked(stacked)
-                else:
-                    # Non-batchable scorers run request-by-request, so
-                    # narrow the live-context binding to each request's
-                    # own: a cascade's stage spans and annotations must
-                    # land on the request being scored, not the whole
-                    # coalesced batch.
-                    parts = []
-                    for x, ctx in zip(live, live_ctx_list):
-                        scope = (
-                            activate_batch((ctx,))
-                            if ctx is not None
-                            else contextlib.nullcontext()
-                        )
-                        with scope:
-                            parts.append(
-                                np.asarray(
-                                    self.scorer.score(x), dtype=np.float64
-                                )
-                            )
-                    flat = np.concatenate(parts)
+            # One pin for the whole engine call: one model version, and
+            # the request boundaries for scorers that split the batch.
+            with pinned_scope([len(x) for x in live]):
+                flat = self._score_live(live, live_ctx_list, live_contexts)
             end = clock()
             kernel = max(end - start, 0.0)
             sp.set(docs=total, us=round(kernel * 1e6, 1))
@@ -517,13 +495,46 @@ class BatchEngine:
             else:
                 seconds = max(end - enqueue_times[index], kernel_share)
             self.stats.record(n, seconds, kernel_seconds=kernel_share)
-        obs.record_request(
-            backend=self.scorer.backend,
-            n_docs=total,
-            seconds=kernel,
+        self._record_drift(total, kernel)
+        return out
+
+    def _record_drift(self, n_docs: int, seconds: float) -> None:
+        """Feed one engine call into the per-backend drift series."""
+        backend = self.scorer.backend  # a versioned scorer's may change
+        if self._drift.backend != backend:
+            self._drift = DriftSeries(backend)
+        self._drift.record(
+            n_docs=n_docs,
+            seconds=seconds,
             predicted_us_per_doc=self.stats.predicted_us_per_doc,
         )
-        return out
+
+    def _score_live(self, live, live_ctx_list, live_contexts) -> np.ndarray:
+        """The coalesced batch ``live`` scored as one flat vector."""
+        if getattr(self.scorer, "batchable", True) or getattr(
+            self.scorer, "coalescable", False
+        ):
+            # One stack call.  The bound contexts hold one slot per
+            # request, so a coalescable scorer (a cascade) splits the
+            # batch at the pinned boundaries and traces each request.
+            with (
+                activate_batch(live_ctx_list)
+                if live_contexts
+                else contextlib.nullcontext()
+            ):
+                stacked = live[0] if len(live) == 1 else np.concatenate(live)
+                return self._score_chunked(stacked)
+        # Any other non-batchable scorer gets one call per request,
+        # bound to that request's own context.
+        parts = []
+        for x, ctx in zip(live, live_ctx_list):
+            with (
+                activate_batch((ctx,))
+                if ctx is not None
+                else contextlib.nullcontext()
+            ):
+                parts.append(np.asarray(self.scorer.score(x), dtype=np.float64))
+        return np.concatenate(parts)
 
     def _score_chunked(self, x: np.ndarray) -> np.ndarray:
         return score_chunked(self.scorer, x, self.max_batch_size)

@@ -170,6 +170,7 @@ class FaultyScorer:
 
     backend = "faulty"
     batchable = True
+    coalescable = False
 
     def __init__(
         self,
@@ -189,6 +190,7 @@ class FaultyScorer:
         self.policy = policy
         self.backend = scorer.backend
         self.batchable = getattr(scorer, "batchable", True)
+        self.coalescable = getattr(scorer, "coalescable", False)
         self._sleep = sleep
         self.calls = 0
         self.faults_injected = 0

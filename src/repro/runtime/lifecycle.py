@@ -40,7 +40,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from threading import RLock, local
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -57,7 +57,12 @@ from repro.obs.lifecycle import (
     record_version_documents,
 )
 from repro.obs.requests import annotate_requests
-from repro.runtime.base import current_pin, is_scorer
+from repro.runtime.base import (
+    current_pin,
+    hidden_request_rows,
+    is_scorer,
+    request_rows,
+)
 from repro.runtime.batching import BudgetExceededError
 from repro.runtime.parallel import (
     ParallelConfig,
@@ -309,8 +314,13 @@ class ModelRegistry:
                 self._entries[self._active_id] if self._active_id else None
             )
             if incumbent is not None:
-                if bool(getattr(scorer, "batchable", True)) != bool(
-                    getattr(incumbent.scorer, "batchable", True)
+                if any(
+                    bool(getattr(scorer, attr, default))
+                    != bool(getattr(incumbent.scorer, attr, default))
+                    for attr, default in (
+                        ("batchable", True),
+                        ("coalescable", False),
+                    )
                 ):
                     raise LifecycleError(
                         "candidate batchability differs from the incumbent; "
@@ -524,7 +534,8 @@ class VersionedScorer:
     def _resolve(self, *, record: bool) -> ModelVersion:
         pin = current_pin()
         if pin is not None:
-            token, n_requests = pin
+            token, rows = pin
+            n_requests = len(rows) if rows is not None else 1
             state = getattr(self._pin, "state", None)
             if state is not None and state[0] is token:
                 entry, counted = state[1], state[2]
@@ -585,6 +596,12 @@ class VersionedScorer:
         )
 
     @property
+    def coalescable(self) -> bool:
+        return bool(
+            getattr(self._resolve(record=False).scorer, "coalescable", False)
+        )
+
+    @property
     def input_dim(self) -> int | None:
         return self._resolve(record=False).scorer.input_dim
 
@@ -603,7 +620,9 @@ class VersionedScorer:
         record_version_documents(entry.version_id, int(scores.shape[0]))
         manager = self.manager
         if manager is not None and manager.hot:
-            manager.observe(entry, features, scores)
+            manager.observe(
+                entry, features, scores, rows=request_rows(len(scores))
+            )
         annotate_requests(model_version=entry.version_id)
         return scores
 
@@ -968,49 +987,71 @@ class LifecycleManager:
             )
 
     # ------------------------------------------------------------------
-    def observe(self, entry: ModelVersion, features, scores) -> None:
+    def observe(
+        self,
+        entry: ModelVersion,
+        features,
+        scores,
+        *,
+        rows: Sequence[int] | None = None,
+    ) -> None:
         """Serve-path hook: feed the replay buffer, mirror to the shadow.
 
         Called by :class:`VersionedScorer` only while :attr:`hot`; the
-        mirror decision is O(1) under the lock and candidate scoring
-        happens off the hot path in ``background`` mode.
+        mirror decision is O(1) per query under the lock and candidate
+        scoring happens off the hot path in ``background`` mode.
+        ``rows`` splits a coalesced call into its queries (one query
+        when ``None``): each query is mirrored, scored and compared on
+        its own, so coalescing never changes the shadow's evidence.
+        The replay buffer takes rows, which need no split.
         """
         if self.replay is not None:
             self.replay.add(features, scores)
             record_replay(
                 rows=len(self.replay), total_seen=self.replay.total_rows
             )
+        rows = (len(scores),) if rows is None else tuple(rows)
         candidate = None
+        mirrored: list[tuple[int, int]] = []
         with self._lock:
             if (
                 self.state == "shadowing"
                 and self.candidate is not None
                 and entry.version_id != self.candidate.version_id
             ):
-                self._mirror_index += 1
-                i = self._mirror_index
+                candidate = self.candidate
                 f = self.config.shadow_fraction
-                if int(i * f) != int((i - 1) * f):
-                    candidate = self.candidate
-                    self.shadow.record_mirrored()
-        if candidate is None:
+                lo = 0
+                for n in rows:
+                    self._mirror_index += 1
+                    i = self._mirror_index
+                    if int(i * f) != int((i - 1) * f):
+                        mirrored.append((lo, lo + n))
+                        self.shadow.record_mirrored()
+                    lo += n
+        if not mirrored:
             return
-        x = np.array(features, dtype=np.float64, copy=True)
-        inc = np.asarray(scores, dtype=np.float64).copy()
-        if self.config.shadow_mode == "sync":
-            self._compare(candidate, x, inc)
-            return
-        with self._lock:
-            if self._pending >= self.config.shadow_queue:
-                self.shadow.record_dropped()
-                record_shadow_dropped(candidate.version_id)
-                return
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="repro-shadow"
+        features = np.asarray(features, dtype=np.float64)
+        scores = np.asarray(scores, dtype=np.float64)
+        for lo, hi in mirrored:
+            x = features[lo:hi].copy()
+            inc = scores[lo:hi].copy()
+            if self.config.shadow_mode == "sync":
+                self._compare(candidate, x, inc)
+                continue
+            with self._lock:
+                if self._pending >= self.config.shadow_queue:
+                    self.shadow.record_dropped()
+                    record_shadow_dropped(candidate.version_id)
+                    continue
+                if self._executor is None:
+                    self._executor = ThreadPoolExecutor(
+                        max_workers=1, thread_name_prefix="repro-shadow"
+                    )
+                self._pending += 1
+                self._executor.submit(
+                    self._compare_background, candidate, x, inc
                 )
-            self._pending += 1
-            self._executor.submit(self._compare_background, candidate, x, inc)
 
     def _compare_background(
         self, candidate: ModelVersion, x: np.ndarray, inc: np.ndarray
@@ -1029,10 +1070,14 @@ class LifecycleManager:
                 return
             shadow = self.shadow
         try:
-            if self.versioned is not None:
-                cand_scores = self.versioned._stack_for(candidate).score(x)
-            else:
-                cand_scores = candidate.scorer.score(x)
+            # ``x`` is one query: in sync mode the engine's pin still
+            # holds the whole call's boundaries, which must not reach
+            # the candidate.
+            with hidden_request_rows():
+                if self.versioned is not None:
+                    cand_scores = self.versioned._stack_for(candidate).score(x)
+                else:
+                    cand_scores = candidate.scorer.score(x)
         except Exception:
             with self._lock:
                 if self.candidate is candidate:

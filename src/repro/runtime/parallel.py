@@ -45,6 +45,7 @@ from threading import RLock
 import numpy as np
 
 from repro.exceptions import ConfigError, ReproError
+from repro.obs.parallel import ParallelSeries
 from repro.utils.rowkeys import key_bytes, row_keys
 from repro.utils.validation import check_array_2d
 
@@ -556,6 +557,7 @@ class ShardedScorer:
 
     backend = "sharded"
     batchable = True
+    coalescable = False
 
     def __init__(
         self,
@@ -581,6 +583,7 @@ class ShardedScorer:
         self.max_batch_size = max_batch_size
         self.backend = scorer.backend
         self.batchable = getattr(scorer, "batchable", True)
+        self.coalescable = getattr(scorer, "coalescable", False)
         if self.batchable:
             # `is not None`, not truthiness: an empty shared ScoreCache
             # is falsy (it has __len__) but must still be adopted
@@ -610,6 +613,7 @@ class ShardedScorer:
                 thread_name_prefix=f"repro-shard-{self.backend}",
             )
         self._closed = False
+        self._series = ParallelSeries(self.backend)
         self.requests = 0
         self.shards_executed = 0
         self.last_plan: ShardPlan | None = None
@@ -652,7 +656,6 @@ class ShardedScorer:
     # ------------------------------------------------------------------
     def score(self, features) -> np.ndarray:
         """Score one request shard-parallel; bit-identical to unsharded."""
-        from repro.obs.parallel import record_parallel_request
         from repro.obs.requests import annotate_requests
 
         if self._closed:
@@ -675,9 +678,7 @@ class ShardedScorer:
             self.shards_executed += 1
             self.last_plan = ShardPlan(n, ((0, n),), "whole-request")
             self.last_utilization = 1.0
-            record_parallel_request(
-                self.backend, n_shards=1, balance=1.0, utilization=1.0
-            )
+            self._series.record(n_shards=1, balance=1.0, utilization=1.0)
             annotate_requests(shards=1, pool_utilization=1.0)
             return scores
         model_key = self._model_key()
@@ -705,8 +706,7 @@ class ShardedScorer:
             self.shards_executed += plan.n_shards
             self.last_plan = plan
             self.last_utilization = utilization
-        record_parallel_request(
-            self.backend,
+        self._series.record(
             n_shards=plan.n_shards if plan is not None else 0,
             balance=plan.balance if plan is not None else float("nan"),
             utilization=utilization,

@@ -307,8 +307,8 @@ class ResilientScorer:
     """One scorer hardened with retries, a deadline and a breaker.
 
     Satisfies the :class:`~repro.runtime.base.Scorer` protocol with the
-    wrapped scorer's backend name, price, batchability and input
-    dimension, so hardening is transparent to engines and chains.  A
+    wrapped scorer's backend name, price, batchability, coalescability
+    and input dimension, so hardening is transparent to engines and chains.  A
     call fails — and feeds the breaker — when the scorer raises, returns
     non-finite scores, or comes back after ``deadline_us``; successes
     within the deadline are returned *bit-identically* (the output array
@@ -321,6 +321,7 @@ class ResilientScorer:
 
     backend = "resilient"
     batchable = True
+    coalescable = False
 
     def __init__(
         self,
@@ -343,6 +344,7 @@ class ResilientScorer:
         self.inner = scorer
         self.backend = scorer.backend
         self.batchable = getattr(scorer, "batchable", True)
+        self.coalescable = getattr(scorer, "coalescable", False)
         self.retry = retry or RetryPolicy()
         self.deadline_us = deadline_us
         self._clock = clock
@@ -478,6 +480,7 @@ class FallbackChain:
 
     backend = "fallback-chain"
     batchable = True
+    coalescable = False
 
     def __init__(
         self,
@@ -516,6 +519,11 @@ class FallbackChain:
         self.primary = self.tiers[0]
         self.backend = self.primary.backend
         self.batchable = all(t.batchable for t in self.tiers)
+        # A coalesced batch may reach any tier whole: a batchable tier
+        # scores it chunk-invariantly, a coalescable one splits it.
+        self.coalescable = all(
+            t.batchable or t.coalescable for t in self.tiers
+        )
         self.served = [0] * len(self.tiers)
         self.fallbacks = 0
 

@@ -14,10 +14,11 @@ backend in the runtime is chunk-invariant (network adapters and
 ``stable=True`` compiled plans run BLAS GEMM on fixed document tiles;
 QuickScorer traversal is row-independent),
 so the slice a request gets back is bitwise what a lone synchronous
-``score`` call would have produced; non-batchable cascades are scored
-request-by-request inside the same engine call.  The hypothesis suite
-(``tests/test_serving_async.py``) and ``make serving-smoke`` both pin
-this.
+``score`` call would have produced.  Non-batchable but coalescable
+cascades also take the batch in one engine call and run each stage over
+every request's survivors, with the same bits as one request at a time.
+The hypothesis suite (``tests/test_serving_async.py``), ``make
+serving-smoke`` and ``tests/gates/test_cascade_gates.py`` pin this.
 
 Threading model — single-writer everywhere:
 

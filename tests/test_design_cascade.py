@@ -451,3 +451,141 @@ class TestCascadeOnPipeline:
         scores = cascade.score_dataset(mini_pipeline.test)
         ndcg = mean_ndcg(mini_pipeline.test, scores, 10)
         assert ndcg > 0.3  # sane ranking quality end to end
+
+
+class TestScoreQueriesTogether:
+    """Queries scored together, stage by stage, equal each query alone."""
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @staticmethod
+    def _cascade(keeps, budget, calls):
+        def stage_fn(column):
+            def score(x):
+                calls.append(len(x))
+                # Row-wise and integer-valued: bit-exact whatever the
+                # call size, with plenty of ties.
+                return np.round(x[:, column] * 3.0) + x[:, column + 1]
+
+            return score
+
+        stages = [
+            CascadeStage(f"s{i}", stage_fn(i), cost, keep_fraction=keep)
+            for i, (cost, keep) in enumerate(zip((1.0, 2.0, 4.0), keeps))
+        ]
+        return EarlyExitCascade(stages, budget_us_per_query=budget)
+
+    # 0-doc, 1-doc, small, and larger than the stage-call cap.
+    SIZES = st.one_of(
+        st.just(0), st.just(1), st.integers(2, 40), st.integers(129, 300)
+    )
+
+    @given(
+        data=st.data(),
+        rows=st.lists(SIZES, min_size=1, max_size=6),
+        keeps=st.tuples(
+            st.sampled_from((0.3, 0.5, 1.0)), st.sampled_from((0.3, 0.5, 1.0))
+        ),
+        budget=st.one_of(st.none(), st.floats(5.0, 900.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_query_equals_its_lone_run(self, data, rows, keeps, budget):
+        from repro.design.cascade import STAGE_CALL_DOCS
+
+        rng = np.random.default_rng(
+            data.draw(self.st.integers(0, 2**32 - 1), label="seed")
+        )
+        x = rng.normal(size=(sum(rows), 4))
+        calls: list[int] = []
+        cascade = self._cascade(keeps + (1.0,), budget, calls)
+        scores, together = cascade.score_queries_detailed(x, rows)
+        assert max(calls, default=0) <= STAGE_CALL_DOCS
+        assert len(together) == len(rows)
+        lo = 0
+        for n, result in zip(rows, together):
+            alone = cascade.score_query_detailed(x[lo : lo + n])
+            np.testing.assert_array_equal(result.scores, alone.scores)
+            np.testing.assert_array_equal(scores[lo : lo + n], alone.scores)
+            assert len(result.survivors) == len(alone.survivors)
+            for mine, theirs in zip(result.survivors, alone.survivors):
+                np.testing.assert_array_equal(mine, theirs)
+            assert result.predicted_spend_us == alone.predicted_spend_us
+            assert result.exited_early == alone.exited_early
+            assert result.stage_docs == alone.stage_docs
+            lo += n
+
+    def test_budget_exits_differ_per_query(self):
+        calls: list[int] = []
+        cascade = self._cascade((0.5, 0.5, 1.0), 60.0, calls)
+        rows = (4, 30, 50)
+        x = np.random.default_rng(0).normal(size=(sum(rows), 4))
+        _, results = cascade.score_queries_detailed(x, rows)
+        assert [r.stages_run for r in results] == [3, 2, 1]
+        assert [r.exited_early for r in results] == [False, True, True]
+
+    def test_stages_share_calls(self):
+        calls: list[int] = []
+        cascade = self._cascade((0.5, 0.5, 1.0), None, calls)
+        rows = (20,) * 16
+        x = np.random.default_rng(1).normal(size=(sum(rows), 4))
+        _, results = cascade.score_queries_detailed(x, rows)
+        # 320 docs in 128-doc calls, then 160 in 128 + 32, then 80.
+        assert calls == [128, 128, 64, 128, 32, 80]
+        first = results[0]
+        assert first.stage_batch_docs == (320, 160, 80)
+        assert first.stage_docs == (20, 10, 5)
+        (start, end) = first.stage_spans[0]
+        assert first.stage_us[0] == pytest.approx((end - start) * 1e6 / 16)
+
+    def test_lone_query_gets_whole_spans(self):
+        cascade = self._cascade((0.5, 0.5, 1.0), None, [])
+        result = cascade.score_query_detailed(
+            np.random.default_rng(2).normal(size=(12, 4))
+        )
+        assert result.stage_batch_docs == result.stage_docs
+        assert result.stage_us == tuple(
+            (end - start) * 1e6 for start, end in result.stage_spans
+        )
+
+    def test_non_batchable_stage_is_called_per_query(self):
+        class Ranker:
+            batchable = False
+
+            def __init__(self):
+                self.calls = []
+
+            def score(self, x):
+                self.calls.append(len(x))
+                return x[:, 0].copy()
+
+        ranker = Ranker()
+        cascade = EarlyExitCascade(
+            [
+                CascadeStage("cheap", lambda x: x[:, 1], 1.0, keep_fraction=0.5),
+                CascadeStage("ranker", ranker.score, 1.0),
+            ]
+        )
+        assert not cascade.stages[1].batchable
+        rows = (6, 0, 10)
+        x = np.random.default_rng(3).normal(size=(16, 2))
+        scores, _ = cascade.score_queries_detailed(x, rows)
+        assert ranker.calls == [3, 5]
+        np.testing.assert_array_equal(
+            scores,
+            np.concatenate(
+                [cascade.score_query(x[:6]), cascade.score_query(x[6:])]
+            ),
+        )
+
+    def test_rows_must_tile_the_features(self):
+        cascade = self._cascade((0.5, 0.5, 1.0), None, [])
+        with pytest.raises(ValueError, match="tile"):
+            cascade.score_queries_detailed(np.zeros((5, 4)), (2, 2))
+
+    def test_nan_in_one_query_fails_the_whole_call(self):
+        cascade = self._cascade((0.5, 0.5, 1.0), None, [])
+        x = np.random.default_rng(4).normal(size=(8, 4))
+        x[5, 0] = np.nan
+        with pytest.raises(CascadeError, match="1 NaN"):
+            cascade.score_queries_detailed(x, (4, 4))

@@ -216,3 +216,59 @@ class TestStatsCli:
         for backend in ("quickscorer", "dense-network", "sparse-network"):
             assert backend in out
         assert "engine.score" in out  # span tree printed
+
+
+def _label_keyed_drift(registry, backend, n_docs, seconds, predicted):
+    """The drift recorder as label-keyed registry lookups (reference)."""
+    registry.counter("scoring.requests", backend=backend).inc()
+    registry.counter("scoring.documents", backend=backend).inc(n_docs)
+    wall = registry.counter("scoring.wall_seconds", backend=backend)
+    wall.inc(seconds)
+    docs = registry.counter("scoring.documents", backend=backend)
+    registry.histogram("scoring.request_us_per_doc", backend=backend).add(
+        seconds * 1e6 / n_docs
+    )
+    mean_us = wall.value * 1e6 / docs.value
+    registry.gauge("scoring.measured_us_per_doc", backend=backend).set(mean_us)
+    if np.isfinite(predicted) and predicted > 0:
+        registry.gauge("scoring.predicted_us_per_doc", backend=backend).set(
+            predicted
+        )
+        registry.gauge("scoring.drift_pct", backend=backend).set(
+            (mean_us - predicted) / predicted * 100.0
+        )
+
+
+class TestBoundDriftSeries:
+    CALLS = ((40, 0.002, 1.5), (7, 0.0004, float("nan")), (120, 0.01, 0.0))
+
+    def test_matches_label_keyed_lookups(self):
+        from repro.obs.drift import DriftSeries
+
+        looked_up, bound = obs.MetricsRegistry(), obs.MetricsRegistry()
+        series = DriftSeries("qs", bound)
+        for n_docs, seconds, predicted in self.CALLS * 2:
+            _label_keyed_drift(looked_up, "qs", n_docs, seconds, predicted)
+            series.record(
+                n_docs=n_docs, seconds=seconds, predicted_us_per_doc=predicted
+            )
+        assert bound.snapshot() == looked_up.snapshot()
+
+    def test_engine_refetches_after_reset_and_replacement(
+        self, obs_clean, small_forest, tiny_dataset
+    ):
+        engine = BatchEngine(make_scorer(small_forest))
+        x = tiny_dataset.features[:20]
+        engine.score(x)
+        obs.get_registry().reset()
+        engine.score(x)
+        engine.score_coalesced([x[:5], x[5:]])
+        assert obs.drift_report().row("quickscorer").requests == 2
+        fresh = obs.MetricsRegistry()
+        previous = obs.set_registry(fresh)
+        try:
+            engine.score(x)
+        finally:
+            obs.set_registry(previous)
+        assert obs.drift_report(fresh).row("quickscorer").requests == 1
+        assert obs.drift_report().row("quickscorer").requests == 2

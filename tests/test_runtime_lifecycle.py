@@ -542,3 +542,72 @@ class TestRedistill:
         scores = service.score(queries[0])
         assert np.isfinite(scores).all()
         service.close()
+
+
+class TestShadowSeesQueries:
+    """A coalesced cascade batch is mirrored, scored and compared query
+    by query, so the shadow's evidence equals sequential traffic's."""
+
+    STAGES = (
+        {"model": "sparse-network", "keep_fraction": 0.4},
+        {"model": "dense-network", "keep_fraction": 0.5},
+        {"model": "quickscorer"},
+    )
+
+    @pytest.fixture(scope="class")
+    def pipelines(self):
+        from repro.runtime import PipelineConfig, build_pipeline
+
+        models = build_probe_models(n_queries=12, docs_per_query=16, seed=23)
+        roles = {k: m for k, m in models.items() if k != "dataset"}
+        incumbent = PipelineConfig(stages=list(self.STAGES))
+        candidate = PipelineConfig(
+            stages=[dict(stage, keep_fraction=0.7) for stage in self.STAGES]
+        )
+        return (
+            models["dataset"],
+            roles,
+            incumbent,
+            build_pipeline(roles, candidate),
+        )
+
+    def _shadow(self, pipelines, mode, coalesce):
+        dataset, roles, incumbent, candidate = pipelines
+        service = ScoringService(
+            roles,
+            ServiceConfig(
+                pipeline=incumbent,
+                max_batch_size=None,
+                parallel=ParallelConfig(workers=1),
+                lifecycle=LifecycleConfig(
+                    shadow_mode=mode,
+                    shadow_fraction=0.5,
+                    shadow_min_requests=1000,
+                    shadow_queue=1000,
+                ),
+            ),
+        )
+        try:
+            assert service.swap(candidate)["action"] == "shadowing"
+            queries = _queries(dataset)
+            if coalesce:
+                for lo in range(0, len(queries), 4):
+                    service.engine.score_coalesced(queries[lo : lo + 4])
+            else:
+                for x in queries:
+                    service.score(x)
+            assert service.lifecycle.drain_shadow()
+            return service.lifecycle.shadow.snapshot()
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("mode", ["sync", "background"])
+    def test_coalesced_equals_sequential(self, pipelines, mode):
+        sequential = self._shadow(pipelines, mode, coalesce=False)
+        coalesced = self._shadow(pipelines, mode, coalesce=True)
+        assert sequential["mirrored"] == 6
+        assert sequential["compared"] == 6
+        assert sequential["errors"] == 0
+        assert 0 < sequential["mean_drift_pct"]
+        assert sequential["mean_agreement"] < 1.0
+        assert coalesced == sequential

@@ -785,3 +785,71 @@ class TestCacheCost:
             f"warm {warm * 1e3:.2f} ms vs cold {cold * 1e3:.2f} ms: "
             f"only {cold / warm:.1f}x"
         )
+
+
+def _label_keyed_parallel(registry, backend, n_shards, balance, utilization,
+                          cache_hits, cache_misses):
+    """The parallel recorder as label-keyed registry lookups (reference)."""
+    registry.counter("parallel.requests", backend=backend).inc()
+    if n_shards:
+        registry.counter("parallel.shards", backend=backend).inc(n_shards)
+    if np.isfinite(balance):
+        registry.gauge("parallel.shard_balance", backend=backend).set(balance)
+    if np.isfinite(utilization):
+        registry.gauge("parallel.pool_utilization", backend=backend).set(
+            utilization
+        )
+    if cache_hits:
+        registry.counter("parallel.cache_hits", backend=backend).inc(
+            cache_hits
+        )
+    if cache_misses:
+        registry.counter("parallel.cache_misses", backend=backend).inc(
+            cache_misses
+        )
+
+
+class TestBoundParallelSeries:
+    CALLS = (
+        (2, 1.25, 0.8, 30, 6),
+        (0, float("nan"), float("nan"), 12, 0),
+        (1, 1.0, 1.0, 0, 40),
+    )
+
+    def test_matches_label_keyed_lookups(self):
+        from repro import obs
+        from repro.obs.parallel import ParallelSeries
+
+        looked_up, bound = obs.MetricsRegistry(), obs.MetricsRegistry()
+        series = ParallelSeries("qs", bound)
+        for call in self.CALLS * 2:
+            _label_keyed_parallel(looked_up, "qs", *call)
+            n_shards, balance, utilization, hits, misses = call
+            series.record(
+                n_shards=n_shards,
+                balance=balance,
+                utilization=utilization,
+                cache_hits=hits,
+                cache_misses=misses,
+            )
+        assert bound.snapshot() == looked_up.snapshot()
+
+    def test_sharded_scorer_refetches_after_reset_and_replacement(
+        self, obs_clean, forest_scorer, features
+    ):
+        sharded = ShardedScorer(forest_scorer, ParallelConfig(workers=1))
+        x = features[:20]
+        sharded.score(x)
+        obs_clean.get_registry().reset()
+        sharded.score(x)
+        assert obs_clean.parallel_report().backend("quickscorer").requests == 1
+        fresh = obs_clean.MetricsRegistry()
+        previous = obs_clean.set_registry(fresh)
+        try:
+            sharded.score(x)
+            sharded.score(x)
+        finally:
+            obs_clean.set_registry(previous)
+            sharded.close()
+        assert obs_clean.parallel_report(fresh).backend("quickscorer").requests == 2
+        assert obs_clean.parallel_report().backend("quickscorer").requests == 1

@@ -754,3 +754,70 @@ class TestObsIntegration:
         assert row.fallback_ratio == pytest.approx(0.5)
         rendered = report.render()
         assert "stub" in rendered
+
+
+class TestCoalescedCascadeBlastRadius:
+    """A coalesced batch reaches a cascade in one engine call, so one
+    tier serves the whole batch: a query whose stage emits NaN fails
+    every member over, while a request alone fails over alone."""
+
+    MARKER = 1e3
+
+    def service(self):
+        from repro.design import CascadeStage, EarlyExitCascade
+
+        def poisoned(x):
+            return np.where(x[:, 0] == self.MARKER, np.nan, x[:, 1])
+
+        cascade = EarlyExitCascade(
+            [
+                CascadeStage("poisoned", poisoned, 1.0, keep_fraction=0.5),
+                CascadeStage("last", lambda x: x[:, 2], 1.0),
+            ]
+        )
+        service = ScoringService(
+            cascade,
+            ServiceConfig(
+                resilience=ResilienceConfig(
+                    fallback_models=(StubScorer(),),
+                    retry=RetryPolicy(max_attempts=1),
+                ),
+                parallel=ParallelConfig(workers=1),
+                max_batch_size=None,
+            ),
+        )
+        return cascade, service
+
+    def requests(self):
+        rng = np.random.default_rng(19)
+        requests = [rng.normal(size=(8, 3)) for _ in range(4)]
+        requests[2][3, 0] = self.MARKER
+        return requests
+
+    def test_one_poisoned_query_fails_the_whole_batch_over(self):
+        _, service = self.service()
+        requests = self.requests()
+        try:
+            out = service.engine.score_coalesced(requests)
+        finally:
+            service.close()
+        assert service.chain.served == [0, 1]
+        assert service.chain.primary.failures == 1
+        for request, scores in zip(requests, out):
+            np.testing.assert_array_equal(scores, StubScorer().score(request))
+
+    def test_a_lone_poisoned_request_is_isolated(self):
+        cascade, service = self.service()
+        requests = self.requests()
+        try:
+            out = [service.engine.score_coalesced([x])[0] for x in requests]
+        finally:
+            service.close()
+        assert service.chain.served == [3, 1]
+        for index, (request, scores) in enumerate(zip(requests, out)):
+            want = (
+                StubScorer().score(request)
+                if index == 2
+                else cascade.score_query(request)
+            )
+            np.testing.assert_array_equal(scores, want)
