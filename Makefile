@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast verify bench-test smoke obs-smoke resilience-smoke parallel-smoke compile-smoke quant-smoke serving-smoke trace-smoke lifecycle-smoke bench examples report clean
+.PHONY: install test test-fast verify bench-test smoke obs-smoke resilience-smoke parallel-smoke quant-smoke serving-smoke trace-smoke lifecycle-smoke bench examples report clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -14,7 +14,7 @@ test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow" -x
 
 # Tier-1 gate: the full suite plus a bytecode compile of the library.
-verify: obs-smoke resilience-smoke parallel-smoke compile-smoke quant-smoke serving-smoke trace-smoke lifecycle-smoke bench-test
+verify: obs-smoke resilience-smoke parallel-smoke quant-smoke serving-smoke trace-smoke lifecycle-smoke bench-test
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(PYTHON) -m compileall -q src
 
@@ -41,14 +41,6 @@ resilience-smoke:
 # bit-identical scores plus a measured >1x cache/pool speedup.
 parallel-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.runtime.parallel_smoke
-
-# Compiled-inference gate: float64 plans bit-identical to predict /
-# the hybrid reference, zero steady-state allocations (native and
-# stable plans), and a measured >= 1.3x float32 speedup over naive
-# scoring on a pruned network.  Stable-plan chunk invariance is a
-# tier-1 test (tests/test_runtime_compile.py::TestStableMode).
-compile-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.runtime.compile_smoke
 
 # Quantized/block-sparse kernel gate: >= 3 kernel kinds auto-selected,
 # declared score tolerance honoured, stable int8 chunk-invariant, and a

@@ -285,8 +285,10 @@ def cmd_compile(args) -> int:
     Builds the network — from a saved student (``--network``) or a
     synthetic one pruned to ``--sparsity`` — compiles it at ``--dtype``,
     then prints the chosen kernel per layer with the predictor's µs/doc
-    estimate next to the measured (best-of-``--repeats``) cost, plus the
-    whole-plan comparison against naive ``predict``.
+    estimate, the compile-time tuning measurement that chose it and the
+    measured (best-of-``--repeats``) cost at ``--batch``, every timed
+    candidate per batch bucket, plus the whole-plan comparison against
+    naive ``predict``.
     """
     import time as _time
 
@@ -339,10 +341,13 @@ def cmd_compile(args) -> int:
         plan.describe(), plan.fingerprint,
         plan.buffer_bytes // 1024, plan.compile_us / 1e3,
     )
+    buckets = sorted({docs for lp in plan.layers for _k, docs, _us in lp.measured})
+    tuned_at = buckets[-1] if buckets else None
+    tuned_head = f"tuned@{tuned_at}" if tuned_at else "tuned"
     header = (
         f"{'layer':>5} {'shape':>10} {'sparsity':>8} {'kernel':>10} "
         f"{'dtype':>7} {'fill':>5} {'wide':>7} {'predicted':>12} "
-        f"{'measured':>12}"
+        f"{tuned_head:>12} {'measured':>12}"
     )
     log.info("%s", header)
     log.info("%s", "-" * len(header))
@@ -353,8 +358,9 @@ def cmd_compile(args) -> int:
             layer_dtype = plan.dtype_name.replace("float", "f")
         fill = f"{lp.block_fill:.0%}" if lp.kernel == "block-spmm" else "-"
         wide = "/".join(str(w) for w in lp.wide_widths) or "-"
+        tuned = lp.measured_us_per_doc().get(tuned_at)
         log.info(
-            "%5s %10s %8s %10s %7s %5s %7s %9.3f us %9.3f us",
+            "%5s %10s %8s %10s %7s %5s %7s %9.3f us %12s %9.3f us",
             f"L{lp.index}",
             f"{lp.out_width}x{lp.in_width}",
             f"{lp.sparsity:.1%}",
@@ -363,13 +369,36 @@ def cmd_compile(args) -> int:
             fill,
             wide,
             lp.predicted_us_per_doc,
+            f"{tuned:9.3f} us" if tuned is not None else "-",
             us,
         )
     log.info(
-        "%5s %10s %8s %10s %7s %5s %7s %9.3f us %9.3f us",
+        "%5s %10s %8s %10s %7s %5s %7s %9.3f us %12s %9.3f us",
         "total", "", "", "", "", "", "",
-        plan.predicted_us_per_doc, sum(measured),
+        plan.predicted_us_per_doc, "", sum(measured),
     )
+    if buckets:
+        # Every candidate the measured arbitration timed, per bucket
+        # ("-": out after losing a smaller bucket, or never timed).
+        log.info("")
+        log.info(
+            "Kernel tuning (compile-time us/doc, best of interleaved rounds)"
+        )
+        cols = " ".join(f"{'@' + str(b):>9}" for b in buckets)
+        log.info("%5s %10s %s", "layer", "candidate", cols)
+        for lp in plan.layers:
+            for kernel in dict.fromkeys(k for k, _d, _u in lp.measured):
+                got = lp.measured_us_per_doc(kernel)
+                log.info(
+                    "%5s %10s %s%s",
+                    f"L{lp.index}",
+                    kernel,
+                    " ".join(
+                        f"{got[b]:9.3f}" if b in got else f"{'-':>9}"
+                        for b in buckets
+                    ),
+                    "  <- chosen" if kernel == lp.kernel else "",
+                )
     if plan.score_tolerance is not None:
         log.info(
             "quantize=%s: declared score tolerance %.2e vs float64 reference",

@@ -343,12 +343,12 @@ class EarlyExitCascade:
         starts = [0] * len(rows)
         for q in range(1, len(rows)):
             starts[q] = starts[q - 1] + rows[q - 1]
-        # Survivors held as global row indices into ``features``.
-        alive = {
-            q: np.arange(starts[q], starts[q] + n)
-            for q, n in enumerate(rows)
-            if n
-        }
+        # The live queries (ascending), their survivor counts, and the
+        # survivors as global row indices into ``features``, query by
+        # query: every stage's scores are laid out in this order.
+        live = [q for q, n in enumerate(rows) if n]
+        lens = [rows[q] for q in live]
+        idx = np.arange(len(features))
         survivors: list[list[np.ndarray]] = [[] for _ in rows]
         spans: list[list[tuple[float, float]]] = [[] for _ in rows]
         batch_docs: list[list[int]] = [[] for _ in rows]
@@ -356,55 +356,72 @@ class EarlyExitCascade:
         exited = [False] * len(rows)
         last = len(self.stages) - 1
         for level, stage in enumerate(self.stages):
-            if not alive:
+            if not live:
                 break
+            first = [0] * len(live)
+            for j in range(1, len(live)):
+                first[j] = first[j - 1] + lens[j - 1]
             if stage.batchable:
-                live = list(alive)
-                if level == 0:
-                    block = features
-                else:
-                    block = features[np.concatenate([alive[q] for q in live])]
+                block = features if level == 0 else features[idx]
                 start_s = time.perf_counter()
                 scores = self._run_stage(stage, level, block)
-                span = (start_s, time.perf_counter())
-                parts = []
-                pos = 0
-                for q in live:
-                    n_alive = len(alive[q])
-                    parts.append(
-                        (q, scores[pos : pos + n_alive], span, len(block))
-                    )
-                    pos += n_alive
+                call_spans = [(start_s, time.perf_counter())] * len(live)
+                call_docs = [len(block)] * len(live)
             else:
-                parts = []
-                for q, idx in alive.items():
+                parts, call_spans = [], []
+                for a, n in zip(first, lens):
                     start_s = time.perf_counter()
-                    scores = self._checked_call(stage, level, features[idx])
                     parts.append(
-                        (q, scores, (start_s, time.perf_counter()), len(idx))
+                        self._checked_call(stage, level, features[idx[a : a + n]])
                     )
-            for q, scores, span, total in parts:
-                idx = alive[q]
-                survivors[q].append(idx - starts[q])
-                spans[q].append(span)
-                batch_docs[q].append(total)
-                spend[q] += len(idx) * stage.cost_us_per_doc
-                # Normalize the stage's scores into (0, 1) and add the
-                # band offset: survivors of later stages always outrank
-                # dropouts.
-                lo, hi = scores.min(), scores.max()
-                width = (hi - lo) or 1.0
+                    call_spans.append((start_s, time.perf_counter()))
+                scores = np.concatenate(parts)
+                call_docs = lens
+            # Normalize each query's stage scores into (0, 1) and add the
+            # band offset, so survivors of later stages always outrank
+            # dropouts: by segment reductions over the queries, or (a
+            # lone query, where they only cost more numpy calls) by
+            # plain ones.  Same operations, same bits.
+            if len(live) == 1:
+                lo = scores.min()
+                width = (scores.max() - lo) or 1.0
                 out[idx] = level + (scores - lo) / width * 0.999
-                if level == last:
-                    del alive[q]
-                    continue
-                n_keep = stage.survivor_count(len(idx))
-                if self._budget_stops_promotion(spend[q], n_keep, level):
-                    exited[q] = True
-                    del alive[q]
-                    continue
-                order = np.argsort(-scores, kind="stable")
-                alive[q] = idx[order[:n_keep]]
+            else:
+                # Each score's query, as its position in ``live``
+                # (int16 sorts ~2x faster in the lexsort below).
+                seg_dtype = np.int16 if len(live) < 2**15 else np.int64
+                seg = np.repeat(np.arange(len(live), dtype=seg_dtype), lens)
+                lo = np.minimum.reduceat(scores, first)
+                width = np.maximum.reduceat(scores, first) - lo
+                width[width == 0.0] = 1.0
+                out[idx] = level + (scores - lo[seg]) / width[seg] * 0.999
+            n_keep = []
+            for q, a, n, span, docs in zip(live, first, lens, call_spans, call_docs):
+                survivors[q].append(idx[a : a + n] - starts[q])
+                spans[q].append(span)
+                batch_docs[q].append(docs)
+                spend[q] += n * stage.cost_us_per_doc
+                keep = 0
+                if level < last:
+                    keep = stage.survivor_count(n)
+                    if self._budget_stops_promotion(spend[q], keep, level):
+                        exited[q] = True
+                        keep = 0
+                n_keep.append(keep)
+            if level == last:
+                break
+            # Each query's top ``n_keep`` by score, ties in row order: a
+            # stable sort of a lone query, or one stable sort by
+            # (query, -score) that leaves each query's leaders at the
+            # front of its segment.
+            if len(live) == 1:
+                idx = idx[np.argsort(-scores, kind="stable")[: n_keep[0]]]
+            else:
+                order = np.lexsort((-scores, seg))
+                rank = np.arange(len(scores)) - np.repeat(first, lens)
+                idx = idx[order[rank < np.repeat(n_keep, lens)]]
+            live = [q for q, keep in zip(live, n_keep) if keep]
+            lens = [keep for keep in n_keep if keep]
         results = []
         for q, n in enumerate(rows):
             results.append(

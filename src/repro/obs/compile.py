@@ -11,7 +11,10 @@ the ``parallel.*`` series:
 * ``compile.buffer_bytes`` (gauge, label ``dtype``) — the last plan's
   ping-pong + transpose arena footprint;
 * ``compile.compile_us`` (gauge, label ``dtype``) — the last plan's
-  wall compile time.
+  wall compile time;
+* ``compile.tune_us`` (counter, label ``dtype``) — wall time spent
+  timing candidate kernels (the measured arbitration; a recompile of
+  memoized weights adds ~0).
 
 :func:`compile_report` reads the series back into one row per dtype —
 the ahead-of-time counterpart of :func:`repro.obs.parallel.
@@ -30,6 +33,7 @@ def record_compile(
     dtype: str,
     buffer_bytes: int,
     compile_us: float,
+    tune_us: float = 0.0,
     kernel_counts: dict[str, int] | None = None,
     dense_layers: int = 0,
     sparse_layers: int = 0,
@@ -56,6 +60,7 @@ def record_compile(
             ).inc(layers)
     registry.gauge("compile.buffer_bytes", dtype=dtype).set(buffer_bytes)
     registry.gauge("compile.compile_us", dtype=dtype).set(compile_us)
+    registry.counter("compile.tune_us", dtype=dtype).inc(tune_us)
 
 
 # ----------------------------------------------------------------------
@@ -74,6 +79,7 @@ class CompileRow:
     block_layers: int = 0
     int8_layers: int = 0
     int16_layers: int = 0
+    tune_us: float = 0.0
 
     @property
     def sparse_share(self) -> float:
@@ -118,7 +124,7 @@ class CompileReport:
         header = (
             f"{'dtype':<9} {'plans':>6} {'dense':>6} {'sparse':>7} "
             f"{'block':>6} {'int8':>5} {'int16':>6} "
-            f"{'buffers':>10} {'compile':>10}"
+            f"{'buffers':>10} {'compile':>10} {'tuning':>10}"
         )
         lines = ["Compiled plans", header, "-" * len(header)]
         for row in self.rows:
@@ -128,7 +134,8 @@ class CompileReport:
                 f"{row.block_layers:>6d} {row.int8_layers:>5d} "
                 f"{row.int16_layers:>6d} "
                 f"{row.buffer_bytes / 1024:>6.0f} KiB "
-                f"{row.compile_us / 1000:>7.1f} ms"
+                f"{row.compile_us / 1000:>7.1f} ms "
+                f"{row.tune_us / 1000:>7.1f} ms"
             )
         return "\n".join(lines)
 
@@ -160,6 +167,7 @@ def compile_report(registry: MetricsRegistry | None = None) -> CompileReport:
             block_layers=int(slot.get("layers:block-spmm", 0)),
             int8_layers=int(slot.get("layers:int8-gemm", 0)),
             int16_layers=int(slot.get("layers:int16-gemm", 0)),
+            tune_us=slot.get("compile.tune_us", 0.0),
         )
         for dtype, slot in sorted(slots.items())
     )

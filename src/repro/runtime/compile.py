@@ -2,15 +2,32 @@
 
 The paper's efficiency argument lives in the innermost loop: each linear
 layer runs either a dense GEMM (oneDNN's Goto kernels) or a sparse
-micro-kernel (LIBXSMM), chosen per layer by the analytic time predictors
-of Sections 4.2/4.4.  :func:`compile_network` reproduces that decision
-ahead of time and freezes it into an executable :class:`InferencePlan`:
+micro-kernel (LIBXSMM), chosen per layer for the target CPU (Section
+4.4 calibrates by measuring that CPU).  :func:`compile_network` makes
+that decision ahead of time, on *this* host, and freezes it into an
+executable :class:`InferencePlan`:
 
-* **per-layer kernel selection** — each layer's measured structure is
-  fed through the calibrated predictors
+* **measured per-layer kernel selection** — each float candidate
+  (dense GEMM, scalar CSR SpMM when scipy is present, block-CSR SpMM
+  under ``block_sparse``) is built as the kernel object the plan will
+  execute and timed on the real layer shape, interleaved best-of-
+  :data:`TUNING_REPEATS`, at the :data:`TUNING_BUCKETS` batch sizes
+  (capped at ``max_batch``).  One kernel per layer, by one rule over
+  the buckets: a sparse candidate replaces ``dense-gemm`` only if it is
+  at least :data:`SPARSE_MARGIN` times faster at *every* bucket (among
+  several such, the lowest geometric mean of its per-bucket ratios to
+  dense wins).  Choices are memoized in the context's
+  :class:`~repro.runtime.context.TuningRecord`, keyed by the layer's
+  weights, dtype, mode, candidates and buckets, so recompiling the
+  same weights in one process times nothing and returns the same
+  kernels — the same bits.  The analytic predictors
   (:meth:`~repro.timing.network_predictor.NetworkTimePredictor.
-  layer_kernel_times_all`); dense GEMM, scalar CSR SpMM, block-CSR SpMM
-  and int8/int16 integer GEMM compete per layer;
+  layer_kernel_times_all`) still price every layer for ``price()`` and
+  cascade budgets, but no longer choose float kernels;
+* **quantized plans** (``quantize=``, int8/int16) and explicit
+  ``kernels=`` overrides are never timed; quantized plans keep the
+  predictors' dense-vs-sparse structure, which their declared score
+  tolerances were calibrated against;
 * **weights pre-converted once** — C-contiguous dense copies, CSR
   arrays, gathered block panels or integer-valued quantized copies;
 * **fused epilogues** — dequantization, bias-add, ReLU6 and (between
@@ -38,6 +55,10 @@ trees differ — so the plan guarantees a *layered* identity:
   reference_scores(...)|`` the same way the float32 contract does,
   measured on the calibration batch at compile time.
 
+Since the kernels are measured, two processes may choose differently
+for a layer near a tie (and so give different bits); pin a plan across
+processes with ``kernels=[lp.kernel for lp in plan.layers]``.
+
 Integer accumulation without integer hardware: int8 weights and
 activations are stored as *integer-valued* float32 arrays and multiplied
 through the ordinary BLAS sgemm.  Every product is ``<= 127 * 127`` and
@@ -61,7 +82,9 @@ depend only on that document (full tiles run as wider calls where a
 compile-time probe shows the same bits,
 :func:`~repro.runtime.base.wide_widths`); CSR and quantized kernels are
 chunk-invariant already
-(row-independent or exact-integer reductions).  See
+(row-independent or exact-integer reductions).  Because each layer
+keeps one kernel whatever the batch size, a stable plan stays
+chunk-invariant under measured arbitration.  See
 ``docs/compiled.md`` and ``docs/quantized_kernels.md``.
 """
 
@@ -70,6 +93,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -90,6 +114,7 @@ from repro.runtime.base import (
     stable_matmul,
     wide_widths,
 )
+from repro.runtime.context import LayerTuning, default_context
 
 try:  # the zero-allocation SpMM entry point; gated like repro.matmul.csr
     from scipy.sparse import _sparsetools as _scipy_sparsetools
@@ -134,6 +159,20 @@ VIEW_CACHE_SIZES = 256
 
 #: Score-tolerance budget ``quantize="auto"`` uses when none is given.
 DEFAULT_TOLERANCE = 0.05
+
+#: Batch sizes (documents) at which the measured arbitration times each
+#: layer's candidate kernels, each capped at the plan's ``max_batch``.
+TUNING_BUCKETS = (16, 128, 1024)
+#: Interleaved timing rounds per bucket (after one warm-up round); each
+#: candidate keeps its best.
+TUNING_REPEATS = 5
+#: A sparse candidate replaces ``dense-gemm`` only when it is at least
+#: this many times faster at every bucket, so a near tie (where timing
+#: noise would pick either) stays on the dense GEMM.
+SPARSE_MARGIN = 1.1
+#: Seed of the features the arbitration times kernels on (timings do
+#: not depend on the values, only the shape).
+_TUNING_SEED = 20240808
 
 _Q8_MAX = 127.0
 _Q16_MAX = 32767.0
@@ -181,6 +220,10 @@ class LayerPlan:
     #: 16-document tiles (a block layer: those of any panel); not part
     #: of the fingerprint, since they move no bit
     wide_widths: tuple[int, ...] = ()
+    #: compile-time ``(kernel, docs, us_per_doc)`` timings of every
+    #: candidate the arbitration measured (empty for an explicit or a
+    #: quantized kernel, which are never timed)
+    measured: tuple[tuple[str, int, float], ...] = ()
 
     @property
     def predicted_us_per_doc(self) -> float:
@@ -195,11 +238,25 @@ class LayerPlan:
             return self.predicted_quant_us_per_doc
         return self.predicted_dense_us_per_doc
 
+    def measured_us_per_doc(self, kernel: str | None = None) -> dict[int, float]:
+        """Compile-time µs/doc of ``kernel`` (default: the chosen one)
+        per batch bucket; empty if it was never timed."""
+        kernel = kernel or self.kernel
+        return {docs: us for name, docs, us in self.measured if name == kernel}
+
     def describe(self) -> str:
         text = (
             f"L{self.index} {self.out_width}x{self.in_width} "
-            f"{self.kernel} @ {self.sparsity:.1%}"
+            f"{self.kernel} @ {self.sparsity:.1%}, "
+            f"{self.predicted_us_per_doc:.3g} predicted"
         )
+        # The chosen kernel's compile-time timing at its largest bucket.
+        measured = self.measured_us_per_doc()
+        if measured:
+            docs = max(measured)
+            text += f" / {measured[docs]:.3g} measured us/doc @{docs}"
+        else:
+            text += " us/doc"
         if self.kernel == BLOCK_KERNEL and self.block_fill is not None:
             text += f", fill {self.block_fill:.0%}"
         if self.bits is not None:
@@ -259,16 +316,21 @@ class _DenseKernel:
 
     def __init__(
         self, linear: Linear, dtype, stable: bool, *, relu6: bool, out_gain=None,
-        max_batch: int,
+        max_batch: int, digest: bytes | None = None,
     ) -> None:
         w = np.asarray(linear.weight.data, dtype=np.float64)
         b = np.asarray(linear.bias.data, dtype=np.float64)
         if out_gain is not None:
             w = w * out_gain
             b = b * out_gain
-        self.w = np.ascontiguousarray(w, dtype=dtype)
+        # Copies, never views: later training must not leak into a plan.
+        # Plans of the same weights (``digest``) share one copy.
+        if digest is not None and out_gain is None:
+            self.w = _shared_copy(w, digest, dtype)
+        else:
+            self.w = np.array(w, dtype=dtype, order="C")
         self.wt = None if stable else np.ascontiguousarray(self.w.T)
-        self.bias = np.ascontiguousarray(b, dtype=dtype)
+        self.bias = np.array(b, dtype=dtype, order="C")
         self.relu6 = relu6
         self.emit_q8 = out_gain is not None
         m, k = self.w.shape
@@ -316,7 +378,7 @@ class _SparseKernel:
             data = data * out_gain
             b = b * out_gain
         self.data = np.ascontiguousarray(data, dtype=dtype)
-        self.bias = np.ascontiguousarray(b, dtype=dtype)
+        self.bias = np.array(b, dtype=dtype, order="C")
         self.relu6 = relu6
         self.emit_q8 = out_gain is not None
         self.scratch = {"xt": self.k, "yt": self.m}
@@ -407,7 +469,7 @@ class _BlockPanelKernel:
         )
         self.wide = tuple(sorted(set().union(*self.panel_wide), reverse=True))
         self.zero_spans = zero_spans
-        self.bias = np.ascontiguousarray(b, dtype=dtype)
+        self.bias = np.array(b, dtype=dtype, order="C")
         self.relu6 = relu6
         self.emit_q8 = out_gain is not None
         widest = max((len(p[2]) for p in panels), default=0)
@@ -483,7 +545,7 @@ class _Int8Kernel:
             scale *= _Q8_MAX / _ACT_BOUND
             b = b * (_Q8_MAX / _ACT_BOUND)
         self.post_scale = float(scale)
-        self.bias = np.ascontiguousarray(b, dtype=dtype)
+        self.bias = np.array(b, dtype=dtype, order="C")
         self.relu6 = relu6
         self.emit_q8 = emit_q8
         self.self_quant = self_quant
@@ -533,7 +595,7 @@ class _Int16Kernel:
         self.k = linear.in_features
         self.m = linear.out_features
         self.post_scale = float(q.scale * in_scale)
-        self.bias = np.ascontiguousarray(linear.bias.data, dtype=np.float64)
+        self.bias = np.array(linear.bias.data, dtype=np.float64, order="C")
         self.relu6 = relu6
         self.emit_q8 = False
         self.inv_in_scale = 1.0 / in_scale
@@ -554,6 +616,25 @@ class _Int16Kernel:
         _finish(qc, self.post_scale, self.bias, self.relu6, False)
         np.copyto(views.c, qc)
         return views.c
+
+
+#: Frozen read-only dense weights by ``(layer digest, dtype)``, shared
+#: by every plan compiled from those weights; an entry lives while a
+#: plan holds it.
+_SHARED_COPIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_SHARED_LOCK = threading.Lock()
+
+
+def _shared_copy(w: np.ndarray, digest: bytes, dtype) -> np.ndarray:
+    """One read-only C-contiguous ``dtype`` copy of ``w`` per digest."""
+    key = (digest, np.dtype(dtype).str)
+    with _SHARED_LOCK:
+        copy = _SHARED_COPIES.get(key)
+        if copy is None:
+            copy = np.array(w, dtype=dtype, order="C")
+            copy.flags.writeable = False
+            _SHARED_COPIES[key] = copy
+    return copy
 
 
 def _stable_tiles(buffers, a, out, wide) -> StableTiles:
@@ -696,6 +777,16 @@ class InferencePlan:
         )
         if self.score_tolerance is not None:
             text += f", tol {self.score_tolerance:.1e}"
+        measured = [lp.measured_us_per_doc() for lp in self.layers]
+        if any(measured):
+            # The chosen kernels' compile-time timings at the largest
+            # bucket, next to their predictions, layer by layer.
+            docs = max(max(m) for m in measured if m)
+            text += f", predicted/measured us/doc @{docs}: " + " ".join(
+                f"L{lp.index} {lp.predicted_us_per_doc:.3g}/"
+                + (f"{m[docs]:.3g}" if docs in m else "-")
+                for lp, m in zip(self.layers, measured)
+            )
         wide = [lp for lp in self.layers if lp.wide_widths]
         if wide:
             text += ", wide " + " ".join(
@@ -838,23 +929,194 @@ class _LayerChoice:
     int16_us: float
     forced_bits: int | None = None  # explicit int8/int16 kernel override
     forced_float: bool = False  # explicit float-structure override
+    tuning: LayerTuning | None = None  # the measured arbitration, if timed
+
+
+def _float_kernel(
+    name: str, linear: Linear, csr: CsrMatrix, block, dtype, stable: bool, *,
+    relu6: bool, out_gain=None, max_batch: int, digest: bytes | None = None,
+):
+    """The frozen kernel object a float layer executes as ``name``
+    (``digest``: the layer's, to share dense weights across plans)."""
+    if name == SPARSE_KERNEL:
+        return _SparseKernel(linear, csr, dtype, relu6=relu6, out_gain=out_gain)
+    if name == BLOCK_KERNEL:
+        if dtype == np.float64:
+            # Bit-contract path: the expanded explicit-zero CSR twin
+            # reproduces the scalar reference bits (see blocks.py).
+            return _SparseKernel(
+                linear, block.expanded_csr(), dtype, relu6=relu6, out_gain=out_gain
+            )
+        return _BlockPanelKernel(
+            linear, block, dtype, stable,
+            relu6=relu6, out_gain=out_gain, max_batch=max_batch,
+        )
+    return _DenseKernel(
+        linear, dtype, stable, relu6=relu6, out_gain=out_gain,
+        max_batch=max_batch, digest=digest,
+    )
+
+
+def _float_candidates(block, dtype) -> tuple[str, ...]:
+    """The float kernels a layer can run, dense first.  A float64 block
+    layer executes through scipy's SpMM, so it is gated like CSR."""
+    names = [DENSE_KERNEL]
+    if _scipy_sparsetools is not None:
+        names.append(SPARSE_KERNEL)
+    if block is not None and (dtype == np.float32 or _scipy_sparsetools is not None):
+        names.append(BLOCK_KERNEL)
+    return tuple(names)
+
+
+def _tuning_buckets(max_batch: int) -> tuple[int, ...]:
+    """The :data:`TUNING_BUCKETS` capped at ``max_batch``, ascending."""
+    return tuple(sorted({min(docs, max_batch) for docs in TUNING_BUCKETS}))
+
+
+def _timed_call(kernel, features: np.ndarray, out_width: int, dtype_name: str, stable: bool):
+    """A no-argument call of ``kernel.apply`` on ``features``, through a
+    one-layer plan's buffers (built on the first, warm-up call)."""
+    n, k = features.shape
+    layer = LayerPlan(
+        index=1, in_width=k, out_width=out_width, kernel=DENSE_KERNEL,
+        sparsity=0.0, nnz=0, predicted_dense_us_per_doc=0.0,
+        predicted_sparse_us_per_doc=0.0, activation="none",
+    )
+    plan = InferencePlan(
+        layers=(layer,), kernels=[kernel], input_dim=k, max_batch=n,
+        dtype_name=dtype_name, stable=stable, fingerprint="tuning",
+        compile_us=0.0, source="tuning",
+    )
+    bound = []
+
+    def run() -> None:
+        if not bound:
+            entry, (views,) = plan._views_for(n)
+            np.copyto(entry, features)
+            bound.append((entry, views))
+        kernel.apply(*bound[0])
+
+    return run
+
+
+def _arbitrate(timings: dict[tuple[str, int], float], alive: list[str], buckets) -> str:
+    """The rule: among the sparse candidates still ``alive`` (each at
+    least :data:`SPARSE_MARGIN` times faster than dense at every
+    bucket), the lowest geometric mean of per-bucket ratios to dense
+    wins; with none alive, ``dense-gemm``."""
+    best, best_log = DENSE_KERNEL, 0.0
+    for name in alive:
+        if name == DENSE_KERNEL:
+            continue
+        log_ratio = sum(
+            np.log(timings[name, n] / timings[DENSE_KERNEL, n]) for n in buckets
+        )
+        if log_ratio < best_log:
+            best, best_log = name, log_ratio
+    return best
+
+
+def _tune_layer(
+    ctx, linear: Linear, csr: CsrMatrix, block, candidates: tuple[str, ...], *,
+    np_dtype, dtype_name: str, stable: bool, relu6: bool, max_batch: int,
+) -> LayerTuning:
+    """Time a layer's ``candidates`` and choose its one kernel.
+
+    Per bucket (ascending), one warm-up round and then
+    :data:`TUNING_REPEATS` interleaved rounds call ``ctx.timer`` on each
+    live candidate; each keeps its best.  A sparse candidate that is not
+    :data:`SPARSE_MARGIN` times faster than dense at a bucket is out and
+    is not timed at larger buckets (it can no longer win).
+    """
+    buckets = _tuning_buckets(max_batch)
+    m, k = csr.shape
+    kernels = {
+        name: _float_kernel(
+            name, linear, csr, block, np_dtype, stable,
+            relu6=relu6, max_batch=max_batch,
+        )
+        for name in candidates
+    }
+    features = np.random.default_rng(_TUNING_SEED).standard_normal((buckets[-1], k))
+    alive = list(candidates)
+    timings: dict[tuple[str, int], float] = {}
+    for n in buckets:
+        runs = {
+            name: _timed_call(kernels[name], features[:n], m, dtype_name, stable)
+            for name in alive
+        }
+        best = dict.fromkeys(alive, float("inf"))
+        for rnd in range(TUNING_REPEATS + 1):
+            for name in alive:
+                seconds = ctx.timer(runs[name], kernel=name, docs=n, shape=(m, k))
+                if rnd:
+                    best[name] = min(best[name], seconds)
+        for name in alive:
+            timings[name, n] = best[name] * 1e6 / n
+        alive = [
+            name
+            for name in alive
+            if name == DENSE_KERNEL or best[name] * SPARSE_MARGIN <= best[DENSE_KERNEL]
+        ]
+    return LayerTuning(
+        kernel=_arbitrate(timings, alive, buckets),
+        timings=tuple((name, n, us) for (name, n), us in timings.items()),
+    )
+
+
+def _tuned(
+    ctx, linear: Linear, csr: CsrMatrix, block, candidates: tuple[str, ...], *,
+    layer_digest: bytes, np_dtype, dtype_name: str, stable: bool, relu6: bool,
+    max_batch: int, block_shape,
+) -> LayerTuning:
+    """The layer's verdict from ``ctx.tuning``, timed on a miss.  The
+    key is what the verdict depends on: the weights, dtype, mode,
+    activation, candidate set and batch buckets."""
+    key = (
+        layer_digest,
+        np.dtype(np_dtype).str,
+        bool(stable),
+        relu6,
+        candidates,
+        block_shape if BLOCK_KERNEL in candidates else None,
+        _tuning_buckets(max_batch),
+    )
+    tuning = ctx.tuning.get(key)
+    if tuning is None:
+        tuning = ctx.tuning.settle(key, _tune_layer(
+            ctx, linear, csr, block, candidates, np_dtype=np_dtype,
+            dtype_name=dtype_name, stable=stable, relu6=relu6,
+            max_batch=max_batch,
+        ))
+    return tuning
+
+
+def _layer_digest(linear: Linear) -> bytes:
+    """BLAKE2b of one layer's shape, weights and bias: the weight half
+    of the plan fingerprint and of the layer's tuning key, so a compile
+    hashes the weights once."""
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(str(linear.weight.data.shape).encode())
+    digest.update(np.ascontiguousarray(linear.weight.data))
+    digest.update(np.ascontiguousarray(linear.bias.data))
+    return digest.digest()
 
 
 def _plan_fingerprint(
-    network: FeedForwardNetwork, dtype_name: str, stable: bool, tags
+    input_dim: int, dtype_name: str, stable: bool, tags, layer_digests
 ) -> str:
     """BLAKE2b over dtype, mode, per-layer kernel/quantization tags and
-    the weights.  The tags carry kernel name, bit width, quantization
-    scales, requant-fusion flags and block shape, so an int8 plan, an
-    f32 plan and a block plan of the same weights never share a
-    fingerprint (and therefore never share ``ScoreCache`` entries)."""
+    the layers' weight digests.  The tags carry kernel name, bit width,
+    quantization scales, requant-fusion flags and block shape, so an
+    int8 plan, an f32 plan and a block plan of the same weights never
+    share a fingerprint (and therefore never share ``ScoreCache``
+    entries)."""
     digest = hashlib.blake2b(digest_size=16)
     mode = "stable" if stable else "native"
-    digest.update(f"plan:{dtype_name}:{mode}:{network.input_dim}".encode())
-    for linear, tag in zip(network.linears, tags):
+    digest.update(f"plan:{dtype_name}:{mode}:{input_dim}".encode())
+    for tag, layer in zip(tags, layer_digests):
         digest.update(tag.encode())
-        digest.update(np.ascontiguousarray(linear.weight.data).tobytes())
-        digest.update(np.ascontiguousarray(linear.bias.data).tobytes())
+        digest.update(layer)
     return digest.hexdigest()
 
 
@@ -926,6 +1188,7 @@ def _wire_plan(
     quantize_label: str,
     score_tolerance: float | None,
     block_shape,
+    layer_digests,
     started: float,
 ) -> InferencePlan:
     """Build the executable plan for one (structure, bits) assignment."""
@@ -973,30 +1236,12 @@ def _wire_plan(
             kernel_name = INT16_KERNEL
             kern = _Int16Kernel(linear, in_scale=in_scale, relu6=relu6)
             weight_scale = kern.weight_scale
-        elif choice.structure == SPARSE_KERNEL:
-            kernel_name = SPARSE_KERNEL
-            kern = _SparseKernel(linear, choice.csr, np_dtype, relu6=relu6, out_gain=out_gain)
-            weight_scale = None
-        elif choice.structure == BLOCK_KERNEL:
-            kernel_name = BLOCK_KERNEL
-            if np_dtype == np.float64:
-                # Bit-contract path: the expanded explicit-zero CSR twin
-                # reproduces the scalar reference bits (see blocks.py).
-                kern = _SparseKernel(
-                    linear, choice.block.expanded_csr(), np_dtype,
-                    relu6=relu6, out_gain=out_gain,
-                )
-            else:
-                kern = _BlockPanelKernel(
-                    linear, choice.block, np_dtype, stable,
-                    relu6=relu6, out_gain=out_gain, max_batch=max_batch,
-                )
-            weight_scale = None
         else:
-            kernel_name = DENSE_KERNEL
-            kern = _DenseKernel(
-                linear, np_dtype, stable, relu6=relu6, out_gain=out_gain,
-                max_batch=max_batch,
+            kernel_name = choice.structure
+            kern = _float_kernel(
+                kernel_name, linear, choice.csr, choice.block, np_dtype, stable,
+                relu6=relu6, out_gain=out_gain, max_batch=max_batch,
+                digest=layer_digests[i],
             )
             weight_scale = None
 
@@ -1023,6 +1268,7 @@ def _wire_plan(
                 input_scale=in_scale,
                 emits_quantized=emits[i],
                 wide_widths=getattr(kern, "wide", ()),
+                measured=choice.tuning.timings if choice.tuning else (),
             )
         )
         ws = weight_scale if weight_scale is not None else 0.0
@@ -1032,7 +1278,9 @@ def _wire_plan(
             f"{int(emits[i])}:{r_blk}x{c_blk}"
         )
 
-    fingerprint = _plan_fingerprint(network, dtype_name, stable, tags)
+    fingerprint = _plan_fingerprint(
+        network.input_dim, dtype_name, stable, tags, layer_digests
+    )
     compile_us = (time.perf_counter() - started) * 1e6
     return InferencePlan(
         layers=tuple(layer_plans),
@@ -1084,8 +1332,9 @@ def compile_network(
         fingerprint, so caches stay sound).
     context:
         :class:`~repro.runtime.context.PricingContext` supplying the
-        calibrated predictors that arbitrate the kernels per layer
-        (defaults to the process-wide context).
+        kernel timer and tuning record of the measured arbitration, and
+        the calibrated predictors that price each layer (defaults to
+        the process-wide context).
     dtype:
         ``"float64"`` (bit-exact, the default) or ``"float32"`` (the
         paper's kernel precision; tolerance-bounded, not bit-exact).
@@ -1096,7 +1345,10 @@ def compile_network(
         Optional per-layer override, a sequence drawn from
         ``"dense-gemm"`` / ``"csr-spmm"`` / ``"block-spmm"`` /
         ``"int8-gemm"`` / ``"int16-gemm"`` / ``None`` (``None`` = let
-        the predictors decide).  Forcing ``"csr-spmm"`` without scipy
+        the measured arbitration decide).  An explicit kernel is never
+        timed; ``kernels=[lp.kernel for lp in plan.layers]`` pins a
+        plan's measured choices in another process.  Forcing
+        ``"csr-spmm"`` without scipy
         raises; forcing ``"int8-gemm"`` on a layer wider than
         :data:`INT8_MAX_IN_WIDTH` raises (the exact-accumulation bound);
         an explicit float kernel exempts that layer from ``quantize``.
@@ -1115,6 +1367,9 @@ def compile_network(
         layers up to int16 and then back to float until the measured
         deviation fits ``tolerance / 2`` (safety margin).  Quantization
         applies to dense-structure layers; sparse layers stay float.
+        Quantized plans time nothing: they keep the predictors' choice
+        between dense and the layer's sparse candidate (``block-spmm``
+        when its regrouping meets the fill gate, else ``csr-spmm``).
     tolerance:
         The score-tolerance budget.  Under ``"auto"`` it is the target
         (default :data:`DEFAULT_TOLERANCE`); under forced modes it is
@@ -1129,10 +1384,8 @@ def compile_network(
         Try to regroup each layer's non-zeros into dense ``block_shape``
         tiles (:func:`repro.matmul.blocks.regroup_to_blocks`).  When the
         achieved fill reaches ``min_block_fill`` the block-SpMM kernel
-        *replaces* scalar CSR as the layer's sparse candidate — the fill
-        gate is the CSR-vs-block arbiter — and the predictors then pick
-        dense vs that candidate; below the gate the layer falls back to
-        scalar CSR exactly as before.
+        joins dense and scalar CSR as a timed candidate; below the gate
+        the layer is arbitrated between dense and scalar CSR only.
     block_shape / min_block_fill:
         Tile shape ``(rows, cols)`` and the minimum achieved fill for
         block regrouping to stick.
@@ -1166,8 +1419,6 @@ def compile_network(
             f"kernels has {len(overrides)} entries for a "
             f"{network.n_layers}-layer network"
         )
-    from repro.runtime.context import default_context
-
     ctx = context or default_context()
     predictor = ctx.predictor
     np_dtype = PLAN_DTYPES[dtype]
@@ -1181,9 +1432,11 @@ def compile_network(
         quantize=quantize,
     ):
         activations = _linear_activations(network)
+        layer_digests = [_layer_digest(linear) for linear in network.linears]
 
         # ---- structure selection (dense vs csr vs block) -------------
         choices: list[_LayerChoice] = []
+        tune_us = 0.0
         for i, (linear, override) in enumerate(
             zip(network.linears, overrides), start=1
         ):
@@ -1202,23 +1455,32 @@ def compile_network(
             block_us = times.get(BLOCK_KERNEL)
             forced_bits = None
             forced_float = False
+            tuning = None
             if override is None:
-                # Block replaces scalar CSR as the sparse candidate when
-                # regrouping met the fill gate; a float64 block layer
-                # executes through scipy's SpMM, so it is gated like CSR.
-                if block is not None and (
-                    np_dtype == np.float32 or _scipy_sparsetools is not None
-                ):
-                    candidate, candidate_us = BLOCK_KERNEL, block_us
-                elif _scipy_sparsetools is not None:
-                    candidate, candidate_us = SPARSE_KERNEL, sparse_us
+                candidates = _float_candidates(block, np_dtype)
+                if quantize != "none":
+                    # Quantized plans are not timed: they keep the
+                    # predictors' dense-vs-sparse structure, which their
+                    # declared tolerances were calibrated against.
+                    sparse = candidates[-1]
+                    structure = (
+                        sparse
+                        if sparse != DENSE_KERNEL and times[sparse] < dense_us
+                        else DENSE_KERNEL
+                    )
+                elif len(candidates) == 1:
+                    structure = DENSE_KERNEL
                 else:
-                    candidate, candidate_us = None, float("inf")
-                structure = (
-                    candidate
-                    if candidate is not None and candidate_us < dense_us
-                    else DENSE_KERNEL
-                )
+                    tune_started = time.perf_counter()
+                    tuning = _tuned(
+                        ctx, linear, csr, block, candidates,
+                        layer_digest=layer_digests[i - 1],
+                        np_dtype=np_dtype, dtype_name=dtype, stable=stable,
+                        relu6=activations[i - 1] == "relu6",
+                        max_batch=max_batch, block_shape=block_shape,
+                    )
+                    tune_us += (time.perf_counter() - tune_started) * 1e6
+                    structure = tuning.kernel
             elif override == DENSE_KERNEL:
                 structure = DENSE_KERNEL
                 forced_float = True
@@ -1273,6 +1535,7 @@ def compile_network(
                     int16_us=times[INT16_KERNEL],
                     forced_bits=forced_bits,
                     forced_float=forced_float,
+                    tuning=tuning,
                 )
             )
 
@@ -1320,6 +1583,7 @@ def compile_network(
                 quantize_label=quantize,
                 score_tolerance=declared,
                 block_shape=block_shape,
+                layer_digests=layer_digests,
                 started=started,
             )
 
@@ -1379,6 +1643,7 @@ def compile_network(
         kernel_counts=plan.kernel_counts(),
         buffer_bytes=plan.buffer_bytes,
         compile_us=plan.compile_us,
+        tune_us=tune_us,
     )
     return plan
 

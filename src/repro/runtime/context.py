@@ -11,9 +11,21 @@ explicit context is passed; its :class:`NetworkTimePredictor` is the
 library-wide shared instance (also handed out by
 ``EfficientRankingPipeline.network_predictor``), so every layer prices
 against the same calibration.
+
+A context also carries the *kernel timer* and the :class:`TuningRecord`
+of :func:`~repro.runtime.compile.compile_network`'s measured kernel
+arbitration.  Every context on the default :func:`wall_timer` shares
+one process-wide record, so two services built on the same weights
+compile the same kernels (hence the same bits) and only the first build
+pays for the timing; a context with an injected timer keeps a record of
+its own, so fake timings never leak into real plans.
 """
 
 from __future__ import annotations
+
+import threading
+import time
+from dataclasses import dataclass
 
 from repro.quickscorer.cost import QuickScorerCostModel
 from repro.timing.network_predictor import NetworkTimePredictor
@@ -27,6 +39,61 @@ def shared_predictor() -> NetworkTimePredictor:
     if _SHARED_PREDICTOR is None:
         _SHARED_PREDICTOR = NetworkTimePredictor()
     return _SHARED_PREDICTOR
+
+
+def wall_timer(run, *, kernel: str, docs: int, shape: tuple[int, int]) -> float:
+    """Wall seconds one call of ``run`` takes: the default kernel timer.
+
+    ``kernel`` (a compiled kernel name), ``docs`` (the batch size) and
+    ``shape`` (the layer's ``(out_width, in_width)``) say what is being
+    timed; an injected timer may use them to return fake timings without
+    calling ``run`` at all.
+    """
+    start = time.perf_counter()
+    run()
+    return time.perf_counter() - start
+
+
+@dataclass(frozen=True)
+class LayerTuning:
+    """One layer's measured kernel arbitration.
+
+    ``kernel`` is the chosen kernel; ``timings`` holds ``(kernel, docs,
+    us_per_doc)`` rows, best of the interleaved rounds, for every
+    candidate at every batch bucket it was timed at.
+    """
+
+    kernel: str
+    timings: tuple[tuple[str, int, float], ...]
+
+
+class TuningRecord:
+    """Thread-safe memo of measured per-layer kernel choices.
+
+    Keys name what was measured (layer weight/bias digest, dtype, stable
+    mode, candidate set, batch buckets); values are
+    :class:`LayerTuning`.  The first verdict stored for a key wins, so
+    two threads tuning the same layer at once still agree.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple, LayerTuning] = {}
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> LayerTuning | None:
+        return self._entries.get(key)
+
+    def settle(self, key: tuple, tuning: LayerTuning) -> LayerTuning:
+        """Store ``tuning`` unless a verdict exists; return the kept one."""
+        with self._lock:
+            return self._entries.setdefault(key, tuning)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+#: The record every context on the default timer shares.
+_SHARED_TUNING = TuningRecord()
 
 
 class PricingContext:
@@ -47,6 +114,11 @@ class PricingContext:
     quantized_efficiency, quantized_sparse_efficiency:
         Fractions of the SIMD lane-ratio ceiling the int8 dense/sparse
         kernels sustain (see :mod:`repro.timing.quantized`).
+    timer:
+        Kernel timer of the compile-time arbitration, called as
+        ``timer(run, kernel=, docs=, shape=)`` and returning seconds
+        (default :func:`wall_timer`).  An injected timer gets a
+        :attr:`tuning` record of its own.
     """
 
     def __init__(
@@ -58,6 +130,7 @@ class PricingContext:
         sparse_threshold: float = 0.5,
         quantized_efficiency: float = 0.6,
         quantized_sparse_efficiency: float = 0.8,
+        timer=None,
     ) -> None:
         if not 0.0 <= sparse_threshold <= 1.0:
             raise ValueError(
@@ -69,6 +142,9 @@ class PricingContext:
         self.sparse_threshold = sparse_threshold
         self.quantized_efficiency = quantized_efficiency
         self.quantized_sparse_efficiency = quantized_sparse_efficiency
+        self.timer = timer or wall_timer
+        #: measured kernel choices of the plans compiled on this context
+        self.tuning = _SHARED_TUNING if timer is None else TuningRecord()
 
     @property
     def predictor(self) -> NetworkTimePredictor:

@@ -52,6 +52,38 @@ def small_student(tiny_splits, small_forest):
     )
 
 
+class FakeTimer:
+    """Kernel timer for :class:`~repro.runtime.PricingContext` that runs
+    nothing: ``cost(kernel, docs, shape)`` returns the seconds a call
+    "took"; ``calls`` counts the timings asked for."""
+
+    def __init__(self, cost) -> None:
+        self.cost = cost
+        self.calls = 0
+
+    def __call__(self, run, *, kernel, docs, shape) -> float:
+        self.calls += 1
+        return self.cost(kernel, docs, shape)
+
+
+@pytest.fixture()
+def fake_timer():
+    """``fake_timer(cost)`` -> a :class:`FakeTimer`; ``cost`` may also
+    be a kernel name, which that timer then makes 2x faster than every
+    other kernel at every batch size."""
+
+    def build(cost) -> FakeTimer:
+        if isinstance(cost, str):
+            winner = cost
+
+            def cost(kernel, docs, shape):
+                return docs * 1e-6 * (0.5 if kernel == winner else 1.0)
+
+        return FakeTimer(cost)
+
+    return build
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)

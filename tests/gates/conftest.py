@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.obs.probe import build_probe_models
@@ -53,3 +54,27 @@ def cascade_service(probe_models):
         )
 
     return build
+
+
+#: The compile gates' network: the paper's 136-feature setting with a
+#: 90%-pruned first layer.
+GATE_INPUT_DIM = 136
+GATE_HIDDEN = (400, 200, 200, 100)
+GATE_PRUNE_LEVEL = 0.90
+
+
+@pytest.fixture(scope="session")
+def pruned_network():
+    """136 -> 400 -> 200 -> 200 -> 100 -> 1, first layer 90% pruned."""
+    from repro.nn.network import FeedForwardNetwork
+    from repro.pruning import LevelPruner
+
+    network = FeedForwardNetwork(GATE_INPUT_DIM, GATE_HIDDEN, seed=3)
+    LevelPruner(GATE_PRUNE_LEVEL).apply(network.first_layer)
+    return network
+
+
+@pytest.fixture(scope="session")
+def gate_features():
+    """512 standard-normal rows for the compile gates."""
+    return np.random.default_rng(11).standard_normal((512, GATE_INPUT_DIM))

@@ -1,5 +1,7 @@
 """Tests for repro.design.cascade (early-exit extension)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -523,6 +525,76 @@ class TestScoreQueriesTogether:
         _, results = cascade.score_queries_detailed(x, rows)
         assert [r.stages_run for r in results] == [3, 2, 1]
         assert [r.exited_early for r in results] == [False, True, True]
+
+    @staticmethod
+    def _per_query_loop(cascade, x, rows):
+        """The per-query loop the segment reductions replaced: scores,
+        survivors, spend and exits of each query run on its own."""
+        out, results = np.zeros(len(x)), []
+        lo = 0
+        for n in rows:
+            idx, survivors, spend, exited = np.arange(lo, lo + n), [], 0.0, False
+            for level, stage in enumerate(cascade.stages):
+                if not len(idx):
+                    break
+                scores = np.asarray(stage.score_fn(x[idx]), dtype=np.float64)
+                survivors.append(idx - lo)
+                spend += len(idx) * stage.cost_us_per_doc
+                low, high = scores.min(), scores.max()
+                width = (high - low) or 1.0
+                out[idx] = level + (scores - low) / width * 0.999
+                if level == len(cascade.stages) - 1:
+                    break
+                n_keep = min(len(idx), max(1, math.ceil(stage.keep_fraction * len(idx))))
+                budget = cascade.budget_us_per_query
+                nxt = n_keep * cascade.stages[level + 1].cost_us_per_doc
+                if budget is not None and spend + nxt > budget:
+                    exited = True
+                    break
+                idx = idx[np.argsort(-scores, kind="stable")[:n_keep]]
+            results.append((survivors, spend, exited))
+            lo += n
+        return out, results
+
+    @given(
+        data=st.data(),
+        rows=st.lists(SIZES, min_size=1, max_size=6),
+        keeps=st.tuples(
+            st.sampled_from((0.3, 0.5, 1.0)), st.sampled_from((0.3, 0.5, 1.0))
+        ),
+        budget=st.one_of(st.none(), st.floats(5.0, 900.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_per_query_loop(self, data, rows, keeps, budget):
+        rng = np.random.default_rng(
+            data.draw(self.st.integers(0, 2**32 - 1), label="seed")
+        )
+        x = rng.normal(size=(sum(rows), 4))
+        cascade = self._cascade(keeps + (1.0,), budget, [])
+        scores, together = cascade.score_queries_detailed(x, rows)
+        expected, loop = self._per_query_loop(cascade, x, rows)
+        np.testing.assert_array_equal(scores, expected)
+        for result, (survivors, spend, exited) in zip(together, loop):
+            assert len(result.survivors) == len(survivors)
+            for mine, theirs in zip(result.survivors, survivors):
+                np.testing.assert_array_equal(mine, theirs)
+            assert result.predicted_spend_us == spend
+            assert result.exited_early == exited
+
+    def test_more_queries_than_int16_counts(self):
+        """Past 2**15 live queries the cut keys each score's query in a
+        wider integer; sampled queries still equal their lone runs."""
+        cascade = self._cascade((0.5, 0.5, 1.0), None, [])
+        rows = [2, 3] * 17_000
+        x = np.random.default_rng(3).normal(size=(sum(rows), 4))
+        scores, results = cascade.score_queries_detailed(x, rows)
+        starts = np.cumsum(rows) - rows
+        for q in (0, 1, 2**15 - 1, 2**15, 2**15 + 1, len(rows) - 1):
+            lo, n = int(starts[q]), rows[q]
+            alone = cascade.score_query_detailed(x[lo : lo + n])
+            np.testing.assert_array_equal(scores[lo : lo + n], alone.scores)
+            for mine, theirs in zip(results[q].survivors, alone.survivors):
+                np.testing.assert_array_equal(mine, theirs)
 
     def test_stages_share_calls(self):
         calls: list[int] = []

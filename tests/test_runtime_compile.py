@@ -50,9 +50,10 @@ from repro.runtime.compile import (
     BLOCK_KERNEL,
     DENSE_KERNEL,
     SPARSE_KERNEL,
+    SPARSE_MARGIN,
     VIEW_CACHE_SIZES,
 )
-from repro.runtime.compile_smoke import ALLOC_TOLERANCE
+from tests.gates.test_compile_gates import ALLOC_TOLERANCE
 
 
 @pytest.fixture(scope="module")
@@ -630,10 +631,27 @@ class TestFingerprint:
         network.linears[0].weight.data += 10.0
         np.testing.assert_array_equal(plan.score(x), before)
 
+    def test_plans_of_the_same_weights_share_one_frozen_copy(self, context):
+        network = _network(seed=10)
+        dense = [DENSE_KERNEL] * network.n_layers
+        a = compile_network(network, context=context, stable=True, kernels=dense)
+        b = compile_network(network, context=context, stable=True, kernels=dense)
+        for ka, kb, linear in zip(a._kernels, b._kernels, network.linears):
+            assert ka.w is kb.w and not ka.w.flags.writeable
+            assert not np.shares_memory(ka.w, linear.weight.data)
+        network.linears[0].weight.data += 1.0
+        c = compile_network(network, context=context, stable=True, kernels=dense)
+        assert c._kernels[0].w is not a._kernels[0].w
+        assert c._kernels[1].w is a._kernels[1].w
+
     def test_distinguishes_dtype_mode_and_kernels(self, context):
         network = _network(sparsity=0.9, seed=8)
         prints = {
-            compile_network(network, context=context).fingerprint,
+            compile_network(
+                network,
+                context=context,
+                kernels=[SPARSE_KERNEL] + [None] * (network.n_layers - 1),
+            ).fingerprint,
             compile_network(
                 network, context=context, dtype="float32"
             ).fingerprint,
@@ -813,6 +831,229 @@ class TestServing:
             ServiceConfig(backend_options="compiled=True")
         with pytest.raises(ConfigError, match="strings"):
             ServiceConfig(backend_options={1: True})
+
+
+# ----------------------------------------------------------------------
+# Measured kernel arbitration
+# ----------------------------------------------------------------------
+def _favour_on(shape, winner):
+    """Fake cost: ``winner`` 2x faster on layers of ``shape``, dense 2x
+    faster on every other layer."""
+
+    def cost(kernel, docs, layer_shape):
+        fast = winner if layer_shape == shape else DENSE_KERNEL
+        return docs * 1e-6 * (0.5 if kernel == fast else 1.0)
+
+    return cost
+
+
+def _favour_csr_at(buckets):
+    """Fake cost: csr 2x faster at ``buckets``, dense 2x faster at the
+    other batch sizes, on every layer."""
+
+    def cost(kernel, docs, shape):
+        fast = SPARSE_KERNEL if docs in buckets else DENSE_KERNEL
+        return docs * 1e-6 * (0.5 if kernel == fast else 1.0)
+
+    return cost
+
+
+class TestMeasuredArbitration:
+    def test_faster_candidate_wins_per_layer(self, fake_timer):
+        network = _network((16, 8), sparsity=0.9, seed=21)
+        context = PricingContext(timer=fake_timer(_favour_on((16, 12), SPARSE_KERNEL)))
+        plan = compile_network(network, context=context)
+        assert [lp.kernel for lp in plan.layers] == [
+            SPARSE_KERNEL, DENSE_KERNEL, DENSE_KERNEL,
+        ]
+        first, second = plan.layers[:2]
+        assert first.measured_us_per_doc(SPARSE_KERNEL) == {16: 0.5, 128: 0.5, 1024: 0.5}
+        assert first.measured_us_per_doc() == first.measured_us_per_doc(SPARSE_KERNEL)
+        assert first.measured_us_per_doc(DENSE_KERNEL) == {16: 1.0, 128: 1.0, 1024: 1.0}
+        # A loser is not timed past the first bucket it loses.
+        assert second.measured_us_per_doc(SPARSE_KERNEL) == {16: 1.0}
+        assert "0.5 measured us/doc @1024" in first.describe()
+        assert "predicted/measured us/doc @1024" in plan.describe()
+
+    def test_buckets_capped_at_max_batch(self, fake_timer):
+        timer = fake_timer(SPARSE_KERNEL)
+        plan = compile_network(
+            _network((8,), seed=22), context=PricingContext(timer=timer),
+            max_batch=100,
+        )
+        assert set(plan.layers[0].measured_us_per_doc()) == {16, 100}
+
+    @pytest.mark.parametrize("speedup", [1.05, 1.5])
+    def test_sparse_must_win_by_the_margin(self, fake_timer, speedup):
+        def cost(kernel, docs, shape):
+            return docs * 1e-6 / (speedup if kernel == SPARSE_KERNEL else 1.0)
+
+        plan = compile_network(
+            _network((16, 8), sparsity=0.9, seed=23),
+            context=PricingContext(timer=fake_timer(cost)),
+        )
+        expected = SPARSE_KERNEL if speedup >= SPARSE_MARGIN else DENSE_KERNEL
+        assert {lp.kernel for lp in plan.layers} == {expected}
+
+    def test_recompiling_identical_weights_times_nothing(self, fake_timer, rng):
+        timer = fake_timer(_favour_on((16, 12), SPARSE_KERNEL))
+        context = PricingContext(timer=timer)
+        first = compile_network(_network((16, 8), seed=24), context=context, stable=True)
+        calls = timer.calls
+        assert calls > 0
+        again = compile_network(_network((16, 8), seed=24), context=context, stable=True)
+        assert timer.calls == calls
+        assert [lp.kernel for lp in again.layers] == [lp.kernel for lp in first.layers]
+        assert again.fingerprint == first.fingerprint
+        assert again.layers[0].measured == first.layers[0].measured
+        x = rng.normal(size=(40, 12))
+        np.testing.assert_array_equal(again.score(x), first.score(x))
+        # Other weights, another dtype or mode: measured afresh.
+        changed = _network((16, 8), seed=24)
+        changed.linears[0].weight.data[0, 0] += 1.0
+        compile_network(changed, context=context, stable=True)
+        assert timer.calls > calls
+        calls = timer.calls
+        compile_network(_network((16, 8), seed=24), context=context)
+        assert timer.calls > calls
+
+    @pytest.mark.parametrize(
+        "csr_buckets, expected",
+        [
+            ({16}, DENSE_KERNEL),
+            ({1024}, DENSE_KERNEL),
+            ({16, 128}, DENSE_KERNEL),
+            ({16, 128, 1024}, SPARSE_KERNEL),
+        ],
+    )
+    def test_one_kernel_per_layer_keeps_chunk_invariance(
+        self, fake_timer, csr_buckets, expected
+    ):
+        """Whichever bucket each kernel wins, a layer keeps one kernel,
+        so the stable plan's bits do not depend on the chunking."""
+        network = _network((300, 200, 100), input_dim=136, sparsity=0.9, seed=25)
+        plan = compile_network(
+            network,
+            context=PricingContext(timer=fake_timer(_favour_csr_at(csr_buckets))),
+            stable=True,
+        )
+        assert {lp.kernel for lp in plan.layers} == {expected}
+        x = np.random.default_rng(25).normal(size=(1000, 136))
+        whole = plan.score(x)
+        np.testing.assert_array_equal(whole, reference_scores(network, plan, x))
+        for split in (1, 17, 128, 1000):
+            parts = [plan.score(x[i : i + split]) for i in range(0, 1000, split)]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+    def test_explicit_kernels_and_quantize_time_nothing(self, fake_timer):
+        timer = fake_timer(SPARSE_KERNEL)
+        context = PricingContext(timer=timer)
+        network = _network((16, 8), sparsity=0.9, seed=26)
+        plan = compile_network(
+            network, context=context,
+            kernels=[SPARSE_KERNEL, DENSE_KERNEL, DENSE_KERNEL],
+        )
+        assert all(not lp.measured for lp in plan.layers)
+        for quantize in ("int8", "int16", "auto"):
+            compile_network(
+                network, context=context, dtype="float32", quantize=quantize
+            )
+        assert timer.calls == 0 and len(context.tuning) == 0
+
+    def test_concurrent_compiles_agree(self, fake_timer):
+        """Threads tuning the same layers at once, each timer verdict a
+        coin flip, all get the first verdict stored."""
+        import random
+        import threading
+
+        def coin(kernel, docs, shape):
+            return random.choice((0.5, 2.0)) if kernel == SPARSE_KERNEL else 1.0
+
+        context = PricingContext(timer=fake_timer(coin))
+        network = _network((16, 8), sparsity=0.9, seed=27)
+        n_threads = 8
+        barrier = threading.Barrier(n_threads)
+        kernels: list[list[str]] = []
+
+        def compile_once() -> None:
+            barrier.wait(timeout=10)
+            plan = compile_network(network, context=context)
+            kernels.append([lp.kernel for lp in plan.layers])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=compile_once) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert len(kernels) == n_threads
+        assert all(k == kernels[0] for k in kernels)
+        assert len(context.tuning) == network.n_layers
+
+    def test_kernels_pin_a_measured_plan(self, fake_timer, rng):
+        """Another process pins the measured kernels with ``kernels=``:
+        same fingerprint, same bits, nothing timed."""
+        network = _network((16, 8), sparsity=0.9, seed=28)
+        measured = compile_network(
+            network,
+            context=PricingContext(timer=fake_timer(_favour_on((16, 12), SPARSE_KERNEL))),
+            stable=True,
+        )
+        timer = fake_timer(DENSE_KERNEL)
+        pinned = compile_network(
+            network,
+            context=PricingContext(timer=timer),
+            stable=True,
+            kernels=[lp.kernel for lp in measured.layers],
+        )
+        assert timer.calls == 0
+        assert pinned.fingerprint == measured.fingerprint
+        x = rng.normal(size=(50, 12))
+        np.testing.assert_array_equal(pinned.score(x), measured.score(x))
+
+    def test_injected_timers_keep_their_own_record(self, fake_timer):
+        shared = PricingContext().tuning
+        assert PricingContext().tuning is shared
+        assert PricingContext(timer=fake_timer(SPARSE_KERNEL)).tuning is not shared
+
+    def test_services_on_the_same_weights_score_the_same_bits(
+        self, small_student, rng
+    ):
+        """Each service prices on a context of its own; the shared
+        tuning record still gives them the same kernels and bits."""
+        from repro.runtime import PipelineConfig, ServiceConfig
+        from repro.serving import ScoringService
+
+        x = rng.normal(size=(300, 136))
+        services = [
+            ScoringService(small_student, ServiceConfig(backend="compiled-network"))
+            for _ in range(2)
+        ]
+        np.testing.assert_array_equal(services[0].score(x), services[1].score(x))
+        pruned = small_student.clone()
+        LevelPruner(0.9).apply(pruned.network.first_layer)
+        pipeline = PipelineConfig(
+            stages=[
+                {"model": "pruned", "backend": "compiled-network", "keep_fraction": 0.5},
+                {"model": "student", "backend": "compiled-network"},
+            ]
+        )
+        roles = {"pruned": pruned, "student": small_student}
+        cascades = [
+            ScoringService(roles, ServiceConfig(pipeline=pipeline, max_batch_size=None))
+            for _ in range(2)
+        ]
+        for lo in range(0, 300, 100):
+            np.testing.assert_array_equal(
+                cascades[0].score(x[lo : lo + 100]), cascades[1].score(x[lo : lo + 100])
+            )
+        for service in services + cascades:
+            service.close()
 
 
 # ----------------------------------------------------------------------
