@@ -11,8 +11,8 @@ executable :class:`InferencePlan`:
   (dense GEMM, scalar CSR SpMM when scipy is present, block-CSR SpMM
   under ``block_sparse``) is built as the kernel object the plan will
   execute and timed on the real layer shape, interleaved best-of-
-  :data:`TUNING_REPEATS`, at the :data:`TUNING_BUCKETS` batch sizes
-  (capped at ``max_batch``).  One kernel per layer, by one rule over
+  :data:`TUNING_REPEATS` or more (rounds fill :data:`TUNING_SECONDS`),
+  at the :data:`TUNING_BUCKETS` batch sizes (capped at ``max_batch``).  One kernel per layer, by one rule over
   the buckets: a sparse candidate replaces ``dense-gemm`` only if it is
   at least :data:`SPARSE_MARGIN` times faster at *every* bucket (among
   several such, the lowest geometric mean of its per-bucket ratios to
@@ -24,10 +24,10 @@ executable :class:`InferencePlan`:
   (:meth:`~repro.timing.network_predictor.NetworkTimePredictor.
   layer_kernel_times_all`) still price every layer for ``price()`` and
   cascade budgets, but no longer choose float kernels;
-* **quantized plans** (``quantize=``, int8/int16) and explicit
-  ``kernels=`` overrides are never timed; quantized plans keep the
-  predictors' dense-vs-sparse structure, which their declared score
-  tolerances were calibrated against;
+* **explicit** ``kernels=`` overrides are never timed; **quantized
+  plans** (``quantize=``, int8/int16) take the measured float
+  structure and then choose bit widths, untimed, for the dense layers
+  whose inputs a ReLU6 bounds (the entry layer stays float);
 * **weights pre-converted once** — C-contiguous dense copies, CSR
   arrays, gathered block panels or integer-valued quantized copies;
 * **fused epilogues** — dequantization, bias-add, ReLU6 and (between
@@ -161,11 +161,22 @@ VIEW_CACHE_SIZES = 256
 DEFAULT_TOLERANCE = 0.05
 
 #: Batch sizes (documents) at which the measured arbitration times each
-#: layer's candidate kernels, each capped at the plan's ``max_batch``.
-TUNING_BUCKETS = (16, 128, 1024)
+#: layer's candidate kernels, each capped at the plan's ``max_batch``:
+#: the sizes plans are called at when serving.  A cascade stage call
+#: holds at most 128 documents (``STAGE_CALL_DOCS``), a micro-batched
+#: call at most 256 (``ServiceConfig.max_batch_size``), and calls of
+#: 1-31 documents are common; no served call is larger (see
+#: docs/compiled.md).
+TUNING_BUCKETS = (16, 128, 256)
 #: Interleaved timing rounds per bucket (after one warm-up round); each
-#: candidate keeps its best.
+#: candidate keeps its best.  Rounds go on past :data:`TUNING_REPEATS`
+#: until the bucket's timings add up to :data:`TUNING_SECONDS` (at most
+#: :data:`TUNING_MAX_REPEATS` rounds), so a call of a few microseconds
+#: gets hundreds of samples and a short slow spell of the host cannot
+#: decide a near tie.
 TUNING_REPEATS = 5
+TUNING_SECONDS = 2e-3
+TUNING_MAX_REPEATS = 100
 #: A sparse candidate replaces ``dense-gemm`` only when it is at least
 #: this many times faster at every bucket, so a near tie (where timing
 #: noise would pick either) stays on the dense GEMM.
@@ -221,8 +232,9 @@ class LayerPlan:
     #: of the fingerprint, since they move no bit
     wide_widths: tuple[int, ...] = ()
     #: compile-time ``(kernel, docs, us_per_doc)`` timings of every
-    #: candidate the arbitration measured (empty for an explicit or a
-    #: quantized kernel, which are never timed)
+    #: candidate the arbitration measured (empty for an explicit
+    #: kernel, which is never timed; a quantized layer keeps the float
+    #: timings that chose its dense structure)
     measured: tuple[tuple[str, int, float], ...] = ()
 
     @property
@@ -1022,9 +1034,11 @@ def _tune_layer(
 ) -> LayerTuning:
     """Time a layer's ``candidates`` and choose its one kernel.
 
-    Per bucket (ascending), one warm-up round and then
-    :data:`TUNING_REPEATS` interleaved rounds call ``ctx.timer`` on each
-    live candidate; each keeps its best.  A sparse candidate that is not
+    Per bucket (ascending), one warm-up round and then at least
+    :data:`TUNING_REPEATS` interleaved rounds (more, up to
+    :data:`TUNING_MAX_REPEATS`, until they add up to
+    :data:`TUNING_SECONDS`) call ``ctx.timer`` on each live candidate;
+    each keeps its best.  A sparse candidate that is not
     :data:`SPARSE_MARGIN` times faster than dense at a bucket is out and
     is not timed at larger buckets (it can no longer win).
     """
@@ -1046,11 +1060,17 @@ def _tune_layer(
             for name in alive
         }
         best = dict.fromkeys(alive, float("inf"))
-        for rnd in range(TUNING_REPEATS + 1):
+        spent, rounds = 0.0, 0
+        for name in alive:  # warm-up: builds each call's buffers
+            ctx.timer(runs[name], kernel=name, docs=n, shape=(m, k))
+        while rounds < TUNING_REPEATS or (
+            spent < TUNING_SECONDS and rounds < TUNING_MAX_REPEATS
+        ):
             for name in alive:
                 seconds = ctx.timer(runs[name], kernel=name, docs=n, shape=(m, k))
-                if rnd:
-                    best[name] = min(best[name], seconds)
+                best[name] = min(best[name], seconds)
+                spent += seconds
+            rounds += 1
         for name in alive:
             timings[name, n] = best[name] * 1e6 / n
         alive = [
@@ -1366,10 +1386,11 @@ def compile_network(
         the all-int8 assignment and walking the most score-sensitive
         layers up to int16 and then back to float until the measured
         deviation fits ``tolerance / 2`` (safety margin).  Quantization
-        applies to dense-structure layers; sparse layers stay float.
-        Quantized plans time nothing: they keep the predictors' choice
-        between dense and the layer's sparse candidate (``block-spmm``
-        when its regrouping meets the fill gate, else ``csr-spmm``).
+        applies to the layers the measured arbitration leaves on
+        ``dense-gemm`` whose input a ReLU6 bounds; sparse layers and
+        the entry layer stay float.  Choosing the bit widths times
+        nothing: the float structure is the one a float plan of the
+        same weights gets, from the same tuning record.
     tolerance:
         The score-tolerance budget.  Under ``"auto"`` it is the target
         (default :data:`DEFAULT_TOLERANCE`); under forced modes it is
@@ -1377,9 +1398,10 @@ def compile_network(
         violation raises :class:`CompileError`.  The declared bound is
         published as ``plan.score_tolerance``.
     calibration:
-        Optional ``(rows, input_dim)`` feature batch used to calibrate
-        entry-layer activation scales and measure score deviation;
-        defaults to a fixed-seed standard-normal batch.
+        Optional ``(rows, input_dim)`` feature batch used to measure
+        score deviation (and to calibrate the input scale of a layer
+        explicitly forced to a quantized kernel without a ReLU6 before
+        it); defaults to a fixed-seed standard-normal batch.
     block_sparse:
         Try to regroup each layer's non-zeros into dense ``block_shape``
         tiles (:func:`repro.matmul.blocks.regroup_to_blocks`).  When the
@@ -1458,17 +1480,7 @@ def compile_network(
             tuning = None
             if override is None:
                 candidates = _float_candidates(block, np_dtype)
-                if quantize != "none":
-                    # Quantized plans are not timed: they keep the
-                    # predictors' dense-vs-sparse structure, which their
-                    # declared tolerances were calibrated against.
-                    sparse = candidates[-1]
-                    structure = (
-                        sparse
-                        if sparse != DENSE_KERNEL and times[sparse] < dense_us
-                        else DENSE_KERNEL
-                    )
-                elif len(candidates) == 1:
+                if len(candidates) == 1:
                     structure = DENSE_KERNEL
                 else:
                     tune_started = time.perf_counter()
@@ -1540,12 +1552,18 @@ def compile_network(
             )
 
         # ---- bit-width assignment (dtype selection) ------------------
+        # Only layers fed by a ReLU6 quantize: their inputs lie in
+        # [0, 6], a static grid.  The entry layer stays float, since raw
+        # features have no bound and any calibrated input scale clips
+        # some serving row.
         n = len(choices)
         bits: list = [choice.forced_bits for choice in choices]
         eligible = [
             j
             for j, choice in enumerate(choices)
-            if choice.structure == DENSE_KERNEL
+            if j > 0
+            and choices[j - 1].activation == "relu6"
+            and choice.structure == DENSE_KERNEL
             and not choice.forced_float
             and choice.forced_bits is None
         ]

@@ -66,6 +66,16 @@ class FakeTimer:
         return self.cost(kernel, docs, shape)
 
 
+def _favouring(winner: str):
+    """Fake cost: ``winner`` 2x faster than every other kernel at every
+    batch size."""
+
+    def cost(kernel, docs, shape):
+        return docs * 1e-6 * (0.5 if kernel == winner else 1.0)
+
+    return cost
+
+
 @pytest.fixture()
 def fake_timer():
     """``fake_timer(cost)`` -> a :class:`FakeTimer`; ``cost`` may also
@@ -73,15 +83,17 @@ def fake_timer():
     other kernel at every batch size."""
 
     def build(cost) -> FakeTimer:
-        if isinstance(cost, str):
-            winner = cost
-
-            def cost(kernel, docs, shape):
-                return docs * 1e-6 * (0.5 if kernel == winner else 1.0)
-
-        return FakeTimer(cost)
+        return FakeTimer(_favouring(cost) if isinstance(cost, str) else cost)
 
     return build
+
+
+@pytest.fixture(scope="session")
+def dense_timer():
+    """A :class:`FakeTimer` under which ``dense-gemm`` wins every layer:
+    the shared pricing contexts of the runtime tests use it, so their
+    plans' kernels do not depend on how fast this host runs them."""
+    return FakeTimer(_favouring("dense-gemm"))
 
 
 @pytest.fixture()

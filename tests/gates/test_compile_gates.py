@@ -89,7 +89,9 @@ def test_float32_speedup(pruned_network, gate_features):
     """The measured float32 plan (real timer) against naive ``predict``,
     timed alternately so a slow spell of the host hits both."""
     chunk = np.ascontiguousarray(gate_features[:BATCH])
-    f32 = compile_network(pruned_network, dtype="float32")
+    f32 = compile_network(
+        pruned_network, context=PricingContext(timer=wall_timer), dtype="float32"
+    )
     err = float(np.abs(f32.score(chunk) - pruned_network.predict(chunk)).max())
     assert err <= F32_MAX_ABS_ERR, f"float32 plan error {err:.2e}"
     naive = compiled = float("inf")

@@ -581,21 +581,6 @@ class TestScoreQueriesTogether:
             assert result.predicted_spend_us == spend
             assert result.exited_early == exited
 
-    def test_more_queries_than_int16_counts(self):
-        """Past 2**15 live queries the cut keys each score's query in a
-        wider integer; sampled queries still equal their lone runs."""
-        cascade = self._cascade((0.5, 0.5, 1.0), None, [])
-        rows = [2, 3] * 17_000
-        x = np.random.default_rng(3).normal(size=(sum(rows), 4))
-        scores, results = cascade.score_queries_detailed(x, rows)
-        starts = np.cumsum(rows) - rows
-        for q in (0, 1, 2**15 - 1, 2**15, 2**15 + 1, len(rows) - 1):
-            lo, n = int(starts[q]), rows[q]
-            alone = cascade.score_query_detailed(x[lo : lo + n])
-            np.testing.assert_array_equal(scores[lo : lo + n], alone.scores)
-            for mine, theirs in zip(results[q].survivors, alone.survivors):
-                np.testing.assert_array_equal(mine, theirs)
-
     def test_stages_share_calls(self):
         calls: list[int] = []
         cascade = self._cascade((0.5, 0.5, 1.0), None, calls)

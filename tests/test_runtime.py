@@ -28,9 +28,10 @@ from repro.serving import ScoringService
 
 
 @pytest.fixture(scope="module")
-def context(predictor_cache):
-    """One pricing context over the session-calibrated predictor."""
-    return PricingContext(predictor=predictor_cache)
+def context(predictor_cache, dense_timer):
+    """One pricing context over the session-calibrated predictor, with
+    ``dense-gemm`` winning every measured layer."""
+    return PricingContext(predictor=predictor_cache, timer=dense_timer)
 
 
 @pytest.fixture(scope="module")

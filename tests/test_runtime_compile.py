@@ -49,16 +49,19 @@ from repro.runtime.base import (
 from repro.runtime.compile import (
     BLOCK_KERNEL,
     DENSE_KERNEL,
+    INT8_KERNEL,
     SPARSE_KERNEL,
     SPARSE_MARGIN,
+    TUNING_MAX_REPEATS,
+    TUNING_REPEATS,
     VIEW_CACHE_SIZES,
 )
 from tests.gates.test_compile_gates import ALLOC_TOLERANCE
 
 
 @pytest.fixture(scope="module")
-def context(predictor_cache):
-    return PricingContext(predictor=predictor_cache)
+def context(predictor_cache, dense_timer):
+    return PricingContext(predictor=predictor_cache, timer=dense_timer)
 
 
 def _network(
@@ -867,13 +870,13 @@ class TestMeasuredArbitration:
             SPARSE_KERNEL, DENSE_KERNEL, DENSE_KERNEL,
         ]
         first, second = plan.layers[:2]
-        assert first.measured_us_per_doc(SPARSE_KERNEL) == {16: 0.5, 128: 0.5, 1024: 0.5}
+        assert first.measured_us_per_doc(SPARSE_KERNEL) == {16: 0.5, 128: 0.5, 256: 0.5}
         assert first.measured_us_per_doc() == first.measured_us_per_doc(SPARSE_KERNEL)
-        assert first.measured_us_per_doc(DENSE_KERNEL) == {16: 1.0, 128: 1.0, 1024: 1.0}
+        assert first.measured_us_per_doc(DENSE_KERNEL) == {16: 1.0, 128: 1.0, 256: 1.0}
         # A loser is not timed past the first bucket it loses.
         assert second.measured_us_per_doc(SPARSE_KERNEL) == {16: 1.0}
-        assert "0.5 measured us/doc @1024" in first.describe()
-        assert "predicted/measured us/doc @1024" in plan.describe()
+        assert "0.5 measured us/doc @256" in first.describe()
+        assert "predicted/measured us/doc @256" in plan.describe()
 
     def test_buckets_capped_at_max_batch(self, fake_timer):
         timer = fake_timer(SPARSE_KERNEL)
@@ -882,6 +885,21 @@ class TestMeasuredArbitration:
             max_batch=100,
         )
         assert set(plan.layers[0].measured_us_per_doc()) == {16, 100}
+
+    @pytest.mark.parametrize(
+        "seconds, rounds", [(1e-6, TUNING_MAX_REPEATS), (1e-3, TUNING_REPEATS)]
+    )
+    def test_short_calls_get_more_rounds(self, fake_timer, seconds, rounds):
+        """Rounds go on until a bucket's timings add up to
+        TUNING_SECONDS: microsecond calls get the most, slow ones the
+        fewest."""
+        timer = fake_timer(lambda kernel, docs, shape: seconds)
+        compile_network(
+            _network((8,), seed=29), context=PricingContext(timer=timer),
+            max_batch=16,
+        )
+        # Two layers, two candidates, one bucket, plus the warm-up round.
+        assert timer.calls == 2 * 2 * (rounds + 1)
 
     @pytest.mark.parametrize("speedup", [1.05, 1.5])
     def test_sparse_must_win_by_the_margin(self, fake_timer, speedup):
@@ -921,9 +939,9 @@ class TestMeasuredArbitration:
         "csr_buckets, expected",
         [
             ({16}, DENSE_KERNEL),
-            ({1024}, DENSE_KERNEL),
+            ({256}, DENSE_KERNEL),
             ({16, 128}, DENSE_KERNEL),
-            ({16, 128, 1024}, SPARSE_KERNEL),
+            ({16, 128, 256}, SPARSE_KERNEL),
         ],
     )
     def test_one_kernel_per_layer_keeps_chunk_invariance(
@@ -945,7 +963,7 @@ class TestMeasuredArbitration:
             parts = [plan.score(x[i : i + split]) for i in range(0, 1000, split)]
             np.testing.assert_array_equal(np.concatenate(parts), whole)
 
-    def test_explicit_kernels_and_quantize_time_nothing(self, fake_timer):
+    def test_explicit_kernels_time_nothing(self, fake_timer):
         timer = fake_timer(SPARSE_KERNEL)
         context = PricingContext(timer=timer)
         network = _network((16, 8), sparsity=0.9, seed=26)
@@ -954,11 +972,37 @@ class TestMeasuredArbitration:
             kernels=[SPARSE_KERNEL, DENSE_KERNEL, DENSE_KERNEL],
         )
         assert all(not lp.measured for lp in plan.layers)
-        for quantize in ("int8", "int16", "auto"):
-            compile_network(
+        assert timer.calls == 0 and len(context.tuning) == 0
+
+    def test_quantized_plans_take_the_measured_structure(self, fake_timer):
+        """A quantized plan times only the float candidates, from the
+        record a float plan of the same weights shares; choosing bit
+        widths times nothing.  Its measured-sparse layer and its entry
+        layer stay float."""
+        timer = fake_timer(_favour_on((8, 16), SPARSE_KERNEL))
+        context = PricingContext(timer=timer)
+        network = _network((16, 8), sparsity=0.9, seed=26)
+        first = compile_network(
+            network, context=context, dtype="float32", quantize="int8"
+        )
+        calls = timer.calls
+        assert calls > 0
+        assert [(lp.kernel, lp.bits) for lp in first.layers] == [
+            (DENSE_KERNEL, None), (SPARSE_KERNEL, None), (INT8_KERNEL, 8),
+        ]
+        float_plan = compile_network(network, context=context, dtype="float32")
+        assert [lp.kernel for lp in float_plan.layers] == [
+            DENSE_KERNEL, SPARSE_KERNEL, DENSE_KERNEL,
+        ]
+        for quantize in ("int16", "auto"):
+            plan = compile_network(
                 network, context=context, dtype="float32", quantize=quantize
             )
-        assert timer.calls == 0 and len(context.tuning) == 0
+            for lp, float_lp in zip(plan.layers, float_plan.layers):
+                assert lp.kernel == float_lp.kernel or (
+                    lp.bits is not None and float_lp.kernel == DENSE_KERNEL
+                )
+        assert timer.calls == calls
 
     def test_concurrent_compiles_agree(self, fake_timer):
         """Threads tuning the same layers at once, each timer verdict a

@@ -38,8 +38,8 @@ from repro.runtime.compile import (
 
 
 @pytest.fixture(scope="module")
-def context(predictor_cache):
-    return PricingContext(predictor=predictor_cache)
+def context(predictor_cache, dense_timer):
+    return PricingContext(predictor=predictor_cache, timer=dense_timer)
 
 
 def _network(
