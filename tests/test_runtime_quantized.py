@@ -250,15 +250,16 @@ class TestKernelArbitration:
         assert forced.layers[-1].kernel == DENSE_KERNEL
         assert forced.layers[-1].bits is None
 
-    def test_sparse_layers_stay_float_under_quantize(self, context):
+    def test_sparse_layers_stay_float_under_quantize(self, fake_timer):
         network = _network((64, 8), input_dim=64, sparsity=0.9, block_cols=8)
         plan = compile_network(
             network,
-            context=context,
+            context=PricingContext(timer=fake_timer(BLOCK_KERNEL)),
             dtype="float32",
             quantize="int8",
             block_sparse=True,
         )
+        assert plan.layers[0].kernel == BLOCK_KERNEL
         for lp in plan.layers:
             if lp.kernel in (SPARSE_KERNEL, BLOCK_KERNEL):
                 assert lp.bits is None
