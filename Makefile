@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast verify bench-test smoke obs-smoke resilience-smoke parallel-smoke quant-smoke serving-smoke trace-smoke lifecycle-smoke bench examples report clean
+.PHONY: install test test-fast verify bench-test smoke obs-smoke parallel-smoke quant-smoke serving-smoke trace-smoke lifecycle-smoke bench examples report clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -14,7 +14,7 @@ test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow" -x
 
 # Tier-1 gate: the full suite plus a bytecode compile of the library.
-verify: obs-smoke resilience-smoke parallel-smoke quant-smoke serving-smoke trace-smoke lifecycle-smoke bench-test
+verify: obs-smoke parallel-smoke quant-smoke serving-smoke trace-smoke lifecycle-smoke bench-test
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(PYTHON) -m compileall -q src
 
@@ -31,11 +31,6 @@ smoke:
 # JSON + Prometheus exporters and the drift series are well-formed.
 obs-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.obs.smoke
-
-# Resilience gate: fault-inject each built-in backend and assert the
-# fallback chain degrades and recovers without a failed request.
-resilience-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.runtime.resilience_smoke
 
 # Parallel gate: shard every backend over the worker pool and assert
 # bit-identical scores plus a measured >1x cache/pool speedup.

@@ -30,7 +30,6 @@ def test_ablation_cascade(msn_pipeline, benchmark):
         [
             CascadeStage.from_model(
                 student,
-                backend="sparse-network",
                 name="pruned " + net_spec.describe(),
                 cost_us_per_doc=net_eval.time_us,
                 keep_fraction=0.3,

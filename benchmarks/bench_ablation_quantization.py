@@ -17,20 +17,21 @@ BITS = (8, 6, 4)
 
 
 def test_ablation_quantization(msn_pipeline, predictor, benchmark):
-    from repro.runtime import PricingContext, price
+    from dataclasses import replace
+
+    from repro.runtime import PricingContext, price, student_shape
 
     student = msn_pipeline.pruned_student(msn_pipeline.zoo.flagship)
     test = msn_pipeline.test
     baseline = mean_ndcg(test, student.predict(test.features), 10)
 
-    # Both prices come from the one runtime pricing surface: the fp32
-    # hybrid via the sparse backend, int8 via the quantized backend
-    # (which auto-selects hybrid pricing for this pruned student).
+    # Both prices come from the one runtime pricing surface, at the
+    # pruned student's shape: the fp32 hybrid, and int8 over the
+    # quantized twin's first-layer structure.
     context = PricingContext(predictor=predictor)
-    fp32_us = price(student, context=context, backend="sparse-network")
-    int8_us = price(
-        student, context=context, backend="quantized-network", quantized_bits=8
-    )
+    fp32_us = price(student_shape(student, sparse=True), context=context)
+    int8_shape = student_shape(quantize_student(student, bits=8), sparse=True)
+    int8_us = price(replace(int8_shape, bits=8), context=context)
 
     rows = [("fp32 (pruned baseline)", round(baseline, 4), "-", round(fp32_us, 2))]
     quality = {}

@@ -38,7 +38,7 @@ def test_parallel_scaling(msn_pipeline, benchmark):
     rng = np.random.default_rng(3)
     features = rng.standard_normal((4096, msn_pipeline.train.n_features))
 
-    plain = make_scorer(student, backend="dense-network")
+    plain = make_scorer(student)
     reference = plain.score(features)
     base_rate = _best_rate(plain, features)
 

@@ -159,7 +159,7 @@ def test_serving_sustained_load(benchmark):
         previous_registry = obs.set_registry(MetricsRegistry())
         obs.get_request_recorder().reset()
         service = ScoringService(
-            models["dense-network"], ServiceConfig(backend="dense-network")
+            models["student"], ServiceConfig(backend="compiled-network")
         )
         report = run_load(
             service, spec, make_queries(spec, n_features), frontend=frontend
@@ -230,7 +230,7 @@ def test_serving_sustained_load(benchmark):
     # Representative kernel for pytest-benchmark: one coalesced engine
     # call over 16 concurrent 10-doc requests.
     service = ScoringService(
-        models["dense-network"], ServiceConfig(backend="dense-network")
+        models["student"], ServiceConfig(backend="compiled-network")
     )
     queries = make_queries(SCENARIOS[0][1], n_features)[:16]
     benchmark(lambda: service.engine.score_coalesced(queries))

@@ -56,13 +56,12 @@ def sharded_service() -> None:
     print("=" * 72)
     models = build_probe_models(n_queries=12, docs_per_query=40, seed=SEED)
     dataset = models["dataset"]
-    student = models["dense-network"]
+    student = models["student"]
 
-    plain = ScoringService(student, ServiceConfig(backend="dense-network"))
+    plain = ScoringService(student, ServiceConfig())
     sharded = ScoringService(
         student,
         ServiceConfig(
-            backend="dense-network",
             parallel=ParallelConfig(
                 workers=2,
                 strategy="size-capped",
@@ -96,7 +95,7 @@ def cache_payoff() -> None:
     print("=" * 72)
     models = build_probe_models(n_queries=10, docs_per_query=60, seed=SEED)
     features = models["dataset"].features
-    scorer = make_scorer(models["dense-network"], backend="dense-network")
+    scorer = make_scorer(models["student"])
     print(f"  workload: {features.shape[0]} docs, scored twice")
 
     from repro.runtime import ParallelConfig, ShardedScorer

@@ -43,16 +43,16 @@ SEED = 7
 
 def degradation_ladder() -> None:
     print("=" * 72)
-    print("1. Degradation ladder: faulty forest -> sparse student -> stub")
+    print("1. Degradation ladder: faulty forest -> pruned student -> stub")
     print("=" * 72)
     models = build_probe_models(n_queries=18, docs_per_query=12, seed=SEED)
     dataset = models["dataset"]
 
     primary = with_faults(
-        make_scorer(models["quickscorer"], backend="quickscorer"),
+        make_scorer(models["forest"]),
         FaultPolicy.every(3),  # every 3rd request the forest raises
     )
-    fallback = make_scorer(models["sparse-network"], backend="sparse-network")
+    fallback = make_scorer(models["pruned"])
     service = ScoringService(
         primary,
         ServiceConfig(

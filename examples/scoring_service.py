@@ -59,7 +59,7 @@ def main() -> None:
     ).prune(student, forest, train)
 
     print("\nPricing the stages through the runtime ...")
-    stage1_us = price(pruned, backend="sparse-network")
+    stage1_us = price(pruned)
     stage2_us = price(forest)
     print(f"  stage 1 (pruned net): {stage1_us:.2f} us/doc over the full pool")
     print(f"  stage 2 (QuickScorer): {stage2_us:.2f} us/doc over the top pool")
@@ -67,7 +67,7 @@ def main() -> None:
     cascade = EarlyExitCascade(
         [
             CascadeStage.from_model(
-                pruned, backend="sparse-network", keep_fraction=0.34,
+                pruned, keep_fraction=0.34,
                 name="pruned net",
             ),
             CascadeStage.from_model(forest, name="quickscorer forest"),

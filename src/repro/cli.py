@@ -70,6 +70,10 @@ from repro.timing import NetworkTimePredictor, load_predictor, save_predictor
 
 log = logging.getLogger("repro.cli")
 
+#: The probe model (by role, see :mod:`repro.obs.probe`) each probe
+#: subcommand's ``--backend`` choice serves.
+PROBE_ROLES = {"quickscorer": "forest", "compiled-network": "student"}
+
 
 def _configure_logging(*, verbose: bool = False, quiet: bool = False) -> None:
     """Point the ``repro`` logger at stdout with a level and format.
@@ -212,7 +216,8 @@ def cmd_score(args) -> int:
         model = DistilledStudent.load(args.network)
     # Model dispatch lives in the runtime registry, not here: any model
     # family with a registered backend scores through the same path.
-    # Pricing stays lazy, so no predictor calibration is paid to score.
+    # Forest pricing stays lazy; a student compiles to its plan, which
+    # prices its layers as it is built.
     scorer = make_scorer(model)
     dataset = load_svmlight(args.data, n_features=scorer.input_dim)
     scores = scorer.score(dataset.features)
@@ -481,14 +486,11 @@ def cmd_resilience(args) -> int:
     )
     dataset = models["dataset"]
     primary = with_faults(
-        make_scorer(models[args.backend], backend=args.backend),
+        make_scorer(models[PROBE_ROLES[args.backend]], backend=args.backend),
         FaultPolicy.every(args.fault_every, args.fault_kind,
                           stall_seconds=args.stall_seconds),
     )
-    fallback_backend = (
-        "sparse-network" if args.backend != "sparse-network" else "dense-network"
-    )
-    fallback = make_scorer(models[fallback_backend], backend=fallback_backend)
+    fallback = make_scorer(models["pruned"])
     service = ScoringService(
         primary,
         ServiceConfig(
@@ -547,9 +549,9 @@ def cmd_cascade(args) -> int:
         keeps.append(keeps[-1] if keeps else 0.5)
     config = PipelineConfig(
         stages=[
-            {"model": "sparse-network", "keep_fraction": keeps[0]},
-            {"model": "dense-network", "keep_fraction": keeps[1]},
-            {"model": "quickscorer"},
+            {"model": "pruned", "keep_fraction": keeps[0]},
+            {"model": "student", "keep_fraction": keeps[1]},
+            {"model": "forest"},
         ],
         budget_us_per_query=args.budget_us,
     )
@@ -595,9 +597,9 @@ def cmd_cascade(args) -> int:
         return best * 1e6 / len(queries), mean_ndcg(dataset, scores, 10)
 
     systems = [("cascade", service.score, service.scorer.predicted_us_per_doc)]
-    for backend in ("sparse-network", "dense-network", "quickscorer"):
-        scorer = make_scorer(models[backend], backend=backend)
-        systems.append((backend, scorer.score, scorer.predicted_us_per_doc))
+    for role in ("pruned", "student", "forest"):
+        scorer = make_scorer(models[role])
+        systems.append((role, scorer.score, scorer.predicted_us_per_doc))
     header = (
         f"{'system':<16} {'pred us/doc':>12} {'us/query':>10} {'NDCG@10':>8}"
     )
@@ -654,7 +656,9 @@ def cmd_throughput(args) -> int:
         n_queries=args.queries, docs_per_query=args.docs, seed=args.seed
     )
     features = models["dataset"].features
-    base_scorer = make_scorer(models[args.backend], backend=args.backend)
+    base_scorer = make_scorer(
+        models[PROBE_ROLES[args.backend]], backend=args.backend
+    )
     baseline_scores = base_scorer.score(features)
 
     def measure(scorer) -> float:
@@ -731,11 +735,8 @@ def cmd_serve(args) -> int:
         n_queries=args.queries, docs_per_query=args.docs, seed=args.seed
     )
     dataset = models["dataset"]
-    model_key = (
-        "sparse-network" if args.backend == "compiled-network" else args.backend
-    )
     service = ScoringService(
-        models[model_key], ServiceConfig(backend=args.backend)
+        models[PROBE_ROLES[args.backend]], ServiceConfig(backend=args.backend)
     )
     requests = [
         dataset.features[start:stop]
@@ -836,11 +837,8 @@ def cmd_loadtest(args) -> int:
             seed=args.seed,
         )
     models = build_probe_models(n_queries=8, docs_per_query=16, seed=args.seed)
-    model_key = (
-        "sparse-network" if args.backend == "compiled-network" else args.backend
-    )
     service = ScoringService(
-        models[model_key], ServiceConfig(backend=args.backend)
+        models[PROBE_ROLES[args.backend]], ServiceConfig(backend=args.backend)
     )
     frontend = AsyncConfig(
         max_wait_us=args.max_wait_us,
@@ -849,7 +847,7 @@ def cmd_loadtest(args) -> int:
     )
     swap_fn = None
     if args.swap_at is not None:
-        candidate = models[model_key]
+        candidate = models[PROBE_ROLES[args.backend]]
         if hasattr(candidate, "clone"):
             candidate = candidate.clone()
             last = candidate.network.linears[-1]
@@ -858,8 +856,8 @@ def cmd_loadtest(args) -> int:
             swap_kwargs = {}
         else:
             # forests have no cheap perturbed twin; swap to the student
-            candidate = models["dense-network"]
-            swap_kwargs = {"backend": "dense-network"}
+            candidate = models["student"]
+            swap_kwargs = {"backend": "compiled-network"}
         swap_fn = lambda front: front.swap(  # noqa: E731
             candidate, version="v2", force=True, **swap_kwargs
         )
@@ -906,7 +904,7 @@ def cmd_swap(args) -> int:
         n_queries=args.queries, docs_per_query=args.docs, seed=args.seed
     )
     dataset = models["dataset"]
-    student = models["dense-network"]
+    student = models["student"]
     service = ScoringService(
         student,
         ServiceConfig(
@@ -1003,11 +1001,8 @@ def _traced_probe_load(args):
         seed=args.seed,
     )
     models = build_probe_models(n_queries=8, docs_per_query=16, seed=args.seed)
-    model_key = (
-        "sparse-network" if args.backend == "compiled-network" else args.backend
-    )
     service = ScoringService(
-        models[model_key], ServiceConfig(backend=args.backend)
+        models[PROBE_ROLES[args.backend]], ServiceConfig(backend=args.backend)
     )
     recorder = obs.RequestRecorder(enabled=True)
     previous_recorder = obs.set_request_recorder(recorder)
@@ -1121,11 +1116,8 @@ def cmd_top(args) -> int:
         seed=args.seed,
     )
     models = build_probe_models(n_queries=8, docs_per_query=16, seed=args.seed)
-    model_key = (
-        "sparse-network" if args.backend == "compiled-network" else args.backend
-    )
     service = ScoringService(
-        models[model_key], ServiceConfig(backend=args.backend)
+        models[PROBE_ROLES[args.backend]], ServiceConfig(backend=args.backend)
     )
     queries = make_queries(spec, models["dataset"].features.shape[1])
     recorder = obs.RequestRecorder(enabled=True)
@@ -1302,7 +1294,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=("quickscorer", "dense-network", "sparse-network"),
+        choices=tuple(PROBE_ROLES),
         default="quickscorer",
         help="primary backend to fault-inject",
     )
@@ -1444,8 +1436,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=("quickscorer", "dense-network", "sparse-network"),
-        default="dense-network",
+        choices=tuple(PROBE_ROLES),
+        default="compiled-network",
         help="backend to shard",
     )
     p.add_argument(
@@ -1484,11 +1476,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=(
-            "quickscorer", "dense-network", "sparse-network",
-            "compiled-network",
-        ),
-        default="dense-network",
+        choices=tuple(PROBE_ROLES),
+        default="compiled-network",
         help="backend to serve through the front-end",
     )
     p.add_argument(
@@ -1510,11 +1499,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=(
-            "quickscorer", "dense-network", "sparse-network",
-            "compiled-network",
-        ),
-        default="dense-network",
+        choices=tuple(PROBE_ROLES),
+        default="compiled-network",
     )
     p.add_argument(
         "--spec", help="LoadSpec JSON file (overrides the flags below)"
@@ -1643,11 +1629,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=(
-            "quickscorer", "dense-network", "sparse-network",
-            "compiled-network",
-        ),
-        default="dense-network",
+        choices=tuple(PROBE_ROLES),
+        default="compiled-network",
     )
     p.add_argument("--workers", type=int, default=8)
     p.add_argument("--requests-per-worker", type=int, default=8)
@@ -1666,11 +1649,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=(
-            "quickscorer", "dense-network", "sparse-network",
-            "compiled-network",
-        ),
-        default="dense-network",
+        choices=tuple(PROBE_ROLES),
+        default="compiled-network",
     )
     p.add_argument(
         "--duration", type=float, default=2.0,

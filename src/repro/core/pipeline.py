@@ -43,7 +43,13 @@ from repro.forest.ensemble import TreeEnsemble
 from repro.forest.lambdamart import LambdaMartRanker
 from repro.metrics.ranking import average_precision, ndcg, per_query_metric
 from repro.pruning.pipeline import FirstLayerPruner
-from repro.runtime import ForestShape, PricingContext, price, shared_predictor
+from repro.runtime import (
+    ForestShape,
+    PricingContext,
+    price,
+    shared_predictor,
+    student_shape,
+)
 from repro.timing.network_predictor import NetworkTimePredictor
 
 
@@ -312,13 +318,14 @@ class EfficientRankingPipeline:
     ) -> EvaluatedModel:
         """Quality and predicted time of a (dense or pruned) student."""
         student = self.pruned_student(spec) if pruned else self.student(spec)
-        # The backend is forced (not sparsity-threshold-detected) so a
-        # pruned student is always priced hybrid and a dense one dense,
-        # matching the paper's deployment assumption for each family.
-        backend = "sparse-network" if pruned else "dense-network"
+        # Priced analytically at the student's shape: a pruned student
+        # hybrid, a dense one dense, the paper's deployment assumption
+        # for each family.
         with obs.span("pipeline.evaluate", model=spec.name, family="neural"):
             q = self.quality(student.predict(self.test.features))
-            time_us = price(student, context=self.pricing, backend=backend)
+            time_us = price(
+                student_shape(student, sparse=pruned), context=self.pricing
+            )
         suffix = " (sparse)" if pruned else ""
         return EvaluatedModel(
             name=spec.name + suffix,

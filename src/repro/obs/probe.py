@@ -1,10 +1,12 @@
-"""A tiny three-backend scoring workload that exercises the whole layer.
+"""A tiny three-model scoring workload that exercises the whole layer.
 
 :func:`run_probe` builds miniature models of the paper's three serving
 families — a LambdaMART forest behind QuickScorer, a dense student and a
-first-layer-sparse student — routes a stream of per-query requests
-through :class:`~repro.serving.ScoringService`, and returns the services
-so callers can inspect stats, drift and spans.  It backs both the
+first-layer-pruned student, both served through compiled plans — routes
+a stream of per-query requests through
+:class:`~repro.serving.ScoringService`, and returns the services so
+callers can inspect stats, drift and spans.  Models are keyed by role:
+``forest``, ``student`` and ``pruned``.  It backs both the
 ``repro stats`` subcommand and the ``make obs-smoke`` gate: small enough
 to run in seconds, real enough to touch pricing, batching, tracing and
 the drift gauges end to end.
@@ -22,7 +24,8 @@ from typing import Any
 def build_probe_models(
     *, n_queries: int = 24, docs_per_query: int = 16, seed: int = 0
 ) -> dict[str, Any]:
-    """A tiny dataset plus one model per backend family.
+    """A tiny dataset plus one model per role (``forest``, ``student``,
+    ``pruned``).
 
     The students are randomly initialised (drift audits scoring *cost*,
     which is architecture-determined, not quality); the forest is a real
@@ -53,9 +56,9 @@ def build_probe_models(
     LevelPruner(0.95).apply(sparse.network.first_layer)
     return {
         "dataset": dataset,
-        "quickscorer": forest,
-        "dense-network": dense,
-        "sparse-network": sparse,
+        "forest": forest,
+        "student": dense,
+        "pruned": sparse,
     }
 
 
@@ -66,9 +69,9 @@ def run_probe(
     seed: int = 0,
     max_batch_size: int | None = 64,
 ) -> dict[str, Any]:
-    """Score every query with every backend; returns the services.
+    """Score every query with every model; returns the services.
 
-    The result maps backend name to its :class:`ScoringService`, plus
+    The result maps each role to its :class:`ScoringService`, plus
     ``"dataset"`` to the generated collection.
     """
     from repro import obs
@@ -79,14 +82,14 @@ def run_probe(
     )
     dataset = models["dataset"]
     services: dict[str, Any] = {"dataset": dataset}
-    for backend in ("quickscorer", "dense-network", "sparse-network"):
-        with obs.span("probe.serve", backend=backend):
+    for role in ("forest", "student", "pruned"):
+        with obs.span("probe.serve", role=role):
             service = ScoringService(
-                models[backend], backend=backend, max_batch_size=max_batch_size
+                models[role], max_batch_size=max_batch_size
             )
             for start, stop in zip(
                 dataset.query_ptr[:-1], dataset.query_ptr[1:]
             ):
                 service.score(dataset.features[start:stop])
-        services[backend] = service
+        services[role] = service
     return services

@@ -1,10 +1,10 @@
 """Self-checking observability smoke run (``make obs-smoke``).
 
-Runs the three-backend probe with tracing enabled, renders every
+Runs the three-model probe with tracing enabled, renders every
 exporter, and *asserts* the output is well-formed: the JSON document
 parses and carries spans plus metric series, the Prometheus text obeys
-the exposition grammar, and the drift report covers the QuickScorer,
-dense and sparse backends.  Exits non-zero on any violation, so CI can
+the exposition grammar, and the drift report covers the QuickScorer and
+compiled-network backends.  Exits non-zero on any violation, so CI can
 gate on ``python -m repro.obs.smoke``.
 """
 
@@ -18,7 +18,7 @@ _SAMPLE_LINE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (NaN|[+-]?[0-9].*|[+-]Inf)$"
 )
 
-REQUIRED_BACKENDS = ("quickscorer", "dense-network", "sparse-network")
+REQUIRED_BACKENDS = ("quickscorer", "compiled-network")
 
 
 def check_json(text: str) -> None:

@@ -79,7 +79,7 @@ def _fresh_service():
     models = build_probe_models(n_queries=8, docs_per_query=8, seed=0)
     return (
         ScoringService(
-            models["dense-network"], ServiceConfig(backend="dense-network")
+            models["student"], ServiceConfig(backend="compiled-network")
         ),
         models["dataset"].features.shape[1],
     )

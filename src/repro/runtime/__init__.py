@@ -42,13 +42,10 @@ See ``docs/runtime.md`` for the design and extension guide.
 from repro.runtime.adapters import (
     CascadeScorer,
     CompiledNetworkScorer,
-    DenseNetworkScorer,
     GpuQuickScorerAdapter,
-    QuantizedNetworkScorer,
     QuickScorerAdapter,
-    SparseNetworkScorer,
 )
-from repro.runtime.base import BaseScorer, Scorer, is_scorer, stable_forward
+from repro.runtime.base import BaseScorer, Scorer, is_scorer
 from repro.runtime.batching import BatchEngine, BudgetExceededError, ServiceStats
 from repro.runtime.compile import (
     BLOCK_KERNEL,
@@ -112,6 +109,7 @@ from repro.runtime.pricing import (
     price,
     price_forest_shape,
     price_network_shape,
+    student_shape,
 )
 from repro.runtime.ranking import (
     PipelineConfig,
@@ -160,7 +158,6 @@ __all__ = [
     "CompiledNetworkScorer",
     "DENSE_KERNEL",
     "DeadlineExceededError",
-    "DenseNetworkScorer",
     "FallbackChain",
     "FaultPolicy",
     "FaultSpec",
@@ -186,7 +183,6 @@ __all__ = [
     "PipelineStageConfig",
     "PoolClosedError",
     "PricingContext",
-    "QuantizedNetworkScorer",
     "QuickScorerAdapter",
     "RankingPipeline",
     "ResilienceConfig",
@@ -203,7 +199,6 @@ __all__ = [
     "ShadowStats",
     "ShardPlan",
     "ShardedScorer",
-    "SparseNetworkScorer",
     "StubScorer",
     "SwapEvent",
     "TenantConfig",
@@ -229,7 +224,7 @@ __all__ = [
     "scorer_fingerprint",
     "set_default_context",
     "shared_predictor",
-    "stable_forward",
+    "student_shape",
     "unregister_backend",
     "with_faults",
 ]

@@ -8,16 +8,17 @@ backend             executes                        priced by
 ==================  =============================  =========================
 quickscorer         QuickScorer bitvector traversal QuickScorer cost model
 quickscorer-gpu     (same traversal, CPU-simulated) GPU QuickScorer model
-dense-network       chunk-stable FFN forward        dense predictor (Eq. 3)
-sparse-network      chunk-stable FFN forward        hybrid dense+Eq. 5 price
-quantized-network   fake-quantized FFN forward      int-``bits`` timing model
 cascade             per-request early-exit cascade  expected amortized cost
 compiled-network    AOT-compiled inference plan     the plan's chosen kernels
 ==================  =============================  =========================
 
-All network adapters score through :func:`~repro.runtime.base.
-stable_forward`, so micro-batched and whole-request scoring are
-bit-identical (see ``base.py``).
+Every :class:`~repro.distill.student.DistilledStudent`, dense or
+pruned, scores through its compiled plan, by default a float64
+``stable=True`` one, so micro-batched and whole-request scoring are
+bit-identical (see ``base.py``).  The paper's analytic dense and hybrid
+prices are :func:`~repro.runtime.pricing.price` over a
+:class:`~repro.runtime.pricing.NetworkShape`
+(:func:`~repro.runtime.pricing.student_shape`).
 """
 
 from __future__ import annotations
@@ -28,22 +29,10 @@ from repro import obs
 from repro.design.cascade import EarlyExitCascade
 from repro.distill.student import DistilledStudent
 from repro.forest.ensemble import TreeEnsemble
-from repro.matmul.csr import CsrMatrix
 from repro.obs.cascade import CascadeSeries
 from repro.quickscorer.scorer import QuickScorer
-from repro.runtime.base import (
-    BaseScorer,
-    hidden_request_rows,
-    request_rows,
-    stable_forward,
-)
+from repro.runtime.base import BaseScorer, hidden_request_rows, request_rows
 from repro.runtime.context import PricingContext
-from repro.runtime.pricing import (
-    NetworkShape,
-    price_forest_shape,
-    price_network_shape,
-    ForestShape,
-)
 
 
 class QuickScorerAdapter(BaseScorer):
@@ -114,125 +103,12 @@ class GpuQuickScorerAdapter(QuickScorerAdapter):
         return f"GPU QuickScorer over {self.ensemble.describe()}"
 
 
-class DenseNetworkScorer(BaseScorer):
-    """A distilled student priced as a dense network."""
-
-    backend = "dense-network"
-
-    def __init__(
-        self, student: DistilledStudent, context: PricingContext
-    ) -> None:
-        if not isinstance(student, DistilledStudent):
-            raise TypeError(
-                f"expected a DistilledStudent, got {type(student).__name__}"
-            )
-        self.student = student
-        super().__init__(
-            price_fn=lambda: price_network_shape(
-                self._shape(), context
-            ),
-            input_dim=student.input_dim,
-        )
-
-    def _shape(self) -> NetworkShape:
-        return NetworkShape(self.student.input_dim, self.student.hidden)
-
-    def score(self, features) -> np.ndarray:
-        z = self.student.normalizer.transform(
-            np.asarray(features, dtype=np.float64)
-        )
-        return stable_forward(self.student.network, z)
-
-    def describe(self) -> str:
-        return f"dense net {self.student.describe()}"
-
-
-class SparseNetworkScorer(DenseNetworkScorer):
-    """A first-layer-pruned student priced with the hybrid model.
-
-    The price runs the (CSR-measured) first layer through the sparse
-    predictor (Eq. 5) and the remaining layers densely — exactly the
-    paper's deployment model for pruned networks.
-    """
-
-    backend = "sparse-network"
-
-    def _shape(self) -> NetworkShape:
-        first = self.student.network.first_layer
-        return NetworkShape(
-            self.student.input_dim,
-            self.student.hidden,
-            first_layer_matrix=CsrMatrix.from_dense(first.weight.data),
-        )
-
-    def describe(self) -> str:
-        sparsity = self.student.first_layer_sparsity()
-        return (
-            f"sparse-first-layer net {self.student.describe()} "
-            f"@ {sparsity:.1%}"
-        )
-
-
-class QuantizedNetworkScorer(BaseScorer):
-    """A student executed (and priced) at int-``bits`` precision.
-
-    Scoring uses the fake-quantized twin network (dequantized int
-    weights, so ranking quality is measured faithfully); pricing scales
-    the fp32 predictors by the calibrated int-kernel speed-ups.
-    """
-
-    backend = "quantized-network"
-
-    def __init__(
-        self,
-        student: DistilledStudent,
-        context: PricingContext,
-        *,
-        quantized_bits: int = 8,
-    ) -> None:
-        from repro.nn.quantization import quantize_student
-
-        if not isinstance(student, DistilledStudent):
-            raise TypeError(
-                f"expected a DistilledStudent, got {type(student).__name__}"
-            )
-        self.student = student
-        self.bits = int(quantized_bits)
-        self.quantized = quantize_student(student, bits=self.bits)
-        sparse = (
-            student.first_layer_sparsity() > context.sparse_threshold
-        )
-
-        def _price() -> float:
-            first = self.quantized.network.first_layer
-            shape = NetworkShape(
-                student.input_dim,
-                student.hidden,
-                first_layer_matrix=(
-                    CsrMatrix.from_dense(first.weight.data) if sparse else None
-                ),
-                quantized_bits=self.bits,
-            )
-            return price_network_shape(shape, context)
-
-        super().__init__(price_fn=_price, input_dim=student.input_dim)
-
-    def score(self, features) -> np.ndarray:
-        z = self.quantized.normalizer.transform(
-            np.asarray(features, dtype=np.float64)
-        )
-        return stable_forward(self.quantized.network, z)
-
-    def describe(self) -> str:
-        return f"int{self.bits} net {self.student.describe()}"
-
-
 class CompiledNetworkScorer(BaseScorer):
     """A student executed through an ahead-of-time compiled plan.
 
     Construction compiles the student's network into an
-    :class:`~repro.runtime.compile.InferencePlan` — per-layer kernel
-    selection via the calibrated predictors, frozen weight copies,
+    :class:`~repro.runtime.compile.InferencePlan` — per-layer kernels
+    measured on this host, frozen weight copies,
     fused epilogues and preallocated ping-pong buffers — so scoring is
     the plan's zero-allocation loop.  The price is the sum of the
     *chosen* kernels' predicted per-document costs, and the plan's
@@ -243,13 +119,13 @@ class CompiledNetworkScorer(BaseScorer):
     The plan is compiled in **stable** mode by default: the adapter
     inherits the :class:`Scorer` chunk-invariance guarantee (sharding
     and micro-batching may never change a ranking), which BLAS GEMM
-    bits cannot honour — the same trade ``stable_forward`` makes for
-    the other network adapters.  Pass ``stable=False`` for the native
-    BLAS kernels when the scorer will only ever see whole requests.
+    bits over a whole batch cannot honour.  Pass ``stable=False`` for
+    the native BLAS kernels when the scorer will only ever see whole
+    requests.
 
-    Unlike the lazily-priced adapters, compilation itself consults the
-    predictors (selection *is* pricing), so the cost models are built
-    eagerly here.
+    Unlike the lazily-priced forest adapters, compilation prices every
+    layer with the predictors and times the candidate kernels, so the
+    cost models are built eagerly here.
     """
 
     backend = "compiled-network"
@@ -259,7 +135,6 @@ class CompiledNetworkScorer(BaseScorer):
         student: DistilledStudent,
         context: PricingContext,
         *,
-        compiled: bool = True,  # registry dispatch flag; value unused
         plan_dtype: str = "float64",
         max_batch: int = 4096,
         kernels=None,
@@ -423,10 +298,6 @@ class CascadeScorer(BaseScorer):
 __all__ = [
     "QuickScorerAdapter",
     "GpuQuickScorerAdapter",
-    "DenseNetworkScorer",
-    "SparseNetworkScorer",
-    "QuantizedNetworkScorer",
     "CompiledNetworkScorer",
     "CascadeScorer",
-    "ForestShape",
 ]

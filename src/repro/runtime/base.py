@@ -1,8 +1,8 @@
 """The ``Scorer`` protocol — the library's single scoring surface.
 
-Every deployable model (QuickScorer forests, dense students, sparse
-first-layer students, quantized networks, early-exit cascades, future
-backends) is adapted to one small interface:
+Every deployable model (QuickScorer forests, distilled students served
+through their compiled plans, early-exit cascades, future backends) is
+adapted to one small interface:
 
 * ``score(X) -> np.ndarray`` — per-document scores for a 2-D feature
   matrix;
@@ -22,12 +22,12 @@ backends) is adapted to one small interface:
 Adapters additionally guarantee **chunk-invariant scoring**: splitting a
 feature matrix into micro-batches of any size yields bit-identical
 scores to one full-matrix call.  Tree traversal is row-independent by
-construction; network adapters route matmuls through
-:func:`stable_matmul` — BLAS GEMM over fixed :data:`STABLE_TILE`-document
-tiles, one document per column — instead of one GEMM over the whole
-batch, whose accumulation order (and therefore last-bit rounding)
-changes with the batch shape.  Offline evaluation keeps using
-the models' native ``predict``.
+construction; the network adapter's stable compiled plans run dense
+layers through :class:`StableTiles` — BLAS GEMM over fixed
+:data:`STABLE_TILE`-document tiles, one document per column — instead
+of one GEMM over the whole batch, whose accumulation order (and
+therefore last-bit rounding) changes with the batch shape.  Offline
+evaluation keeps using the models' native ``predict``.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.nn.layers import Linear
-from repro.nn.network import FeedForwardNetwork
-from repro.utils.validation import check_array_2d
 
 
 @runtime_checkable
@@ -392,28 +389,3 @@ def stable_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
         np.empty((product_tiles(n), m, STABLE_TILE), dtype=dtype),
     ).run(w)
     return out
-
-
-def stable_forward(network: FeedForwardNetwork, x: np.ndarray) -> np.ndarray:
-    """Chunk-invariant inference through a feed-forward network.
-
-    Linear layers are evaluated with :func:`stable_matmul` (fixed
-    :data:`STABLE_TILE`-document GEMM tiles), all other layers through
-    their own inference path.  Scoring any row subset therefore
-    reproduces the full-matrix bits exactly — the property the
-    :class:`~repro.runtime.batching.BatchEngine` relies on.  Zero
-    documents score to an empty vector; a wrong feature count raises.
-    """
-    out = np.ascontiguousarray(check_array_2d(x, "features", allow_empty=True))
-    if out.shape[1] != network.input_dim:
-        raise ValueError(
-            f"expected {network.input_dim} features, got {out.shape[1]}"
-        )
-    if out.shape[0] == 0:
-        return np.empty(0, dtype=np.float64)
-    for layer in network.layers:
-        if isinstance(layer, Linear):
-            out = stable_matmul(out, layer.weight.data) + layer.bias.data
-        else:
-            out = layer.forward(out, training=False)
-    return out[:, 0]

@@ -14,10 +14,6 @@ This module consolidates that surface into a family of dataclasses:
 * :class:`ServiceConfig` — the top-level bundle a service is built
   from, with ``to_dict()``/``from_dict()`` for JSON-able round-trips.
 
-The old keyword arguments keep working as deprecated aliases (they emit
-``DeprecationWarning`` and map onto these configs), so no caller breaks;
-see the migration table in ``docs/runtime.md``.
-
 ``to_dict`` is declarative-only: ``fallback_models`` hold *live model
 objects* and cannot be serialized — a config carrying them raises
 :class:`~repro.exceptions.ConfigError` on ``to_dict()`` rather than
@@ -388,11 +384,10 @@ class ServiceConfig:
         auto-dispatch).
     backend_options:
         Extra keyword options forwarded to the backend factory by
-        ``make_scorer`` — e.g. ``{"compiled": True, "plan_dtype":
-        "float32"}`` for the ``compiled-network`` backend or
-        ``{"quantized_bits": 8}`` for the quantized one.  Per-call
-        ``scorer_opts`` passed to the service constructor override
-        same-named keys.
+        ``make_scorer`` — e.g. ``{"plan_dtype": "float32"}`` or
+        ``{"quantize": "int8"}`` for the ``compiled-network`` backend.
+        Per-call ``scorer_opts`` passed to the service constructor
+        override same-named keys.
     allow_unpriced:
         Admit a scorer with a non-finite predicted cost under a budget.
     resilience:

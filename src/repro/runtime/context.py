@@ -97,7 +97,7 @@ _SHARED_TUNING = TuningRecord()
 
 
 class PricingContext:
-    """Cost models and thresholds shared by every scorer backend.
+    """Cost models and kernel timing shared by every scorer backend.
 
     Parameters
     ----------
@@ -108,9 +108,6 @@ class PricingContext:
         QuickScorer cost model for tree ensembles.
     gpu_cost:
         GPU QuickScorer cost model; defaults to one wrapping ``qs_cost``.
-    sparse_threshold:
-        First-layer sparsity above which a student is auto-dispatched to
-        the sparse (hybrid-priced) backend.
     quantized_efficiency, quantized_sparse_efficiency:
         Fractions of the SIMD lane-ratio ceiling the int8 dense/sparse
         kernels sustain (see :mod:`repro.timing.quantized`).
@@ -127,19 +124,13 @@ class PricingContext:
         predictor: NetworkTimePredictor | None = None,
         qs_cost: QuickScorerCostModel | None = None,
         gpu_cost=None,
-        sparse_threshold: float = 0.5,
         quantized_efficiency: float = 0.6,
         quantized_sparse_efficiency: float = 0.8,
         timer=None,
     ) -> None:
-        if not 0.0 <= sparse_threshold <= 1.0:
-            raise ValueError(
-                f"sparse_threshold must be in [0, 1], got {sparse_threshold}"
-            )
         self._predictor = predictor
         self.qs_cost = qs_cost or QuickScorerCostModel()
         self._gpu_cost = gpu_cost
-        self.sparse_threshold = sparse_threshold
         self.quantized_efficiency = quantized_efficiency
         self.quantized_sparse_efficiency = quantized_sparse_efficiency
         self.timer = timer or wall_timer

@@ -977,7 +977,8 @@ class LifecycleManager:
                 raise BudgetExceededError(
                     f"candidate {entry.version_id!r} has no finite price "
                     f"for the {budget:.2f} us/doc budget check; construct "
-                    "the service with allow_unpriced=True to admit it"
+                    "the service with ServiceConfig(allow_unpriced=True) "
+                    "to admit it"
                 )
         elif entry.price > budget:
             raise BudgetExceededError(

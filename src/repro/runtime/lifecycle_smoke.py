@@ -39,7 +39,7 @@ def _make_candidates(seed: int = 0):
     from repro.obs.probe import build_probe_models
 
     models = build_probe_models(n_queries=8, docs_per_query=12, seed=seed)
-    incumbent = models["dense-network"]
+    incumbent = models["student"]
     good = incumbent.clone()
     for param in (good.network.linears[-1].weight, good.network.linears[-1].bias):
         param.data *= 1.001

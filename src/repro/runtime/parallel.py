@@ -20,7 +20,7 @@ split:
 * :class:`ShardedScorer` — wraps any :class:`~repro.runtime.base.Scorer`
   with a persistent thread pool; shards are scored concurrently and
   reassembled in row order.  Adapters guarantee chunk-invariant scoring
-  (``stable_forward`` / row-independent tree traversal), so the
+  (stable compiled plans / row-independent tree traversal), so the
   reassembled vector is **bit-identical** to an unsharded call.
 
 Why threads help at all: the heavy numpy kernels (BLAS GEMV/GEMM

@@ -3,11 +3,11 @@
 Exercises the sharded scoring engine end to end and *asserts* the
 outcomes, so CI can gate on ``python -m repro.runtime.parallel_smoke``:
 
-1. **Bit-identity** — every probe backend (``quickscorer``,
-   ``dense-network``, ``sparse-network``, and the AOT
-   ``compiled-network`` plan over the pruned student), sharded under
-   every strategy and several worker counts, cache cold and warm, must
-   reproduce plain ``Scorer.score`` bit for bit.  This is the property
+1. **Bit-identity** — every probe model (the ``quickscorer`` forest,
+   the dense and the pruned student's ``compiled-network`` plans, and
+   an int8 plan of the pruned student), sharded under every strategy
+   and several worker counts, cache cold and warm, must reproduce plain
+   ``Scorer.score`` bit for bit.  This is the property
    that makes the engine adoptable: parallelism may never change a
    ranking.
 2. **Cache effectiveness** — a warm second pass over the same workload
@@ -49,16 +49,17 @@ def check_bit_identity() -> None:
         ParallelConfig(workers=2, cache_entries=4096),
     ]
     targets = [
-        ("quickscorer", "quickscorer"),
-        ("dense-network", "dense-network"),
-        ("sparse-network", "sparse-network"),
-        # the AOT plan over the pruned probe student: sharding composes
-        # with compiled execution without touching either layer
-        ("compiled-network", "sparse-network"),
+        ("forest", {}),
+        ("student", {}),
+        ("pruned", {}),
+        # quantized kernels are exact-integer reductions: sharding
+        # composes with them too
+        ("pruned", {"quantize": "int8"}),
     ]
     checked = 0
-    for backend, model_key in targets:
-        plain = make_scorer(models[model_key], backend=backend)
+    for role, opts in targets:
+        plain = make_scorer(models[role], **opts)
+        backend = f"{role} {plain.backend}"
         reference = plain.score(features)
         for config in configs:
             if config.strategy == "cost-weighted" and not np.isfinite(
@@ -104,7 +105,7 @@ def check_cache_speedup() -> None:
     rng = np.random.default_rng(7)
     n_rows, n_features = 3000, 136
     x = rng.standard_normal((n_rows, n_features))
-    scorer = make_scorer(_heavy_student(n_features, 7), backend="dense-network")
+    scorer = make_scorer(_heavy_student(n_features, 7))
     with ShardedScorer(
         scorer, ParallelConfig(workers=1, cache_entries=2 * n_rows)
     ) as sharded:
@@ -143,7 +144,7 @@ def check_pool_speedup() -> None:
 
     rng = np.random.default_rng(11)
     x = rng.standard_normal((6000, 136))
-    scorer = make_scorer(_heavy_student(136, 11), backend="dense-network")
+    scorer = make_scorer(_heavy_student(136, 11))
 
     def best_of(workers: int, repeats: int = 5) -> float:
         best = float("inf")
@@ -173,17 +174,17 @@ def check_observability() -> None:
     assert report.rows, "no parallel.* series recorded"
     total_requests = sum(row.requests for row in report.rows)
     assert total_requests > 0, "parallel.requests counter is empty"
-    dense = report.backend("dense-network")
-    assert dense is not None, "dense-network row missing from the report"
+    dense = report.backend("compiled-network")
+    assert dense is not None, "compiled-network row missing from the report"
     assert math.isfinite(dense.cache_hit_ratio) and dense.cache_hit_ratio > 0, (
         f"expected a finite positive cache hit ratio, got "
         f"{dense.cache_hit_ratio}"
     )
     rendered = report.render()
-    assert "Parallel scoring" in rendered and "dense-network" in rendered
+    assert "Parallel scoring" in rendered and "compiled-network" in rendered
     print(
         f"obs: {total_requests} sharded requests recorded, "
-        f"dense cache hit ratio {dense.cache_hit_ratio:.0%}"
+        f"student cache hit ratio {dense.cache_hit_ratio:.0%}"
     )
 
 

@@ -44,15 +44,15 @@ class NetworkShape:
 
     ``first_layer_matrix`` (a concrete pruned CSR weight matrix) takes
     precedence over ``first_layer_sparsity`` (worst-case Eq. 5); either
-    selects hybrid sparse-first-layer pricing.  ``quantized_bits`` prices
-    the same architecture executed on int-``bits`` kernels.
+    selects hybrid sparse-first-layer pricing.  ``bits`` prices the same
+    architecture executed on int-``bits`` kernels.
     """
 
     input_dim: int
     hidden: tuple[int, ...]
     first_layer_sparsity: float | None = None
     first_layer_matrix: CsrMatrix | None = None
-    quantized_bits: int | None = None
+    bits: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
@@ -66,6 +66,22 @@ class NetworkShape:
 
     def describe(self) -> str:
         return "x".join(str(w) for w in self.hidden)
+
+
+def student_shape(student, *, sparse: bool) -> NetworkShape:
+    """The analytic shape of a trained student (the paper's pricing).
+
+    ``sparse`` prices the first layer hybrid, through its actual pruned
+    CSR structure (Eq. 5), and the remaining layers densely, the
+    paper's deployment model for pruned networks; otherwise the whole
+    network prices dense (Eq. 3).
+    """
+    first = student.network.first_layer.weight.data
+    return NetworkShape(
+        student.input_dim,
+        student.hidden,
+        first_layer_matrix=CsrMatrix.from_dense(first) if sparse else None,
+    )
 
 
 def price_forest_shape(
@@ -114,8 +130,8 @@ def price_network_shape(
 ) -> float:
     """µs/doc of a network shape: dense, hybrid sparse, or quantized."""
     ctx = context or default_context()
-    if shape.quantized_bits is not None:
-        timing = ctx.quantized_timing(shape.quantized_bits)
+    if shape.bits is not None:
+        timing = ctx.quantized_timing(shape.bits)
         if shape.is_sparse:
             return timing.hybrid_time_us(
                 shape.input_dim,

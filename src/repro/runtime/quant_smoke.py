@@ -257,7 +257,7 @@ def check_composition(network, features) -> None:
         student, quantize="int8", block_sparse=True, plan_dtype="float32"
     )
     assert scorer.backend == "compiled-network", scorer.backend
-    plain = make_scorer(student, compiled=True, plan_dtype="float32")
+    plain = make_scorer(student, plan_dtype="float32")
     assert scorer.fingerprint() != plain.fingerprint(), (
         "int8 and float32 plans of the same weights must never share a "
         "fingerprint (score caches would mix them)"

@@ -68,7 +68,7 @@ class PipelineStageConfig:
         (``ceil`` policy; ignored on the last stage).
     backend_options:
         Extra keyword options for the backend factory (e.g.
-        ``{"compiled": True}`` or ``{"quantized_bits": 8}``).
+        ``{"plan_dtype": "float32"}`` or ``{"quantize": "int8"}``).
     cost_us_per_doc:
         Optional price override; default is the bound scorer's
         calibrated ``predicted_us_per_doc``.

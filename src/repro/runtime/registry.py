@@ -35,7 +35,7 @@ class ScorerBackend:
     Attributes
     ----------
     name:
-        Registry key, e.g. ``"sparse-network"``.
+        Registry key, e.g. ``"compiled-network"``.
     matches:
         ``(model, opts) -> bool`` — whether this backend auto-dispatches
         for the model under the given ``make_scorer`` keyword options.
@@ -107,7 +107,7 @@ def make_scorer(
     With ``backend`` the named backend is used directly; otherwise the
     most recently registered backend whose predicate matches wins.
     Keyword options are forwarded to the backend factory (e.g.
-    ``quantized_bits=8``, ``device="gpu"``, ``false_fraction=...``).
+    ``quantize="int8"``, ``device="gpu"``, ``false_fraction=...``).
     """
     ctx = context or default_context()
     if backend is not None:
@@ -126,45 +126,12 @@ def make_scorer(
 # (later entries are tried first), so the most specific matchers come
 # last.
 # ----------------------------------------------------------------------
-def _sparsity_over_threshold(model: Any, threshold: float = 0.5) -> bool:
-    return (
-        isinstance(model, DistilledStudent)
-        and model.first_layer_sparsity() > threshold
-    )
-
-
 register_backend(
     ScorerBackend(
         name="quickscorer",
         matches=lambda m, opts: isinstance(m, TreeEnsemble),
         build=lambda m, ctx, **o: adapters.QuickScorerAdapter(m, ctx, **o),
         description="tree ensembles via the (exact) QuickScorer traversal",
-    )
-)
-register_backend(
-    ScorerBackend(
-        name="dense-network",
-        matches=lambda m, opts: isinstance(m, DistilledStudent),
-        build=lambda m, ctx, **o: adapters.DenseNetworkScorer(m, ctx, **o),
-        description="distilled students priced by the dense predictor",
-    )
-)
-register_backend(
-    ScorerBackend(
-        name="sparse-network",
-        matches=lambda m, opts: _sparsity_over_threshold(m),
-        build=lambda m, ctx, **o: adapters.SparseNetworkScorer(m, ctx, **o),
-        description="first-layer-pruned students priced by the hybrid model",
-    )
-)
-register_backend(
-    ScorerBackend(
-        name="quantized-network",
-        matches=lambda m, opts: (
-            isinstance(m, DistilledStudent) and bool(opts.get("quantized_bits"))
-        ),
-        build=lambda m, ctx, **o: adapters.QuantizedNetworkScorer(m, ctx, **o),
-        description="fake-quantized students priced by the int timing model",
     )
 )
 register_backend(
@@ -178,14 +145,7 @@ register_backend(
 register_backend(
     ScorerBackend(
         name="compiled-network",
-        matches=lambda m, opts: (
-            isinstance(m, DistilledStudent)
-            and bool(
-                opts.get("compiled")
-                or opts.get("quantize")
-                or opts.get("block_sparse")
-            )
-        ),
+        matches=lambda m, opts: isinstance(m, DistilledStudent),
         build=lambda m, ctx, **o: adapters.CompiledNetworkScorer(m, ctx, **o),
         description="students executed through ahead-of-time compiled plans",
     )

@@ -14,11 +14,12 @@ deterministic under an injectable ``clock``/``sleep`` pair:
   measured latency *drift* the existing
   :class:`~repro.runtime.batching.ServiceStats` series already tracks;
 * :class:`FallbackChain` — the degradation ladder: a primary backend
-  (say ``quickscorer`` or ``dense-network``) backed by progressively
-  cheaper tiers (``sparse-network``, a :class:`StubScorer`), tried in
-  order whenever a tier's breaker is open, its deadline is breached or
-  its retries are exhausted.  The chain itself satisfies the
-  :class:`~repro.runtime.base.Scorer` protocol, so it drops into
+  (say ``quickscorer`` or a student's ``compiled-network`` plan) backed
+  by progressively cheaper tiers (a pruned student, a
+  :class:`StubScorer`), tried in order whenever a tier's breaker is
+  open, its deadline is breached or its retries are exhausted.  The
+  chain itself satisfies the :class:`~repro.runtime.base.Scorer`
+  protocol, so it drops into
   :class:`~repro.runtime.batching.BatchEngine` and
   :class:`~repro.serving.ScoringService` unchanged and is priced by its
   primary tier;

@@ -1,8 +1,8 @@
 """A miniature document-scoring service.
 
 Wraps any model the scoring runtime knows (forests via QuickScorer,
-dense / first-layer-sparse / quantized students, ahead-of-time compiled
-plans via the ``compiled-network`` backend, early-exit cascades — see
+dense or pruned students through their ahead-of-time compiled plans
+via the ``compiled-network`` backend, early-exit cascades — see
 :mod:`repro.runtime`) behind one endpoint with the operational
 features a query processor needs:
 
@@ -43,11 +43,6 @@ ServiceConfig`::
         resilience=ResilienceConfig(fallback_models=[cheap, StubScorer()]),
     ))
 
-The pre-1.1 keyword arguments (``fallback_models``, ``retry_policy``,
-``breaker_config``, ``deadline_us``, ``allow_unpriced``) keep working as
-deprecated aliases that emit ``DeprecationWarning`` and map onto the
-configs — see the migration table in ``docs/runtime.md``.
-
 This is the integration surface a downstream search stack would adopt;
 ``examples/scoring_service.py`` shows the multi-stage variant,
 ``examples/resilient_service.py`` the degradation ladder and
@@ -57,7 +52,6 @@ This is the integration surface a downstream search stack would adopt;
 from __future__ import annotations
 
 import time
-import warnings
 from collections.abc import Mapping
 
 import numpy as np
@@ -72,7 +66,6 @@ from repro.runtime import (
     ModelRegistry,
     PricingContext,
     RankingPipeline,
-    ResilienceConfig,
     ResilientScorer,
     ScoreCache,
     ServiceConfig,
@@ -95,18 +88,6 @@ __all__ = [
 #: Sentinel distinguishing "not passed" from an explicit ``None``.
 _UNSET = object()
 
-#: Deprecated keyword → the ServiceConfig location that replaces it.
-_LEGACY_KWARGS = {
-    "fallback_models": "ServiceConfig(resilience=ResilienceConfig("
-    "fallback_models=...))",
-    "retry_policy": "ServiceConfig(resilience=ResilienceConfig(retry=...))",
-    "breaker_config": "ServiceConfig(resilience=ResilienceConfig("
-    "breaker=...))",
-    "deadline_us": "ServiceConfig(resilience=ResilienceConfig("
-    "deadline_us=...))",
-    "allow_unpriced": "ServiceConfig(allow_unpriced=...)",
-}
-
 
 class ScoringService:
     """A single-model scoring endpoint with a latency budget.
@@ -117,7 +98,7 @@ class ScoringService:
         Any model with a registered runtime backend — a
         :class:`~repro.forest.ensemble.TreeEnsemble` (scored through
         QuickScorer), a :class:`~repro.distill.student.DistilledStudent`
-        (dense or first-layer-sparse), an
+        (dense or first-layer-pruned, served through its compiled plan), an
         :class:`~repro.design.cascade.EarlyExitCascade` — or an
         already-built :class:`~repro.runtime.base.Scorer`.  When
         ``config.pipeline`` is set, a mapping of stage role names to
@@ -143,17 +124,11 @@ class ScoringService:
     clock, sleep:
         Injectable time pair forwarded to the resilience layer (see
         :class:`~repro.runtime.faults.ManualClock`).
-    fallback_models, retry_policy, breaker_config, deadline_us, \
-allow_unpriced:
-        **Deprecated** aliases; they emit ``DeprecationWarning`` and map
-        onto :class:`ServiceConfig`/:class:`ResilienceConfig` with
-        behaviour identical to the equivalent config.
     **scorer_opts:
         Extra options forwarded to :func:`repro.runtime.make_scorer`
-        (e.g. ``quantized_bits=8``, or ``compiled=True`` to serve
-        through an ahead-of-time
-        :class:`~repro.runtime.compile.InferencePlan`).  Merged over
-        ``config.backend_options`` (per-call keys win).
+        (e.g. ``plan_dtype="float32"`` or ``quantize="int8"`` for a
+        student's :class:`~repro.runtime.compile.InferencePlan`).
+        Merged over ``config.backend_options`` (per-call keys win).
     """
 
     def __init__(
@@ -167,33 +142,10 @@ allow_unpriced:
         max_batch_size=_UNSET,
         backend: str | None = None,
         context: PricingContext | None = None,
-        fallback_models=None,
-        retry_policy=None,
-        breaker_config=None,
-        deadline_us: float | None = None,
-        allow_unpriced: bool | None = None,
         clock=time.monotonic,
         sleep=time.sleep,
         **scorer_opts,
     ) -> None:
-        legacy = {
-            "fallback_models": fallback_models,
-            "retry_policy": retry_policy,
-            "breaker_config": breaker_config,
-            "deadline_us": deadline_us,
-            "allow_unpriced": allow_unpriced,
-        }
-        provided_legacy = [k for k, v in legacy.items() if v is not None]
-        if provided_legacy:
-            warnings.warn(
-                "ScoringService keyword(s) "
-                + ", ".join(repr(k) for k in provided_legacy)
-                + " are deprecated; pass "
-                + "; ".join(_LEGACY_KWARGS[k] for k in provided_legacy)
-                + " instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if config is not None:
             conflicting = [
                 name
@@ -201,7 +153,6 @@ allow_unpriced:
                     ("budget_us_per_doc", budget_us_per_doc is not None),
                     ("max_batch_size", max_batch_size is not _UNSET),
                     ("backend", backend is not None),
-                    *((k, True) for k in provided_legacy),
                 )
                 if given
             ]
@@ -213,30 +164,12 @@ allow_unpriced:
                     + ")"
                 )
         else:
-            resilience = None
-            if any(
-                v is not None
-                for v in (
-                    fallback_models,
-                    retry_policy,
-                    breaker_config,
-                    deadline_us,
-                )
-            ):
-                resilience = ResilienceConfig(
-                    fallback_models=tuple(fallback_models or ()),
-                    retry=retry_policy,
-                    breaker=breaker_config,
-                    deadline_us=deadline_us,
-                )
             config = ServiceConfig(
                 budget_us_per_doc=budget_us_per_doc,
                 max_batch_size=(
                     256 if max_batch_size is _UNSET else max_batch_size
                 ),
                 backend=backend,
-                allow_unpriced=bool(allow_unpriced),
-                resilience=resilience,
             )
         self.config = config
 

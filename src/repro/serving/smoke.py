@@ -5,10 +5,11 @@ the outcomes, so CI can gate on ``python -m repro.serving.smoke``:
 
 1. **Coalescing bit-identity** — concurrent async requests answered
    through shared cross-request micro-batches must reproduce sequential
-   ``ScoringService.score`` bit for bit, on every probe backend
-   (``quickscorer``, ``dense-network``, ``sparse-network``, and the AOT
-   ``compiled-network`` plan).  This is the contract that makes
-   coalescing adoptable: sharing a GEMM may never change a score.
+   ``ScoringService.score`` bit for bit, on every probe model (the
+   ``quickscorer`` forest, the dense and the pruned student's
+   ``compiled-network`` plans, and an int8 plan of the pruned student).
+   This is the contract that makes coalescing adoptable: sharing a GEMM
+   may never change a score.
 2. **Coalescing actually coalesces** — with a linger window and
    concurrent callers, the engine must see fewer batches than requests
    (requests/batch > 1), or the front-end is just a slow queue.
@@ -48,19 +49,20 @@ def check_bit_identity() -> tuple[int, float]:
     features = models["dataset"].features
     rng = np.random.default_rng(3)
     targets = [
-        ("quickscorer", "quickscorer"),
-        ("dense-network", "dense-network"),
-        ("sparse-network", "sparse-network"),
-        # the AOT plan over the pruned probe student: coalescing composes
-        # with compiled execution because stable plans are chunk-invariant
-        ("compiled-network", "sparse-network"),
+        ("forest", {}),
+        # coalescing composes with compiled execution because stable
+        # plans are chunk-invariant, quantized ones exact-integer
+        ("student", {}),
+        ("pruned", {}),
+        ("pruned", {"quantize": "int8"}),
     ]
     checked = 0
     best_coalesce = 0.0
-    for backend, model_key in targets:
+    for role, opts in targets:
         service = ScoringService(
-            models[model_key], ServiceConfig(backend=backend)
+            models[role], ServiceConfig(backend_options=opts)
         )
+        backend = f"{role} {service.scorer.backend}"
         # Uneven per-request slices of the probe matrix, so batch
         # boundaries never align with request boundaries.
         bounds = np.sort(
@@ -114,7 +116,7 @@ def check_admission_and_slo():
     models = build_probe_models(n_queries=8, docs_per_query=16, seed=0)
     n_features = models["dataset"].features.shape[1]
     service = ScoringService(
-        models["dense-network"], ServiceConfig(backend="dense-network")
+        models["student"], ServiceConfig(backend="compiled-network")
     )
     frontend = AsyncConfig(
         max_wait_us=500.0,

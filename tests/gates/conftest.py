@@ -40,9 +40,9 @@ def cascade_service(probe_models):
     def build(budget_us: float | None = None) -> ScoringService:
         config = PipelineConfig(
             stages=[
-                {"model": "sparse-network", "keep_fraction": 0.4},
-                {"model": "dense-network", "keep_fraction": 0.5},
-                {"model": "quickscorer"},
+                {"model": "pruned", "keep_fraction": 0.4},
+                {"model": "student", "keep_fraction": 0.5},
+                {"model": "forest"},
             ],
             budget_us_per_query=budget_us,
         )

@@ -115,7 +115,7 @@ def test_observability(cascade_service, probe_queries, obs_clean):
     assert funnel[0].docs_per_query >= funnel[-1].docs_per_query
     assert report.early_exits.get("pipeline", 0) > 0
     rendered = report.render()
-    assert "Cascade funnel" in rendered and "sparse-network" in rendered
+    assert "Cascade funnel" in rendered and "pruned" in rendered
 
 
 def test_coalesced_front_end_returns_sequential_bits(

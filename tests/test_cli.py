@@ -227,7 +227,7 @@ class TestCascade:
         assert "Cascade funnel" in out
         assert "budget early-exits" in out
         assert "expected amortized cost" in out
-        for system in ("cascade", "sparse-network", "quickscorer"):
+        for system in ("cascade", "pruned", "forest"):
             assert system in out
 
         import json
@@ -235,10 +235,10 @@ class TestCascade:
         payload = json.loads(out_json.read_text())
         assert payload["pipeline"]["budget_us_per_query"] == 30.0
         assert [s["model"] for s in payload["pipeline"]["stages"]] == [
-            "sparse-network", "dense-network", "quickscorer",
+            "pruned", "student", "forest",
         ]
         assert {row["system"] for row in payload["rows"]} == {
-            "cascade", "sparse-network", "dense-network", "quickscorer",
+            "cascade", "pruned", "student", "forest",
         }
         for row in payload["rows"]:
             assert row["us_per_query"] > 0
@@ -258,7 +258,7 @@ class TestServe:
         code = main(
             [
                 "serve",
-                "--backend", "dense-network",
+                "--backend", "compiled-network",
                 "--queries", "6", "--docs", "8",
             ]
         )
@@ -408,7 +408,7 @@ class TestTrace:
                         "name": "kernel",
                         "start_us": 0.0,
                         "duration_us": 1500.0,
-                        "attrs": {"backend": "dense-network"},
+                        "attrs": {"backend": "compiled-network"},
                     }
                 ],
             },
@@ -428,7 +428,7 @@ class TestTrace:
         assert code == 0
         out = capsys.readouterr().out
         assert "aaaa000011112222" in out and "bbbb" not in out
-        assert "backend=dense-network" in out
+        assert "backend=compiled-network" in out
 
     def test_flight_file_trace_sample_form(self, tmp_path, capsys):
         import json

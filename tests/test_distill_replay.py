@@ -104,7 +104,7 @@ class TestRedistill:
 
         return build_probe_models(
             n_queries=4, docs_per_query=8, seed=5
-        )["dense-network"]
+        )["student"]
 
     def test_self_distillation_returns_trained_clone(self, student, rng):
         buffer = ReplayBuffer(64, seed=0)

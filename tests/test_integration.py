@@ -66,6 +66,15 @@ class TestStudentRelationships:
         sparse = mini_pipeline.evaluate_network(spec, pruned=True)
         assert sparse.time_us < 0.8 * dense.time_us
 
+    def test_paper_times_are_pinned(self, mini_pipeline):
+        """The analytic student times behind the paper's tables, bit for
+        bit: a change to how students are priced fails here."""
+        spec = mini_pipeline.zoo.low_latency[2]
+        dense = mini_pipeline.evaluate_network(spec, pruned=False)
+        sparse = mini_pipeline.evaluate_network(spec, pruned=True)
+        assert dense.time_us == float.fromhex("0x1.3e217daabc86dp-2")
+        assert sparse.time_us == float.fromhex("0x1.8dc180fef5fcep-4")
+
     def test_hybrid_time_uses_real_structure(self, mini_pipeline):
         spec = mini_pipeline.zoo.low_latency[2]
         pruned = mini_pipeline.pruned_student(spec)

@@ -119,14 +119,11 @@ class TestDriftSeries:
         LevelPruner(0.95).apply(pruned.network.first_layer)
         x = tiny_dataset.features[:40]
         ScoringService(small_student, predictor=predictor_cache).score(x)
-        ScoringService(
-            pruned, predictor=predictor_cache, backend="sparse-network"
-        ).score(x)
-        report = obs.drift_report()
-        for backend in ("dense-network", "sparse-network"):
-            row = report.row(backend)
-            assert row is not None and row.requests == 1, backend
-            assert row.measured_us_per_doc > 0
+        ScoringService(pruned, predictor=predictor_cache).score(x)
+        # Both students serve through their compiled plans.
+        row = obs.drift_report().row("compiled-network")
+        assert row is not None and row.requests == 2
+        assert row.measured_us_per_doc > 0
 
     def test_empty_report_renders(self, obs_clean):
         report = obs.drift_report()
@@ -146,7 +143,7 @@ class TestBitIdenticalScores:
         """Hypothesis property: spans are observational only."""
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n_docs, small_student.input_dim))
-        scorer = make_scorer(small_student, backend="dense-network")
+        scorer = make_scorer(small_student)
         engine = BatchEngine(scorer, max_batch_size=16)
         previous = obs.set_tracer(obs.Tracer(enabled=False))
         try:
@@ -213,7 +210,7 @@ class TestStatsCli:
         assert main(["stats", "--queries", "6", "--docs", "6"]) == 0
         out = capsys.readouterr().out
         assert "Predicted vs measured scoring cost" in out
-        for backend in ("quickscorer", "dense-network", "sparse-network"):
+        for backend in ("quickscorer", "compiled-network"):
             assert backend in out
         assert "engine.score" in out  # span tree printed
 

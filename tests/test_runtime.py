@@ -22,6 +22,7 @@ from repro.runtime import (
     make_scorer,
     price,
     register_backend,
+    student_shape,
     unregister_backend,
 )
 from repro.serving import ScoringService
@@ -64,11 +65,8 @@ class TestRegistry:
         models = {
             "quickscorer": (small_forest, {}),
             "quickscorer-gpu": (small_forest, {}),
-            "dense-network": (small_student, {}),
-            "sparse-network": (sparse_student, {}),
-            "quantized-network": (small_student, {"quantized_bits": 8}),
             "cascade": (cascade, {}),
-            "compiled-network": (sparse_student, {"compiled": True}),
+            "compiled-network": (sparse_student, {}),
         }
         assert set(models) == set(backend_names())
         for name, (model, opts) in models.items():
@@ -86,28 +84,17 @@ class TestRegistry:
         assert (
             make_scorer(small_forest, context=context).backend == "quickscorer"
         )
-        assert (
-            make_scorer(small_student, context=context).backend
-            == "dense-network"
-        )
-        assert (
-            make_scorer(sparse_student, context=context).backend
-            == "sparse-network"
-        )
+        for student in (small_student, sparse_student):
+            assert (
+                make_scorer(student, context=context).backend
+                == "compiled-network"
+            )
         assert (
             make_scorer(small_forest, context=context, device="gpu").backend
             == "quickscorer-gpu"
         )
-        assert (
-            make_scorer(
-                small_student, context=context, quantized_bits=8
-            ).backend
-            == "quantized-network"
-        )
-        assert (
-            make_scorer(small_student, context=context, compiled=True).backend
-            == "compiled-network"
-        )
+        int8 = make_scorer(small_student, context=context, quantize="int8")
+        assert int8.backend == "compiled-network"
 
     def test_unknown_model_type_raises(self, context):
         with pytest.raises(TypeError, match="unsupported model"):
@@ -200,7 +187,7 @@ class TestPrice:
             context=context,
         )
         int8 = price(
-            NetworkShape(136, (100, 50), quantized_bits=8), context=context
+            NetworkShape(136, (100, 50), bits=8), context=context
         )
         assert 0.0 < hybrid < dense
         assert 0.0 < int8 < dense
@@ -211,14 +198,16 @@ class TestPrice:
         """The unified prices equal the predictors' direct answers."""
         from repro.matmul import CsrMatrix
 
-        dense_us = price(small_student, context=context, backend="dense-network")
+        dense_us = price(
+            student_shape(small_student, sparse=False), context=context
+        )
         report = predictor_cache.predict(
             small_student.input_dim, small_student.hidden
         )
         assert dense_us == float(report.dense_total_us_per_doc)
 
         sparse_us = price(
-            sparse_student, context=context, backend="sparse-network"
+            student_shape(sparse_student, sparse=True), context=context
         )
         first = CsrMatrix.from_dense(
             sparse_student.network.first_layer.weight.data
@@ -252,7 +241,7 @@ class TestBatchEngine:
         service = ScoringService(
             sparse_student, budget_us_per_doc=predicted * 2, context=context
         )
-        assert service.scorer.backend == "sparse-network"
+        assert service.scorer.backend == "compiled-network"
         assert service.stats.predicted_us_per_doc == predicted
 
     def test_invalid_batch_size(self, small_forest, context):
@@ -359,7 +348,7 @@ class TestBatchInvariance:
     def test_runtime_scores_match_model_predict(
         self, small_student, context, features
     ):
-        """stable_forward agrees with the network's own forward pass."""
+        """The stable plan agrees with the network's own forward pass."""
         scorer = make_scorer(small_student, context=context)
         np.testing.assert_allclose(
             scorer.score(features),

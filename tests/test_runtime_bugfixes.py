@@ -101,21 +101,20 @@ class TestZeroDocumentRequests:
         assert service.stats.requests == 0
 
     @pytest.mark.parametrize(
-        "backend, opts",
-        [
-            ("dense-network", {}),
-            ("sparse-network", {}),
-            ("quantized-network", {"quantized_bits": 8}),
-            ("compiled-network", {"compiled": True}),
-        ],
+        "opts",
+        [{}, {"quantize": "int8"}, {"plan_dtype": "float32"},
+         {"stable": False}],
+        ids=["dense-network", "quantized-network", "compiled-float32",
+             "compiled-native"],
     )
     def test_network_adapters_score_zero_docs(
-        self, small_student, predictor_cache, backend, opts
+        self, small_student, predictor_cache, dense_timer, opts
     ):
         scorer = make_scorer(
             small_student,
-            backend=backend,
-            context=PricingContext(predictor=predictor_cache),
+            context=PricingContext(
+                predictor=predictor_cache, timer=dense_timer
+            ),
             **opts,
         )
         dim = small_student.input_dim

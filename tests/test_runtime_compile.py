@@ -36,7 +36,6 @@ from repro.runtime import (
     compile_network,
     make_scorer,
     reference_scores,
-    stable_forward,
 )
 from repro.runtime import base
 from repro.runtime.base import (
@@ -209,9 +208,6 @@ SERVING_HIDDEN = (300, 200, 100)
 STABLE_VARIANTS = (
     "float64", "float32", "pruned-float64", "block-float32", "narrow-float64",
 )
-#: Variants whose every layer is a float64 dense GEMM: they must equal
-#: ``stable_forward`` bit for bit.
-ALL_DENSE_F64 = ("float64", "narrow-float64")
 #: ``(m, k)`` layer shapes of the benchmark's students (136->300->200->
 #: 100->1, 136->200->50->50->25->1 and 136->50->25->25->10->1), plus a
 #: 1040-wide layer (the int8 exactness bound) and a 1-wide input.
@@ -357,10 +353,6 @@ class TestStableMode:
                 reference_scores(network, plan, x[:n]), whole[:n],
                 err_msg=f"{variant} left the reference at {n} documents",
             )
-            if variant in ALL_DENSE_F64:
-                np.testing.assert_array_equal(
-                    stable_forward(network, x[:n]), whole[:n]
-                )
 
     @pytest.mark.parametrize("variant", STABLE_VARIANTS)
     def test_wide_widths_follow_the_probe(self, context, variant):
@@ -413,9 +405,9 @@ class TestStableMode:
         x = np.random.default_rng(23).normal(size=(1100, 136))
         np.testing.assert_array_equal(wide.score(x), tiled.score(x))
 
-    def test_all_dense_stable_plan_matches_stable_forward(self, context):
-        """One stable contraction: the dense adapters' forward, the
-        compiled plan and the reference agree bit for bit."""
+    def test_all_dense_stable_plan_matches_reference(self, context):
+        """One stable contraction: the compiled plan and the reference's
+        fixed-tile GEMMs agree bit for bit, misaligned rows included."""
         network = _network(SERVING_HIDDEN, input_dim=136, seed=7)
         plan = compile_network(
             network,
@@ -425,10 +417,9 @@ class TestStableMode:
         )
         x = np.random.default_rng(5).normal(size=(257, 136))
         got = plan.score(x)
-        np.testing.assert_array_equal(got, stable_forward(network, x))
         np.testing.assert_array_equal(got, reference_scores(network, plan, x))
         np.testing.assert_array_equal(
-            got[:1], stable_forward(network, _misaligned(x[:1], 1))
+            got[:1], reference_scores(network, plan, _misaligned(x[:1], 1))
         )
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -495,8 +486,8 @@ class TestStableMode:
         with np.errstate(invalid="ignore"):
             np.testing.assert_array_equal(plan.score(poisoned)[keep], clean[keep])
             np.testing.assert_array_equal(
-                stable_forward(network, poisoned)[keep],
-                stable_forward(network, x)[keep],
+                reference_scores(network, plan, poisoned)[keep],
+                reference_scores(network, plan, x)[keep],
             )
         # Same batch size and a different ragged tail on the scratch the
         # poisoned batch just used.
@@ -553,12 +544,12 @@ class TestStableMode:
         with pytest.raises(ValueError, match="C-contiguous"):
             StableTiles(a, np.zeros((40, 4)), tile, prod)
 
-    def test_stable_forward_scores_zero_docs(self):
-        network = _network((16, 8))
-        scores = stable_forward(network, np.empty((0, 12)))
+    def test_stable_plan_scores_zero_docs(self, context):
+        plan = compile_network(_network((16, 8)), context=context, stable=True)
+        scores = plan.score(np.empty((0, 12)))
         assert scores.shape == (0,) and scores.dtype == np.float64
         with pytest.raises(ValueError, match="features"):
-            stable_forward(network, np.empty((0, 11)))
+            plan.score(np.empty((0, 11)))
 
     def test_native_plan_matches_stable_at_serving_shape(self, context):
         network = _network(SERVING_HIDDEN, input_dim=136, seed=7)
@@ -775,7 +766,7 @@ class TestServing:
     def test_adapter_scores_like_its_plan(
         self, small_student, context, rng
     ):
-        scorer = make_scorer(small_student, compiled=True, context=context)
+        scorer = make_scorer(small_student, context=context)
         assert isinstance(scorer, CompiledNetworkScorer)
         assert scorer.backend == "compiled-network"
         assert isinstance(scorer.plan, InferencePlan)
@@ -789,8 +780,49 @@ class TestServing:
         assert scorer.fingerprint() == scorer.plan.fingerprint
         assert "compiled net" in scorer.describe()
 
+    @pytest.mark.parametrize("favoured", [DENSE_KERNEL, SPARSE_KERNEL])
+    @pytest.mark.parametrize("pruned", [False, True], ids=["dense", "pruned"])
+    def test_every_student_serves_through_its_plan(
+        self, small_student, predictor_cache, fake_timer, pruned, favoured
+    ):
+        """The one network path: auto-dispatch and a plain service run a
+        dense or 95%-pruned student on its stable float64 plan, whose
+        bits equal the reference in every split, whichever kernel the
+        measured arbitration picks."""
+        from repro.serving import ScoringService
+
+        student = small_student.clone()
+        if pruned:
+            LevelPruner(0.95).apply(student.network.first_layer)
+            student.network.apply_masks()
+        context = PricingContext(
+            predictor=predictor_cache, timer=fake_timer(favoured)
+        )
+        scorer = make_scorer(student, context=context)
+        service = ScoringService(student, context=context)
+        assert scorer.backend == service.scorer.backend == "compiled-network"
+        plan = scorer.plan
+        assert isinstance(plan, InferencePlan)
+        assert plan.stable and plan.dtype_name == "float64"
+        assert favoured in plan.kernel_counts()
+        x = np.random.default_rng(17).normal(size=(2100, student.input_dim))
+        expected = reference_scores(
+            student.network, plan, student.normalizer.transform(x)
+        )
+        np.testing.assert_array_equal(scorer.score(x), expected)
+        np.testing.assert_array_equal(service.score(x), expected)
+        for split in (1, 17, 128, 1000):
+            parts = [
+                scorer.score(x[i : i + split])
+                for i in range(0, len(x), split)
+            ]
+            np.testing.assert_array_equal(
+                np.concatenate(parts), expected,
+                err_msg=f"diverged at split {split}",
+            )
+
     def test_adapter_is_chunk_invariant(self, small_student, context, rng):
-        scorer = make_scorer(small_student, compiled=True, context=context)
+        scorer = make_scorer(small_student, context=context)
         x = rng.normal(size=(41, small_student.input_dim))
         whole = scorer.score(x)
         sharded = np.concatenate(
@@ -804,7 +836,7 @@ class TestServing:
 
         config = ServiceConfig(
             backend="compiled-network",
-            backend_options={"compiled": True, "plan_dtype": "float32"},
+            backend_options={"plan_dtype": "float32"},
             allow_unpriced=True,
         )
         service = ScoringService(small_student, config, context=context)
@@ -821,17 +853,17 @@ class TestServing:
 
         config = ServiceConfig(
             backend="compiled-network",
-            backend_options={"compiled": True, "plan_dtype": "float32"},
+            backend_options={"quantize": "int8", "plan_dtype": "float32"},
         )
         clone = ServiceConfig.from_dict(config.to_dict())
         assert clone == config
         assert clone.backend_options == {
-            "compiled": True,
+            "quantize": "int8",
             "plan_dtype": "float32",
         }
         assert ServiceConfig().to_dict()["backend_options"] is None
         with pytest.raises(ConfigError, match="mapping"):
-            ServiceConfig(backend_options="compiled=True")
+            ServiceConfig(backend_options="plan_dtype=float32")
         with pytest.raises(ConfigError, match="strings"):
             ServiceConfig(backend_options={1: True})
 

@@ -1,4 +1,4 @@
-"""Tests for the typed ServiceConfig surface and the deprecated kwargs."""
+"""Tests for the typed ServiceConfig surface and its keyword shorthands."""
 
 from __future__ import annotations
 
@@ -8,14 +8,11 @@ import pytest
 from repro.exceptions import ConfigError
 from repro.runtime import (
     CircuitBreakerConfig,
-    FaultPolicy,
-    ManualClock,
     ParallelConfig,
     ResilienceConfig,
     RetryPolicy,
     ServiceConfig,
     StubScorer,
-    with_faults,
 )
 from repro.serving import ScoringService
 
@@ -86,7 +83,7 @@ class TestConfigObjects:
         from repro.runtime import AsyncConfig, TenantConfig
 
         config = ServiceConfig(
-            backend="dense-network",
+            backend="compiled-network",
             frontend=AsyncConfig(
                 max_wait_us=250.0,
                 max_batch_requests=32,
@@ -124,7 +121,7 @@ class TestConfigObjects:
         from repro.runtime import LifecycleConfig
 
         config = ServiceConfig(
-            backend="dense-network",
+            backend="compiled-network",
             lifecycle=LifecycleConfig(
                 shadow_fraction=0.5,
                 shadow_min_requests=4,
@@ -178,31 +175,9 @@ class TestConfigObjects:
 # Deprecated kwargs
 # ----------------------------------------------------------------------
 class TestDeprecatedKwargs:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"fallback_models": [StubScorer()]},
-            {"retry_policy": RetryPolicy(max_attempts=2)},
-            {"breaker_config": CircuitBreakerConfig(window=8)},
-            {"deadline_us": 1e6},
-            {"allow_unpriced": True},
-        ],
-        ids=lambda kw: next(iter(kw)),
-    )
-    def test_each_legacy_kwarg_warns(self, small_forest, kwargs):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            service = ScoringService(small_forest, **kwargs)
-        if "allow_unpriced" in kwargs:
-            assert service.chain is None
-            assert service.config.allow_unpriced is True
-        else:
-            assert service.chain is not None
-
-    def test_warning_names_the_kwarg_and_replacement(self, small_forest):
-        with pytest.warns(
-            DeprecationWarning, match=r"'deadline_us'.*ResilienceConfig"
-        ):
-            ScoringService(small_forest, deadline_us=1e6)
+    """The pre-1.1 resilience keywords are gone; the per-field
+    shorthands (budget, batch size, backend) stay, exclusive of a
+    config."""
 
     def test_config_path_does_not_warn(self, small_forest, recwarn):
         ScoringService(
@@ -219,81 +194,19 @@ class TestDeprecatedKwargs:
             {"budget_us_per_doc": 1e6},
             {"max_batch_size": 64},
             {"backend": "quickscorer"},
-            {"deadline_us": 1e6},
-            {"allow_unpriced": True},
         ],
         ids=lambda kw: next(iter(kw)),
     )
     def test_config_plus_kwarg_conflicts(self, small_forest, kwargs):
-        import warnings
+        with pytest.raises(ValueError, match="not both"):
+            ScoringService(small_forest, ServiceConfig(), **kwargs)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="not both"):
-                ScoringService(small_forest, ServiceConfig(), **kwargs)
-
-    def test_legacy_and_config_builds_are_equivalent(
-        self, small_forest, features
-    ):
-        """The deprecated kwargs and the config build identical ladders."""
-        clock = ManualClock()
-
-        def faulty_primary():
-            from repro.runtime import make_scorer
-
-            return with_faults(
-                make_scorer(small_forest, backend="quickscorer"),
-                FaultPolicy.every(2),
-                sleep=clock.sleep,
-            )
-
-        def serve(service):
-            outputs = []
-            for lo in range(0, len(features), 20):
-                outputs.append(service.score(features[lo : lo + 20]))
-            return np.concatenate(outputs)
-
-        retry = RetryPolicy(max_attempts=1)
-        breaker = CircuitBreakerConfig(
-            window=8, min_samples=8, failure_rate_threshold=1.0
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy = ScoringService(
-                faulty_primary(),
-                fallback_models=[StubScorer()],
-                retry_policy=retry,
-                breaker_config=breaker,
-                clock=clock,
-                sleep=clock.sleep,
-            )
-        modern = ScoringService(
-            faulty_primary(),
-            ServiceConfig(
-                resilience=ResilienceConfig(
-                    fallback_models=(StubScorer(),),
-                    retry=retry,
-                    breaker=breaker,
-                )
-            ),
-            clock=clock,
-            sleep=clock.sleep,
-        )
-        np.testing.assert_array_equal(serve(legacy), serve(modern))
-        assert legacy.fallback_ratio == modern.fallback_ratio > 0
-        assert [t["served"] for t in legacy.resilience_summary()] == [
-            t["served"] for t in modern.resilience_summary()
-        ]
-
-    def test_legacy_config_attribute_reflects_kwargs(self, small_forest):
-        with pytest.warns(DeprecationWarning):
-            service = ScoringService(
-                small_forest,
-                budget_us_per_doc=1e6,
-                deadline_us=2e6,
-            )
-        assert isinstance(service.config, ServiceConfig)
-        assert service.config.budget_us_per_doc == 1e6
-        assert service.config.resilience.deadline_us == 2e6
+    @pytest.mark.parametrize(
+        "name", ["fallback_models", "retry_policy", "deadline_us"]
+    )
+    def test_removed_aliases_are_rejected(self, small_forest, name):
+        with pytest.raises(TypeError, match=name):
+            ScoringService(small_forest, **{name: None})
 
 
 # ----------------------------------------------------------------------

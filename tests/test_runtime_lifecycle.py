@@ -31,7 +31,7 @@ from repro.serving import LoadSpec, ScoringService, make_queries, run_load
 def probe():
     """Dataset + incumbent student + good / regressed candidates."""
     models = build_probe_models(n_queries=6, docs_per_query=10, seed=9)
-    incumbent = models["dense-network"]
+    incumbent = models["student"]
     good = incumbent.clone()
     for p in (good.network.linears[-1].weight, good.network.linears[-1].bias):
         p.data *= 1.001
@@ -504,13 +504,6 @@ class TestFixedModelPath:
         with pytest.raises(ValueError, match="empty ModelRegistry"):
             ScoringService(ModelRegistry(), ServiceConfig())
 
-    def test_legacy_kwargs_still_warn_through_registry_path(self, probe):
-        _, incumbent, _, _ = probe
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            service = ScoringService(incumbent, deadline_us=1e6)
-        assert service.registry.active.version_id == "v1"
-        assert service.chain is not None
-
 
 # ----------------------------------------------------------------------
 # Replay-fed redistillation through the manager
@@ -549,9 +542,9 @@ class TestShadowSeesQueries:
     by query, so the shadow's evidence equals sequential traffic's."""
 
     STAGES = (
-        {"model": "sparse-network", "keep_fraction": 0.4},
-        {"model": "dense-network", "keep_fraction": 0.5},
-        {"model": "quickscorer"},
+        {"model": "pruned", "keep_fraction": 0.4},
+        {"model": "student", "keep_fraction": 0.5},
+        {"model": "forest"},
     )
 
     @pytest.fixture(scope="class")

@@ -437,8 +437,8 @@ class TestShardedScorerIdentity:
     def test_network_backends_bit_identical(
         self, small_student, features
     ):
-        for backend in ("dense-network", "quantized-network"):
-            plain = make_scorer(small_student, backend=backend)
+        for opts in ({}, {"quantize": "int8"}):
+            plain = make_scorer(small_student, **opts)
             reference = plain.score(features)
             config = ParallelConfig(workers=3, cache_entries=2048)
             with ShardedScorer(plain, config) as sharded:

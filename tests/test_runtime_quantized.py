@@ -287,7 +287,7 @@ class TestScoreCacheSeparation:
         # scores to the other.
         from repro.utils.rowkeys import row_keys
 
-        f32 = make_scorer(small_student, compiled=True, plan_dtype="float32")
+        f32 = make_scorer(small_student, plan_dtype="float32")
         int8 = make_scorer(
             small_student, quantize="int8", plan_dtype="float32"
         )
@@ -311,7 +311,7 @@ class TestScoreCacheSeparation:
     ):
         from repro.utils.rowkeys import row_keys
 
-        f32 = make_scorer(small_student, compiled=True, plan_dtype="float32")
+        f32 = make_scorer(small_student, plan_dtype="float32")
         int8 = make_scorer(
             small_student, quantize="int8", plan_dtype="float32"
         )

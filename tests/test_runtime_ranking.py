@@ -32,9 +32,9 @@ def roles(probe_models):
 
 
 THREE_STAGES = (
-    {"model": "sparse-network", "keep_fraction": 0.4},
-    {"model": "dense-network", "keep_fraction": 0.5},
-    {"model": "quickscorer"},
+    {"model": "pruned", "keep_fraction": 0.4},
+    {"model": "student", "keep_fraction": 0.5},
+    {"model": "forest"},
 )
 
 
@@ -94,9 +94,9 @@ class TestPipelineConfig:
         )
         assert restored == config
         assert restored.roles == (
-            "sparse-network",
-            "dense-network",
-            "quickscorer",
+            "pruned",
+            "student",
+            "forest",
         )
 
     def test_dict_stages_coerced(self):
@@ -127,9 +127,9 @@ class TestBuildPipeline:
         assert isinstance(pipeline, RankingPipeline)
         assert pipeline.name == "probe"
         assert [s.name for s in pipeline.stages] == [
-            "sparse-network",
-            "dense-network",
-            "quickscorer",
+            "pruned",
+            "student",
+            "forest",
         ]
         assert pipeline.describe().startswith("probe:")
         # Stage prices come from the calibrated backends.
@@ -137,7 +137,7 @@ class TestBuildPipeline:
 
     def test_mapping_config_coerced(self, roles):
         pipeline = build_pipeline(
-            roles, {"stages": [{"model": "quickscorer"}]}
+            roles, {"stages": [{"model": "forest"}]}
         )
         assert isinstance(pipeline.config, PipelineConfig)
 
@@ -145,10 +145,10 @@ class TestBuildPipeline:
         config = PipelineConfig(stages=[{"model": "nonesuch"}])
         with pytest.raises(ConfigError, match="nonesuch") as err:
             build_pipeline(roles, config)
-        assert "quickscorer" in str(err.value)
+        assert "forest" in str(err.value)
 
     def test_prebuilt_scorer_used_as_is(self, roles):
-        scorer = make_scorer(roles["quickscorer"])
+        scorer = make_scorer(roles["forest"])
         pipeline = build_pipeline(
             {"qs": scorer},
             PipelineConfig(stages=[{"model": "qs", "name": "forest"}]),
@@ -158,7 +158,7 @@ class TestBuildPipeline:
         )
 
     def test_prebuilt_scorer_rejects_backend(self, roles):
-        scorer = make_scorer(roles["quickscorer"])
+        scorer = make_scorer(roles["forest"])
         config = PipelineConfig(
             stages=[{"model": "qs", "backend": "quickscorer"}]
         )
@@ -167,7 +167,7 @@ class TestBuildPipeline:
 
     def test_cost_override_wins(self, roles):
         config = PipelineConfig(
-            stages=[{"model": "quickscorer", "cost_us_per_doc": 123.0}]
+            stages=[{"model": "forest", "cost_us_per_doc": 123.0}]
         )
         pipeline = build_pipeline(roles, config)
         assert pipeline.stages[0].cost_us_per_doc == 123.0
@@ -238,15 +238,15 @@ class TestScoringServiceIntegration:
     def test_pipeline_summary(self, roles):
         summary = self._service(roles).pipeline_summary()
         assert [row["stage"] for row in summary] == [
-            "sparse-network",
-            "dense-network",
-            "quickscorer",
+            "pruned",
+            "student",
+            "forest",
         ]
         assert all(row["cost_us_per_doc"] > 0 for row in summary)
         assert summary[0]["keep_fraction"] == 0.4
 
     def test_plain_service_has_no_pipeline(self, roles):
-        service = ScoringService(roles["quickscorer"], ServiceConfig())
+        service = ScoringService(roles["forest"], ServiceConfig())
         assert service.pipeline is None
         assert service.pipeline_summary() is None
 
@@ -263,7 +263,7 @@ class TestScoringServiceIntegration:
     def test_non_mapping_model_rejected(self, roles):
         with pytest.raises(ValueError, match="mapping"):
             ScoringService(
-                roles["quickscorer"],
+                roles["forest"],
                 ServiceConfig(
                     pipeline=PipelineConfig(stages=list(THREE_STAGES)),
                     max_batch_size=None,
@@ -613,9 +613,9 @@ class TestCoalescedCascade:
         for ctx, x in zip(contexts, (requests[0], requests[2])):
             stages = [s for s in ctx.stages if s.name.startswith("cascade:")]
             assert [s.name for s in stages] == [
-                "cascade:sparse-network",
-                "cascade:dense-network",
-                "cascade:quickscorer",
+                "cascade:pruned",
+                "cascade:student",
+                "cascade:forest",
             ]
             first = stages[0]
             assert first.attrs["docs"] == len(x)

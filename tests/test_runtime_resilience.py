@@ -501,9 +501,9 @@ class TestMakeFallbackChain:
 
     def test_explicit_backend_pins(self, small_student):
         chain = make_fallback_chain(
-            [small_student], backends=["dense-network"]
+            [small_student], backends=["compiled-network"]
         )
-        assert chain.backend == "dense-network"
+        assert chain.backend == "compiled-network"
 
 
 class TestScoringServiceIntegration:

