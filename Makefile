@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast verify bench-test smoke obs-smoke parallel-smoke quant-smoke serving-smoke trace-smoke lifecycle-smoke bench examples report clean
+.PHONY: install test test-fast verify bench-test smoke parallel-smoke quant-smoke serving-smoke lifecycle-smoke bench examples report clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -14,7 +14,7 @@ test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow" -x
 
 # Tier-1 gate: the full suite plus a bytecode compile of the library.
-verify: obs-smoke parallel-smoke quant-smoke serving-smoke trace-smoke lifecycle-smoke bench-test
+verify: parallel-smoke quant-smoke serving-smoke lifecycle-smoke bench-test
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(PYTHON) -m compileall -q src
 
@@ -26,11 +26,6 @@ bench-test:
 # Seconds-fast sanity check: build + price one scorer of every backend.
 smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_runtime_smoke.py -q
-
-# Observability gate: run a tiny pipeline with tracing on and assert the
-# JSON + Prometheus exporters and the drift series are well-formed.
-obs-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.obs.smoke
 
 # Parallel gate: shard every backend over the worker pool and assert
 # bit-identical scores plus a measured >1x cache/pool speedup.
@@ -49,12 +44,6 @@ quant-smoke:
 # accounting under a seeded multi-tenant load run.
 serving-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.serving.smoke
-
-# Request-tracing gate: disabled recorder retains nothing and never
-# changes a score; a traced load run retains the slow tail, resolves
-# every exemplar, and each trace's stage timeline tiles its wall time.
-trace-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.obs.trace_smoke
 
 # Lifecycle gate: a forced mid-load hot swap loses zero requests and
 # stays bit-identical pre/post; the shadow gate promotes a good

@@ -229,7 +229,8 @@ def test_bench_cascade(msn_pipeline, benchmark):
     # The budget variant must have actually exited early somewhere, and
     # never beyond its predicted-spend bound.
     budgeted = services["cascade: budgeted tiny->pruned->student"].pipeline
-    assert report.early_exits.get("hq-budgeted", 0) > 0
+    budget_row = report.tables["pipelines"].row("hq-budgeted")
+    assert budget_row is not None and budget_row["early_exits"] > 0
     first_cost = budgeted.stages[0].cost_us_per_doc
     for x in queries:
         spend = budgeted.predicted_query_spend_us(len(x))

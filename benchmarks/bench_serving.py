@@ -175,9 +175,9 @@ def test_serving_sustained_load(benchmark):
                 report.offered,
                 report.served,
                 report.shed,
-                sum(row.slo_miss for row in serving.rows),
+                sum(row["slo_miss"] for row in serving.rows),
                 round(report.throughput_rps),
-                f"{serving.mean_batch_requests:.1f}",
+                f"{serving.totals['mean_batch_requests']:.1f}",
                 _us(stats.p50_us),
                 _us(stats.p95_us),
                 _us(stats.p99_us),
@@ -187,16 +187,16 @@ def test_serving_sustained_load(benchmark):
             rows.append(
                 (
                     "",
-                    row.tenant,
-                    row.offered,
-                    row.served,
-                    row.shed,
-                    row.slo_miss,
+                    row["tenant"],
+                    row["offered"],
+                    row["served"],
+                    row["shed"],
+                    row["slo_miss"],
                     "-",
                     "-",
-                    _us(row.p50_us),
-                    _us(row.p95_us),
-                    _us(row.p99_us),
+                    _us(row["p50_us"]),
+                    _us(row["p95_us"]),
+                    _us(row["p99_us"]),
                 )
             )
 

@@ -9,9 +9,15 @@ One light-weight layer used across the training and serving stack:
   dict operations);
 * :mod:`repro.obs.export` — JSON and Prometheus-text renderings of the
   span forest and the metrics snapshot;
+* :mod:`repro.obs.report` — the one spec-driven table every series
+  report below renders through;
 * :mod:`repro.obs.drift` — per-backend predicted-vs-measured µs/doc
   series fed by the batch engine, the paper's design-time cost
-  predictions audited at deployment time;
+  predictions audited at deployment time, read back by
+  :func:`drift_report`;
+* :mod:`repro.obs.compile` — per-dtype plan-compilation series fed by
+  :func:`repro.runtime.compile.compile_network`, read back by
+  :func:`compile_report`;
 * :mod:`repro.obs.resilience` — retry/failure/breaker/fallback series
   fed by the resilience layer (:mod:`repro.runtime.resilience`), read
   back by :func:`resilience_report`;
@@ -50,28 +56,18 @@ Typical use::
     with obs.span("experiment", dataset="msn30k"):
         service.score(features)
     print(obs.render_trace_tree())
-    print(obs.drift_report().render())
+    report = obs.drift_report()
+    print(report.render())
+    drift_pct = report.row("quickscorer")["drift_pct"]
 
 See ``docs/observability.md`` for naming conventions and the
 instrumentation guide.
 """
 
-from repro.obs.cascade import (
-    CascadeReport,
-    CascadeStageRow,
-    cascade_report,
-    record_cascade_query,
-)
-from repro.obs.compile import (
-    CompileReport,
-    CompileRow,
-    compile_report,
-    record_compile,
-)
-from repro.obs.drift import DriftReport, DriftRow, drift_report, record_request
+from repro.obs.cascade import cascade_report
+from repro.obs.compile import compile_report, record_compile
+from repro.obs.drift import drift_report
 from repro.obs.lifecycle import (
-    LifecycleReport,
-    LifecycleRow,
     lifecycle_report,
     record_replay,
     record_rollback,
@@ -83,17 +79,11 @@ from repro.obs.lifecycle import (
     record_version_documents,
 )
 from repro.obs.parallel import (
-    ParallelReport,
-    ParallelRow,
     parallel_report,
     record_cache_eviction,
     record_cache_invalidation,
-    record_parallel_request,
 )
 from repro.obs.resilience import (
-    BackendRow,
-    ChainRow,
-    ResilienceReport,
     record_breaker_state,
     record_fallback,
     record_failure,
@@ -102,8 +92,6 @@ from repro.obs.resilience import (
     resilience_report,
 )
 from repro.obs.serving import (
-    ServingReport,
-    TenantRow,
     record_admitted,
     record_batch,
     record_response,
@@ -172,37 +160,22 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "BackendRow",
     "BurnRow",
-    "CascadeReport",
-    "CascadeStageRow",
-    "ChainRow",
-    "CompileReport",
-    "CompileRow",
     "Counter",
-    "DriftReport",
-    "DriftRow",
     "Exemplar",
     "ExemplarStore",
     "FlightRecorder",
     "Gauge",
-    "LifecycleReport",
-    "LifecycleRow",
     "MetricError",
     "MetricsRegistry",
-    "ParallelReport",
-    "ParallelRow",
     "RequestContext",
     "RequestRecorder",
-    "ResilienceReport",
-    "ServingReport",
     "SloBurnReport",
     "SloMonitor",
     "SloPolicy",
     "Span",
     "StageEvent",
     "StreamingHistogram",
-    "TenantRow",
     "Tracer",
     "activate",
     "activate_batch",
@@ -229,13 +202,10 @@ __all__ = [
     "record_breaker_state",
     "record_cache_eviction",
     "record_cache_invalidation",
-    "record_cascade_query",
     "record_compile",
     "record_fallback",
     "record_failure",
-    "record_parallel_request",
     "record_replay",
-    "record_request",
     "record_response",
     "record_retry",
     "record_rollback",

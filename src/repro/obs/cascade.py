@@ -27,10 +27,20 @@ and each pipeline's query/early-exit totals — the staged counterpart of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.obs.metrics import BoundSeries, MetricsRegistry, get_registry
+from repro.obs.metrics import BoundSeries, MetricsRegistry
+from repro.obs.report import (
+    Column,
+    Report,
+    ReportSpec,
+    TableSpec,
+    build_report,
+    count,
+    ratio,
+    stat,
+    value,
+)
 
 
 class CascadeSeries(BoundSeries):
@@ -56,7 +66,13 @@ class CascadeSeries(BoundSeries):
         predicted_spend_us: float,
         exited_early: bool,
     ) -> None:
-        """Fold one scored query in (see :func:`record_cascade_query`)."""
+        """Fold one scored query in.
+
+        ``stage_names``/``stage_docs``/``stage_us`` are aligned over the
+        stages the query *executed* (a budget exit shortens them).
+        Zero-doc queries should not be recorded — the engine treats
+        them as no-ops and so does this layer.
+        """
         self.refresh()
         handle = self.handle
         handle("counter", "cascade.queries").inc()
@@ -88,164 +104,62 @@ class CascadeSeries(BoundSeries):
         return metric
 
 
-def record_cascade_query(
-    pipeline: str,
-    *,
-    stage_names: Sequence[str],
-    stage_docs: Sequence[int],
-    stage_us: Sequence[float],
-    predicted_spend_us: float,
-    exited_early: bool,
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Fold one scored query into the ``cascade.*`` series.
-
-    ``stage_names``/``stage_docs``/``stage_us`` are aligned over the
-    stages the query *executed* (a budget exit shortens them).
-    Zero-doc queries should not be recorded — the engine treats them as
-    no-ops and so does this layer.  A scorer that records many queries
-    keeps one :class:`CascadeSeries` instead.
-    """
-    CascadeSeries(pipeline, registry).record(
-        stage_names=stage_names,
-        stage_docs=stage_docs,
-        stage_us=stage_us,
-        predicted_spend_us=predicted_spend_us,
-        exited_early=exited_early,
-    )
-
-
-# ----------------------------------------------------------------------
-# Report
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CascadeStageRow:
-    """One pipeline stage's position in the survivor funnel."""
-
-    pipeline: str
-    stage: str
-    level: int
-    queries: int
-    docs: int
-    total_us: float
-
-    @property
-    def docs_per_query(self) -> float:
-        """Mean documents entering this stage per query that reached it."""
-        return self.docs / self.queries if self.queries else 0.0
-
-    @property
-    def us_per_doc(self) -> float:
-        """Measured mean stage cost per scored document."""
-        return self.total_us / self.docs if self.docs else float("nan")
-
-    def describe(self) -> str:
-        return (
-            f"{self.pipeline}[{self.level}] {self.stage}: "
-            f"{self.queries} queries, {self.docs_per_query:.1f} docs/query, "
-            f"{self.us_per_doc:.2f} us/doc"
+def _pipelines_footer(report: Report) -> str:
+    lines = []
+    for row in report.tables["pipelines"].rows:
+        spend = row["mean_predicted_spend_us"]
+        spend_txt = (
+            f"{spend:.1f} us/query predicted"
+            if math.isfinite(spend)
+            else "unpriced"
         )
-
-
-@dataclass(frozen=True)
-class CascadeReport:
-    """Per-stage funnel rows plus per-pipeline totals and a rendering."""
-
-    rows: tuple[CascadeStageRow, ...]
-    queries: dict[str, int]
-    early_exits: dict[str, int]
-    mean_predicted_spend_us: dict[str, float]
-
-    def pipeline(self, name: str) -> tuple[CascadeStageRow, ...]:
-        """The funnel rows of one pipeline, in stage order."""
-        return tuple(row for row in self.rows if row.pipeline == name)
-
-    def render(self) -> str:
-        if not self.rows:
-            return "(no cascade queries recorded)"
-        header = (
-            f"{'pipeline':<14} {'lvl':>3} {'stage':<22} {'queries':>8} "
-            f"{'docs/query':>11} {'us/doc':>8}"
+        lines.append(
+            f"{row['pipeline']}: {row['queries']} queries, "
+            f"{row['early_exits']} budget early-exits "
+            f"({row['early_exit_ratio']:.1%}), {spend_txt}"
         )
-        lines = ["Cascade funnel", header, "-" * len(header)]
-        for row in self.rows:
-            us = (
-                f"{row.us_per_doc:>8.2f}"
-                if math.isfinite(row.us_per_doc)
-                else f"{'-':>8}"
-            )
-            lines.append(
-                f"{row.pipeline:<14} {row.level:>3d} {row.stage:<22} "
-                f"{row.queries:>8d} {row.docs_per_query:>11.1f} {us}"
-            )
-        for name in sorted(self.queries):
-            total = self.queries[name]
-            exits = self.early_exits.get(name, 0)
-            spend = self.mean_predicted_spend_us.get(name, float("nan"))
-            spend_txt = (
-                f"{spend:.1f} us/query predicted"
-                if math.isfinite(spend)
-                else "unpriced"
-            )
-            lines.append(
-                f"{name}: {total} queries, {exits} budget early-exits "
-                f"({exits / total:.1%}), {spend_txt}"
-            )
-        return "\n".join(lines)
+    return "\n".join(lines)
 
 
-def cascade_report(
-    registry: MetricsRegistry | None = None,
-) -> CascadeReport:
-    """Assemble the per-stage funnel table from the ``cascade.*`` series."""
-    registry = registry or get_registry()
-    stages: dict[tuple[str, int, str], dict[str, float]] = {}
-    queries: dict[str, int] = {}
-    early_exits: dict[str, int] = {}
-    spend: dict[str, float] = {}
-    for (name, label_pairs), metric in registry.items():
-        labels = dict(label_pairs)
-        pipeline = labels.get("pipeline")
-        if pipeline is None:
-            continue
-        if name == "cascade.queries":
-            queries[pipeline] = int(metric.value)
-        elif name == "cascade.early_exits":
-            early_exits[pipeline] = int(metric.value)
-        elif name == "cascade.predicted_spend_us":
-            snap = metric.snapshot()
-            spend[pipeline] = (
-                snap["sum"] / snap["count"] if snap["count"] else float("nan")
-            )
-        elif name in (
-            "cascade.stage_queries",
-            "cascade.stage_docs",
-            "cascade.stage_us",
-        ):
-            stage = labels.get("stage")
-            try:
-                level = int(labels.get("level", "0"))
-            except ValueError:
-                continue
-            if stage is None:
-                continue
-            stages.setdefault((pipeline, level, stage), {})[name] = (
-                metric.value
-            )
-    rows = tuple(
-        CascadeStageRow(
-            pipeline=pipeline,
-            stage=stage,
-            level=level,
-            queries=int(slot.get("cascade.stage_queries", 0)),
-            docs=int(slot.get("cascade.stage_docs", 0)),
-            total_us=slot.get("cascade.stage_us", 0.0),
-        )
-        for (pipeline, level, stage), slot in sorted(stages.items())
-    )
-    return CascadeReport(
-        rows=rows,
-        queries=queries,
-        early_exits=early_exits,
-        mean_predicted_spend_us=spend,
-    )
+_CASCADE = ReportSpec(
+    {
+        "stages": TableSpec(
+            "Cascade funnel",
+            "cascade.stage_",
+            ("pipeline", "level", "stage"),
+            (
+                Column("queries", "queries", count("cascade.stage_queries")),
+                Column("docs", None, count("cascade.stage_docs")),
+                Column("total_us", None, value("cascade.stage_us", 0.0)),
+                Column("docs_per_query", "docs/query",
+                       ratio("docs", "queries", 0.0), ".1f"),
+                Column("us_per_doc", "us/doc", ratio("total_us", "docs"),
+                       ".2f"),
+            ),
+            parse={"level": int},
+        ),
+        "pipelines": TableSpec(
+            None,
+            ("cascade.queries", "cascade.early_exits",
+             "cascade.predicted_spend_us"),
+            ("pipeline",),
+            (
+                Column("queries", None, count("cascade.queries")),
+                Column("early_exits", None, count("cascade.early_exits")),
+                Column("early_exit_ratio", None,
+                       ratio("early_exits", "queries")),
+                Column("mean_predicted_spend_us", None,
+                       stat("cascade.predicted_spend_us", "mean")),
+            ),
+        ),
+    },
+    empty="(no cascade queries recorded)",
+    footer=_pipelines_footer,
+)
+
+
+def cascade_report(registry: MetricsRegistry | None = None) -> Report:
+    """The survivor-funnel table, one row per ``(pipeline, level,
+    stage)``, and the per-pipeline query/early-exit/predicted-spend
+    table (``tables["pipelines"]``)."""
+    return build_report(_CASCADE, registry)

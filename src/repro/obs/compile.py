@@ -23,9 +23,17 @@ parallel_report`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.report import (
+    Column,
+    Report,
+    ReportSpec,
+    TableSpec,
+    build_report,
+    count,
+    ratio,
+    value,
+)
 
 
 def record_compile(
@@ -35,25 +43,16 @@ def record_compile(
     compile_us: float,
     tune_us: float = 0.0,
     kernel_counts: dict[str, int] | None = None,
-    dense_layers: int = 0,
-    sparse_layers: int = 0,
     registry: MetricsRegistry | None = None,
 ) -> None:
     """Fold one plan compilation into the ``compile.*`` series.
 
     ``kernel_counts`` is the plan's ``kernel_counts()`` mapping (any
-    kernel name); the ``dense_layers`` / ``sparse_layers`` pair is the
-    pre-quantization spelling, kept for callers recording only the
-    two scalar kernels.
+    kernel name).
     """
     registry = registry or get_registry()
     registry.counter("compile.plans", dtype=dtype).inc()
-    counts = dict(kernel_counts) if kernel_counts else {}
-    if dense_layers:
-        counts["dense-gemm"] = counts.get("dense-gemm", 0) + dense_layers
-    if sparse_layers:
-        counts["csr-spmm"] = counts.get("csr-spmm", 0) + sparse_layers
-    for kernel, layers in counts.items():
+    for kernel, layers in (kernel_counts or {}).items():
         if layers:
             registry.counter(
                 "compile.layers", dtype=dtype, kernel=kernel
@@ -63,112 +62,47 @@ def record_compile(
     registry.counter("compile.tune_us", dtype=dtype).inc(tune_us)
 
 
-# ----------------------------------------------------------------------
-# Report
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CompileRow:
-    """One execution dtype's compilation position."""
-
-    dtype: str
-    plans: int
-    dense_layers: int
-    sparse_layers: int
-    buffer_bytes: int
-    compile_us: float
-    block_layers: int = 0
-    int8_layers: int = 0
-    int16_layers: int = 0
-    tune_us: float = 0.0
-
-    @property
-    def sparse_share(self) -> float:
-        total = self.dense_layers + self.sparse_layers
-        return self.sparse_layers / total if total else 0.0
-
-    def describe(self) -> str:
-        text = (
-            f"{self.dtype}: {self.plans} plans, "
-            f"{self.dense_layers} dense / {self.sparse_layers} sparse "
-            f"layers, {self.buffer_bytes / 1024:.0f} KiB buffers"
-        )
-        extras = [
-            f"{n} {name}"
-            for name, n in (
-                ("block", self.block_layers),
-                ("int8", self.int8_layers),
-                ("int16", self.int16_layers),
-            )
-            if n
-        ]
-        if extras:
-            text += " (+ " + ", ".join(extras) + ")"
-        return text
-
-
-@dataclass(frozen=True)
-class CompileReport:
-    """Per-dtype compilation rows plus a rendering."""
-
-    rows: tuple[CompileRow, ...]
-
-    def dtype(self, name: str) -> CompileRow | None:
-        for row in self.rows:
-            if row.dtype == name:
-                return row
-        return None
-
-    def render(self) -> str:
-        if not self.rows:
-            return "(no plan compilations recorded)"
-        header = (
-            f"{'dtype':<9} {'plans':>6} {'dense':>6} {'sparse':>7} "
-            f"{'block':>6} {'int8':>5} {'int16':>6} "
-            f"{'buffers':>10} {'compile':>10} {'tuning':>10}"
-        )
-        lines = ["Compiled plans", header, "-" * len(header)]
-        for row in self.rows:
-            lines.append(
-                f"{row.dtype:<9} {row.plans:>6d} {row.dense_layers:>6d} "
-                f"{row.sparse_layers:>7d} "
-                f"{row.block_layers:>6d} {row.int8_layers:>5d} "
-                f"{row.int16_layers:>6d} "
-                f"{row.buffer_bytes / 1024:>6.0f} KiB "
-                f"{row.compile_us / 1000:>7.1f} ms "
-                f"{row.tune_us / 1000:>7.1f} ms"
-            )
-        return "\n".join(lines)
-
-
-def compile_report(registry: MetricsRegistry | None = None) -> CompileReport:
-    """Assemble the per-dtype compilation table from the series."""
-    registry = registry or get_registry()
-    slots: dict[str, dict[str, float]] = {}
-    for (name, label_pairs), metric in registry.items():
-        if not name.startswith("compile."):
-            continue
-        labels = dict(label_pairs)
-        dtype = labels.get("dtype")
-        if dtype is None:
-            continue
-        slot = slots.setdefault(dtype, {})
-        if name == "compile.layers":
-            slot[f"layers:{labels.get('kernel')}"] = metric.value
-        else:
-            slot[name] = metric.value
-    rows = tuple(
-        CompileRow(
-            dtype=dtype,
-            plans=int(slot.get("compile.plans", 0)),
-            dense_layers=int(slot.get("layers:dense-gemm", 0)),
-            sparse_layers=int(slot.get("layers:csr-spmm", 0)),
-            buffer_bytes=int(slot.get("compile.buffer_bytes", 0)),
-            compile_us=slot.get("compile.compile_us", 0.0),
-            block_layers=int(slot.get("layers:block-spmm", 0)),
-            int8_layers=int(slot.get("layers:int8-gemm", 0)),
-            int16_layers=int(slot.get("layers:int16-gemm", 0)),
-            tune_us=slot.get("compile.tune_us", 0.0),
-        )
-        for dtype, slot in sorted(slots.items())
+def _layers(kernel: str):
+    """Layers frozen on ``kernel`` (``compile.layers`` split by kernel)."""
+    return lambda slot: int(
+        slot.get(("compile.layers", "kernel"), {}).get(kernel, 0)
     )
-    return CompileReport(rows=rows)
+
+
+def _ms(us: float) -> str:
+    return f"{us / 1000:.1f} ms"
+
+
+_COMPILE = ReportSpec(
+    {
+        "dtypes": TableSpec(
+            "Compiled plans",
+            "compile.",
+            ("dtype",),
+            (
+                Column("plans", "plans", count("compile.plans")),
+                Column("dense_layers", "dense", _layers("dense-gemm")),
+                Column("sparse_layers", "sparse", _layers("csr-spmm")),
+                Column("block_layers", "block", _layers("block-spmm")),
+                Column("int8_layers", "int8", _layers("int8-gemm")),
+                Column("int16_layers", "int16", _layers("int16-gemm")),
+                Column("buffer_bytes", "buffers",
+                       count("compile.buffer_bytes"),
+                       lambda b: f"{b / 1024:.0f} KiB"),
+                Column("compile_us", "compile",
+                       value("compile.compile_us", 0.0), _ms),
+                Column("tune_us", "tuning",
+                       value("compile.tune_us", 0.0), _ms),
+                Column("sparse_share", None, ratio(
+                    "sparse_layers", ("dense_layers", "sparse_layers"), 0.0
+                )),
+            ),
+        ),
+    },
+    empty="(no plan compilations recorded)",
+)
+
+
+def compile_report(registry: MetricsRegistry | None = None) -> Report:
+    """The per-dtype compilation table, one row per ``dtype`` label."""
+    return build_report(_COMPILE, registry)

@@ -22,9 +22,17 @@ it right on this hardware?".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from repro.obs.metrics import BoundSeries, MetricsRegistry, get_registry
+from repro.obs.metrics import BoundSeries, MetricsRegistry
+from repro.obs.report import (
+    Column,
+    Report,
+    ReportSpec,
+    TableSpec,
+    build_report,
+    count,
+    value,
+)
 
 
 class DriftSeries(BoundSeries):
@@ -41,7 +49,7 @@ class DriftSeries(BoundSeries):
     def record(
         self, *, n_docs: int, seconds: float, predicted_us_per_doc: float
     ) -> None:
-        """Fold one executed request in (see :func:`record_request`)."""
+        """Fold one executed request into the drift series."""
         self.refresh()
         handle = self.handle
         handle("counter", "scoring.requests").inc()
@@ -65,115 +73,28 @@ class DriftSeries(BoundSeries):
             )
 
 
-def record_request(
-    *,
-    backend: str,
-    n_docs: int,
-    seconds: float,
-    predicted_us_per_doc: float,
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Fold one executed request into the per-backend drift series.
-
-    A recorder of many requests keeps one :class:`DriftSeries` instead.
-    """
-    DriftSeries(backend, registry).record(
-        n_docs=n_docs,
-        seconds=seconds,
-        predicted_us_per_doc=predicted_us_per_doc,
-    )
-
-
-@dataclass(frozen=True)
-class DriftRow:
-    """One backend's predicted-vs-measured position."""
-
-    backend: str
-    requests: int
-    documents: int
-    predicted_us_per_doc: float
-    measured_us_per_doc: float
-    drift_pct: float
-
-    def describe(self) -> str:
-        sign = "+" if self.drift_pct >= 0 else ""
-        return (
-            f"{self.backend}: predicted {self.predicted_us_per_doc:.2f} "
-            f"us/doc, measured {self.measured_us_per_doc:.2f} us/doc "
-            f"({sign}{self.drift_pct:.1f}%)"
-        )
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    """Per-backend drift rows plus an ASCII rendering."""
-
-    rows: tuple[DriftRow, ...]
-
-    def row(self, backend: str) -> DriftRow | None:
-        for row in self.rows:
-            if row.backend == backend:
-                return row
-        return None
-
-    def render(self) -> str:
-        if not self.rows:
-            return "(no scoring traffic recorded)"
-        header = (
-            f"{'backend':<20} {'requests':>9} {'docs':>9} "
-            f"{'predicted':>12} {'measured':>12} {'drift':>8}"
-        )
-        lines = [
+_DRIFT = ReportSpec(
+    {
+        "backends": TableSpec(
             "Predicted vs measured scoring cost (us/doc)",
-            header,
-            "-" * len(header),
-        ]
-        for row in self.rows:
-            sign = "+" if row.drift_pct >= 0 else ""
-            lines.append(
-                f"{row.backend:<20} {row.requests:>9d} {row.documents:>9d} "
-                f"{row.predicted_us_per_doc:>12.2f} "
-                f"{row.measured_us_per_doc:>12.2f} "
-                f"{sign}{row.drift_pct:>6.1f}%"
-            )
-        return "\n".join(lines)
+            "scoring.",
+            ("backend",),
+            (
+                Column("requests", "requests", count("scoring.requests")),
+                Column("documents", "docs", count("scoring.documents")),
+                Column("predicted_us_per_doc", "predicted",
+                       value("scoring.predicted_us_per_doc"), ".2f"),
+                Column("measured_us_per_doc", "measured",
+                       value("scoring.measured_us_per_doc"), ".2f"),
+                Column("drift_pct", "drift", value("scoring.drift_pct"),
+                       lambda pct: f"{pct:+.1f}%"),
+            ),
+        ),
+    },
+    empty="(no scoring traffic recorded)",
+)
 
 
-def drift_report(registry: MetricsRegistry | None = None) -> DriftReport:
-    """Assemble the per-backend drift table from the recorded series."""
-    registry = registry or get_registry()
-    backends: dict[str, dict[str, float]] = {}
-    for (name, label_pairs), metric in registry.items():
-        if not name.startswith("scoring."):
-            continue
-        labels = dict(label_pairs)
-        backend = labels.get("backend")
-        if backend is None:
-            continue
-        slot = backends.setdefault(backend, {})
-        if name in ("scoring.requests", "scoring.documents"):
-            slot[name] = metric.value
-        elif name in (
-            "scoring.predicted_us_per_doc",
-            "scoring.measured_us_per_doc",
-            "scoring.drift_pct",
-        ):
-            slot[name] = metric.value
-    rows = []
-    for backend in sorted(backends):
-        slot = backends[backend]
-        rows.append(
-            DriftRow(
-                backend=backend,
-                requests=int(slot.get("scoring.requests", 0)),
-                documents=int(slot.get("scoring.documents", 0)),
-                predicted_us_per_doc=slot.get(
-                    "scoring.predicted_us_per_doc", float("nan")
-                ),
-                measured_us_per_doc=slot.get(
-                    "scoring.measured_us_per_doc", float("nan")
-                ),
-                drift_pct=slot.get("scoring.drift_pct", float("nan")),
-            )
-        )
-    return DriftReport(rows=tuple(rows))
+def drift_report(registry: MetricsRegistry | None = None) -> Report:
+    """The per-backend drift table, one row per ``backend`` label."""
+    return build_report(_DRIFT, registry)

@@ -37,9 +37,17 @@ version — the lifecycle counterpart of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.report import (
+    Column,
+    Report,
+    ReportSpec,
+    TableSpec,
+    build_report,
+    count,
+    value,
+)
 
 
 def record_served_version(
@@ -142,132 +150,55 @@ def record_replay(
     registry.gauge("lifecycle.replay_seen").set(total_seen)
 
 
-# ----------------------------------------------------------------------
-# Report
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LifecycleRow:
-    """One model version's serving and shadow position."""
-
-    version: str
-    requests: int
-    documents: int
-    shadow_requests: int
-    shadow_errors: int
-    shadow_drift_pct: float
-    shadow_agreement: float
-
-    def describe(self) -> str:
-        extras = ""
-        if self.shadow_requests:
-            extras = (
-                f", shadowed {self.shadow_requests}x "
-                f"(drift {self.shadow_drift_pct:.2f}%, "
-                f"agreement {self.shadow_agreement:.3f})"
-            )
-        return (
-            f"{self.version}: {self.requests} requests, "
-            f"{self.documents} documents{extras}"
-        )
-
-
-@dataclass(frozen=True)
-class LifecycleReport:
-    """Per-version serving rows plus swap/rollback totals."""
-
-    rows: tuple[LifecycleRow, ...]
-    swaps: int = 0
-    rollbacks: int = 0
-    shadow_dropped: int = 0
-
-    def version(self, name: str) -> LifecycleRow | None:
-        for row in self.rows:
-            if row.version == name:
-                return row
-        return None
-
-    def render(self) -> str:
-        if not self.rows:
-            return "(no versioned serving recorded)"
-        header = (
-            f"{'version':<16} {'requests':>9} {'documents':>10} "
-            f"{'shadowed':>9} {'drift%':>8} {'agree':>7}"
-        )
-        lines = ["Model lifecycle", header, "-" * len(header)]
-        for row in self.rows:
-            drift = (
-                f"{row.shadow_drift_pct:>8.2f}"
-                if math.isfinite(row.shadow_drift_pct)
-                else f"{'-':>8}"
-            )
-            agree = (
-                f"{row.shadow_agreement:>7.3f}"
-                if math.isfinite(row.shadow_agreement)
-                else f"{'-':>7}"
-            )
-            lines.append(
-                f"{row.version:<16} {row.requests:>9d} {row.documents:>10d} "
-                f"{row.shadow_requests:>9d} {drift} {agree}"
-            )
-        lines.append(
-            f"swaps: {self.swaps}, rollbacks: {self.rollbacks}, "
-            f"shadow dropped: {self.shadow_dropped}"
-        )
-        return "\n".join(lines)
-
-
-def lifecycle_report(
-    registry: MetricsRegistry | None = None,
-) -> LifecycleReport:
-    """Assemble the per-version serving table from the series."""
-    registry = registry or get_registry()
-    slots: dict[str, dict[str, float]] = {}
-    wanted = {
-        "lifecycle.requests",
-        "lifecycle.documents",
-        "lifecycle.shadow_requests",
-        "lifecycle.shadow_errors",
-        "lifecycle.shadow_drift_pct",
-        "lifecycle.shadow_agreement",
-    }
-    swaps = 0
-    rollbacks = 0
-    dropped = 0
-    for (name, label_pairs), metric in registry.items():
-        if name == "lifecycle.swaps":
-            swaps += int(metric.value)
-            continue
-        if name == "lifecycle.rollbacks":
-            rollbacks = int(metric.value)
-            continue
-        if name == "lifecycle.shadow_dropped":
-            dropped += int(metric.value)
-            continue
-        if name not in wanted:
-            continue
-        version = dict(label_pairs).get("version")
-        if version is None:
-            continue
-        slots.setdefault(version, {})[name] = metric.value
-    rows = tuple(
-        LifecycleRow(
-            version=version,
-            requests=int(slot.get("lifecycle.requests", 0)),
-            documents=int(slot.get("lifecycle.documents", 0)),
-            shadow_requests=int(slot.get("lifecycle.shadow_requests", 0)),
-            shadow_errors=int(slot.get("lifecycle.shadow_errors", 0)),
-            shadow_drift_pct=slot.get(
-                "lifecycle.shadow_drift_pct", float("nan")
+_LIFECYCLE = ReportSpec(
+    {
+        "versions": TableSpec(
+            "Model lifecycle",
+            (
+                "lifecycle.requests",
+                "lifecycle.documents",
+                "lifecycle.shadow_requests",
+                "lifecycle.shadow_errors",
+                "lifecycle.shadow_drift_pct",
+                "lifecycle.shadow_agreement",
             ),
-            shadow_agreement=slot.get(
-                "lifecycle.shadow_agreement", float("nan")
+            ("version",),
+            (
+                Column("requests", "requests", count("lifecycle.requests")),
+                Column("documents", "documents",
+                       count("lifecycle.documents")),
+                Column("shadow_requests", "shadowed",
+                       count("lifecycle.shadow_requests")),
+                Column("shadow_errors", None,
+                       count("lifecycle.shadow_errors")),
+                Column("shadow_drift_pct", "drift%",
+                       value("lifecycle.shadow_drift_pct"), ".2f"),
+                Column("shadow_agreement", "agree",
+                       value("lifecycle.shadow_agreement"), ".3f"),
             ),
-        )
-        for version, slot in sorted(slots.items())
-    )
-    return LifecycleReport(
-        rows=rows,
-        swaps=swaps,
-        rollbacks=rollbacks,
-        shadow_dropped=dropped,
-    )
+        ),
+        "totals": TableSpec(
+            None,
+            ("lifecycle.swaps", "lifecycle.rollbacks",
+             "lifecycle.shadow_dropped"),
+            (),
+            (
+                Column("swaps", None, count("lifecycle.swaps")),
+                Column("rollbacks", None, count("lifecycle.rollbacks")),
+                Column("shadow_dropped", None,
+                       count("lifecycle.shadow_dropped")),
+            ),
+        ),
+    },
+    empty="(no versioned serving recorded)",
+    footer=lambda report: (
+        "swaps: {swaps}, rollbacks: {rollbacks}, "
+        "shadow dropped: {shadow_dropped}".format(**report.totals)
+    ),
+)
+
+
+def lifecycle_report(registry: MetricsRegistry | None = None) -> Report:
+    """The per-version serving table, one row per ``version`` label;
+    swap/rollback/shadow-dropped counts are its ``totals``."""
+    return build_report(_LIFECYCLE, registry)

@@ -6,10 +6,11 @@ first-layer-pruned student, both served through compiled plans — routes
 a stream of per-query requests through
 :class:`~repro.serving.ScoringService`, and returns the services so
 callers can inspect stats, drift and spans.  Models are keyed by role:
-``forest``, ``student`` and ``pruned``.  It backs both the
-``repro stats`` subcommand and the ``make obs-smoke`` gate: small enough
-to run in seconds, real enough to touch pricing, batching, tracing and
-the drift gauges end to end.
+``forest``, ``student`` and ``pruned``.  It backs the ``repro stats``
+subcommand, and :func:`build_probe_models` the gate tests' shared
+fixtures (``tests/gates``): small enough to run in seconds, real
+enough to touch pricing, batching, tracing and the drift gauges end
+to end.
 
 Heavyweight imports stay inside the functions: ``repro.obs`` is imported
 *by* the runtime/serving layers, so this module must not drag them in at

@@ -14,8 +14,9 @@ id and an append-only list of :class:`StageEvent` timings
 its own clock at each hop, so the four post-enqueue stages **tile** the
 enqueue→response interval exactly — each stage starts where the
 previous ended (``last_stage_end``) — which is what makes the
-trace-smoke's "stage sum ≈ wall time" acceptance check hold by
-construction rather than by luck.
+observability gates' "stage sum ≈ wall time" check
+(``tests/gates/test_obs_gates.py``) hold by construction rather than
+by luck.
 
 Propagation into the engine thread uses :mod:`contextvars` set *inside*
 the executor thread (``loop.run_in_executor`` does not copy the loop's

@@ -27,9 +27,17 @@ counterpart of :func:`repro.obs.drift.drift_report`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.report import (
+    Column,
+    Report,
+    ReportSpec,
+    TableSpec,
+    build_report,
+    count,
+    ratio,
+)
 
 #: Gauge encoding of the breaker state machine.
 BREAKER_STATE_VALUES = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
@@ -95,147 +103,45 @@ def record_fallback(
     registry.counter("resilience.fallbacks", primary=primary, tier=tier).inc()
 
 
-# ----------------------------------------------------------------------
-# Report
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ChainRow:
-    """One fallback chain's degradation position."""
-
-    primary: str
-    requests: int
-    fallbacks: int
-
-    @property
-    def fallback_ratio(self) -> float:
-        """Fraction of requests a non-primary tier answered."""
-        return self.fallbacks / self.requests if self.requests else 0.0
-
-    def describe(self) -> str:
-        return (
-            f"{self.primary}: {self.requests} served, "
-            f"{self.fallbacks} degraded ({self.fallback_ratio:.1%})"
-        )
+def _breaker_state(slot) -> str:
+    """The breaker gauge's state name; ``untracked`` without a gauge."""
+    state = slot.get("resilience.breaker_state", math.nan)
+    if not math.isfinite(state):
+        return "untracked"
+    return _STATE_NAMES.get(state, "unknown")
 
 
-@dataclass(frozen=True)
-class BackendRow:
-    """One backend's retry/failure counters and breaker position."""
-
-    backend: str
-    retries: int
-    failures: int
-    breaker_state: str
-
-    def describe(self) -> str:
-        return (
-            f"{self.backend}: {self.retries} retries, "
-            f"{self.failures} failures, breaker {self.breaker_state}"
-        )
-
-
-@dataclass(frozen=True)
-class ResilienceReport:
-    """Per-chain and per-backend resilience rows plus a rendering."""
-
-    chains: tuple[ChainRow, ...]
-    backends: tuple[BackendRow, ...]
-
-    def chain(self, primary: str) -> ChainRow | None:
-        for row in self.chains:
-            if row.primary == primary:
-                return row
-        return None
-
-    def backend(self, name: str) -> BackendRow | None:
-        for row in self.backends:
-            if row.backend == name:
-                return row
-        return None
-
-    def render(self) -> str:
-        if not self.chains and not self.backends:
-            return "(no resilience events recorded)"
-        lines: list[str] = []
-        if self.chains:
-            header = (
-                f"{'chain (primary)':<22} {'requests':>9} "
-                f"{'fallbacks':>10} {'ratio':>7}"
-            )
-            lines += ["Fallback chains", header, "-" * len(header)]
-            for row in self.chains:
-                lines.append(
-                    f"{row.primary:<22} {row.requests:>9d} "
-                    f"{row.fallbacks:>10d} {row.fallback_ratio:>6.1%}"
-                )
-        if self.backends:
-            if lines:
-                lines.append("")
-            header = (
-                f"{'backend':<22} {'retries':>8} {'failures':>9} "
-                f"{'breaker':>10}"
-            )
-            lines += ["Backends", header, "-" * len(header)]
-            for row in self.backends:
-                lines.append(
-                    f"{row.backend:<22} {row.retries:>8d} {row.failures:>9d} "
-                    f"{row.breaker_state:>10}"
-                )
-        return "\n".join(lines)
+_RESILIENCE = ReportSpec(
+    {
+        "chains": TableSpec(
+            "Fallback chains",
+            ("resilience.served", "resilience.fallbacks"),
+            ("primary",),
+            (
+                Column("requests", "requests", count("resilience.served")),
+                Column("fallbacks", "fallbacks",
+                       count("resilience.fallbacks")),
+                Column("fallback_ratio", "ratio",
+                       ratio("fallbacks", "requests", 0.0), ".1%"),
+            ),
+        ),
+        "backends": TableSpec(
+            "Backends",
+            ("resilience.retries", "resilience.failures",
+             "resilience.breaker_state"),
+            ("backend",),
+            (
+                Column("retries", "retries", count("resilience.retries")),
+                Column("failures", "failures", count("resilience.failures")),
+                Column("breaker_state", "breaker", _breaker_state),
+            ),
+        ),
+    },
+    empty="(no resilience events recorded)",
+)
 
 
-def resilience_report(
-    registry: MetricsRegistry | None = None,
-) -> ResilienceReport:
-    """Assemble the per-chain / per-backend tables from the series."""
-    registry = registry or get_registry()
-    chains: dict[str, dict[str, float]] = {}
-    backends: dict[str, dict[str, float]] = {}
-    for (name, label_pairs), metric in registry.items():
-        if not name.startswith("resilience."):
-            continue
-        labels = dict(label_pairs)
-        if name in ("resilience.served", "resilience.fallbacks"):
-            primary = labels.get("primary")
-            if primary is None:
-                continue
-            slot = chains.setdefault(primary, {})
-            slot[name] = slot.get(name, 0.0) + metric.value
-        elif name in (
-            "resilience.retries",
-            "resilience.failures",
-            "resilience.breaker_state",
-        ):
-            backend = labels.get("backend")
-            if backend is None:
-                continue
-            slot = backends.setdefault(backend, {})
-            if name == "resilience.failures":
-                slot[name] = slot.get(name, 0.0) + metric.value
-            else:
-                slot[name] = metric.value
-    chain_rows = tuple(
-        ChainRow(
-            primary=primary,
-            requests=int(slot.get("resilience.served", 0)),
-            fallbacks=int(slot.get("resilience.fallbacks", 0)),
-        )
-        for primary, slot in sorted(chains.items())
-    )
-    backend_rows = []
-    for backend, slot in sorted(backends.items()):
-        state_value = slot.get("resilience.breaker_state", float("nan"))
-        state = (
-            _STATE_NAMES.get(state_value, "unknown")
-            if math.isfinite(state_value)
-            else "untracked"
-        )
-        backend_rows.append(
-            BackendRow(
-                backend=backend,
-                retries=int(slot.get("resilience.retries", 0)),
-                failures=int(slot.get("resilience.failures", 0)),
-                breaker_state=state,
-            )
-        )
-    return ResilienceReport(chains=chain_rows, backends=tuple(backend_rows))
+def resilience_report(registry: MetricsRegistry | None = None) -> Report:
+    """The per-chain table (one row per ``primary``) and the per-backend
+    table (``tables["backends"]``, one row per ``backend``)."""
+    return build_report(_RESILIENCE, registry)

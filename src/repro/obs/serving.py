@@ -28,10 +28,18 @@ coalescing summary, the front-end counterpart of
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.report import (
+    Column,
+    Report,
+    ReportSpec,
+    TableSpec,
+    build_report,
+    count,
+    ratio,
+    stat,
+    value,
+)
 from repro.obs.slo import record_slo_event
 
 
@@ -90,154 +98,71 @@ def record_batch(
     registry.gauge("serving.queue_depth").set(queue_depth)
 
 
-# ----------------------------------------------------------------------
-# Report
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TenantRow:
-    """One tenant's admission, shedding and latency position."""
-
-    tenant: str
-    admitted: int
-    served: int
-    shed: int
-    shed_reasons: tuple[tuple[str, int], ...]
-    slo_miss: int
-    p50_us: float
-    p95_us: float
-    p99_us: float
-
-    @property
-    def offered(self) -> int:
-        """Requests the tenant offered: admitted plus shed."""
-        return self.admitted + self.shed
-
-    @property
-    def shed_ratio(self) -> float:
-        """Shed over offered traffic (``nan`` before any traffic)."""
-        return self.shed / self.offered if self.offered else float("nan")
-
-    @property
-    def slo_miss_ratio(self) -> float:
-        """SLO misses over served responses (``nan`` with none served)."""
-        return self.slo_miss / self.served if self.served else float("nan")
-
-    def describe(self) -> str:
-        return (
-            f"{self.tenant}: {self.admitted} admitted, "
-            f"{self.shed} shed ({self.shed_ratio:.1%}), "
-            f"{self.slo_miss} SLO misses, p99 {self.p99_us:.0f} us"
-        )
+_LATENCY = "serving.latency_us"
 
 
-@dataclass(frozen=True)
-class ServingReport:
-    """Per-tenant traffic rows plus the coalescing summary."""
-
-    rows: tuple[TenantRow, ...]
-    batches: int
-    mean_batch_requests: float
-    mean_batch_docs: float
-    last_queue_depth: float
-
-    def tenant(self, name: str) -> TenantRow | None:
-        for row in self.rows:
-            if row.tenant == name:
-                return row
-        return None
-
-    @property
-    def coalesce_ratio(self) -> float:
-        """Mean requests folded into one engine call (1.0 = no gain)."""
-        return self.mean_batch_requests
-
-    def render(self) -> str:
-        if not self.rows and not self.batches:
-            return "(no serving traffic recorded)"
-        header = (
-            f"{'tenant':<14} {'offered':>8} {'admitted':>9} {'shed':>6} "
-            f"{'shed%':>7} {'slo miss':>9} {'p50 us':>9} {'p95 us':>9} "
-            f"{'p99 us':>9}"
-        )
-        lines = ["Serving front-end", header, "-" * len(header)]
-        for row in self.rows:
-            shed_pct = (
-                f"{row.shed_ratio:>6.1%}"
-                if math.isfinite(row.shed_ratio)
-                else f"{'-':>6}"
-            )
-            lines.append(
-                f"{row.tenant:<14} {row.offered:>8d} {row.admitted:>9d} "
-                f"{row.shed:>6d} {shed_pct} {row.slo_miss:>9d} "
-                f"{_us(row.p50_us)} {_us(row.p95_us)} {_us(row.p99_us)}"
-            )
-        lines.append(
-            f"coalescing: {self.batches} batches, "
-            f"{self.mean_batch_requests:.1f} requests/batch, "
-            f"{self.mean_batch_docs:.1f} docs/batch, "
-            f"queue depth {self.last_queue_depth:.0f} at last drain"
-        )
-        return "\n".join(lines)
+def _offered(slot) -> int:
+    """Requests the tenant offered: admitted plus shed."""
+    return int(slot.get("serving.requests", 0) + slot.get("serving.shed", 0))
 
 
-def _us(value: float) -> str:
-    return f"{value:>9.0f}" if math.isfinite(value) else f"{'-':>9}"
+def _served(slot) -> int:
+    """Responses in the tenant's latency histogram."""
+    return int(slot.get(_LATENCY, {}).get("count", 0))
 
 
-def serving_report(
-    registry: MetricsRegistry | None = None,
-) -> ServingReport:
-    """Assemble the per-tenant traffic table from the ``serving.*`` series."""
-    registry = registry or get_registry()
-    admitted: dict[str, int] = {}
-    shed: dict[str, dict[str, int]] = {}
-    slo_miss: dict[str, int] = {}
-    latency: dict[str, dict[str, float]] = {}
-    batches = 0
-    mean_batch_requests = float("nan")
-    mean_batch_docs = float("nan")
-    last_queue_depth = float("nan")
-    for (name, label_pairs), metric in registry.items():
-        labels = dict(label_pairs)
-        tenant = labels.get("tenant")
-        if name == "serving.requests" and tenant is not None:
-            admitted[tenant] = int(metric.value)
-        elif name == "serving.shed" and tenant is not None:
-            reason = labels.get("reason", "?")
-            shed.setdefault(tenant, {})[reason] = int(metric.value)
-        elif name == "serving.slo_miss" and tenant is not None:
-            slo_miss[tenant] = int(metric.value)
-        elif name == "serving.latency_us" and tenant is not None:
-            latency[tenant] = metric.snapshot()
-        elif name == "serving.batches":
-            batches = int(metric.value)
-        elif name == "serving.batch_requests":
-            mean_batch_requests = metric.mean
-        elif name == "serving.batch_docs":
-            mean_batch_docs = metric.mean
-        elif name == "serving.queue_depth":
-            last_queue_depth = metric.value
-    tenants = sorted(
-        set(admitted) | set(shed) | set(slo_miss) | set(latency)
-    )
-    rows = tuple(
-        TenantRow(
-            tenant=tenant,
-            admitted=admitted.get(tenant, 0),
-            served=int(latency.get(tenant, {}).get("count", 0)),
-            shed=sum(shed.get(tenant, {}).values()),
-            shed_reasons=tuple(sorted(shed.get(tenant, {}).items())),
-            slo_miss=slo_miss.get(tenant, 0),
-            p50_us=latency.get(tenant, {}).get("p50", float("nan")),
-            p95_us=latency.get(tenant, {}).get("p95", float("nan")),
-            p99_us=latency.get(tenant, {}).get("p99", float("nan")),
-        )
-        for tenant in tenants
-    )
-    return ServingReport(
-        rows=rows,
-        batches=batches,
-        mean_batch_requests=mean_batch_requests,
-        mean_batch_docs=mean_batch_docs,
-        last_queue_depth=last_queue_depth,
-    )
+def _shed_reasons(slot) -> tuple[tuple[str, int], ...]:
+    """``(reason, count)`` pairs of ``serving.shed``, sorted by reason."""
+    split = slot.get(("serving.shed", "reason"), {})
+    return tuple(sorted((reason, int(n)) for reason, n in split.items()))
+
+
+_SERVING = ReportSpec(
+    {
+        "tenants": TableSpec(
+            "Serving front-end",
+            "serving.",
+            ("tenant",),
+            (
+                Column("offered", "offered", _offered),
+                Column("admitted", "admitted", count("serving.requests")),
+                Column("served", None, _served),
+                Column("shed", "shed", count("serving.shed")),
+                Column("shed_reasons", None, _shed_reasons),
+                Column("shed_ratio", "shed%", ratio("shed", "offered"), ".1%"),
+                Column("slo_miss", "slo miss", count("serving.slo_miss")),
+                Column("slo_miss_ratio", None, ratio("slo_miss", "served")),
+                Column("p50_us", "p50 us", stat(_LATENCY, "p50"), ".0f"),
+                Column("p95_us", "p95 us", stat(_LATENCY, "p95"), ".0f"),
+                Column("p99_us", "p99 us", stat(_LATENCY, "p99"), ".0f"),
+            ),
+        ),
+        "totals": TableSpec(
+            None,
+            ("serving.batches", "serving.batch_requests",
+             "serving.batch_docs", "serving.queue_depth"),
+            (),
+            (
+                Column("batches", None, count("serving.batches")),
+                Column("mean_batch_requests", None,
+                       stat("serving.batch_requests", "mean")),
+                Column("mean_batch_docs", None,
+                       stat("serving.batch_docs", "mean")),
+                Column("last_queue_depth", None,
+                       value("serving.queue_depth")),
+            ),
+        ),
+    },
+    empty="(no serving traffic recorded)",
+    footer=lambda report: (
+        "coalescing: {batches} batches, {mean_batch_requests:.1f} "
+        "requests/batch, {mean_batch_docs:.1f} docs/batch, queue depth "
+        "{last_queue_depth:.0f} at last drain".format(**report.totals)
+    ),
+)
+
+
+def serving_report(registry: MetricsRegistry | None = None) -> Report:
+    """The per-tenant traffic table, one row per ``tenant`` label; the
+    coalesced-batch shape is its ``totals``."""
+    return build_report(_SERVING, registry)

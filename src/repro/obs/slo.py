@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.exceptions import ReproError
+from repro.utils.tables import format_table
 
 
 @dataclass(frozen=True)
@@ -197,25 +198,25 @@ class SloBurnReport:
         """ASCII burn table, one row per tenant."""
         if not self.rows:
             return "(no SLO traffic recorded)"
-        header = (
-            f"{'tenant':<14} {'fast miss':>12} {'fast burn':>10} "
-            f"{'slow miss':>12} {'slow burn':>10} {'state':>10}"
+        return format_table(
+            ("tenant", "fast miss", "fast burn", "slow miss", "slow burn",
+             "state"),
+            (
+                (
+                    r.tenant,
+                    f"{r.fast_missed}/{r.fast_served}",
+                    f"{r.fast_burn:.1f}x",
+                    f"{r.slow_missed}/{r.slow_served}",
+                    f"{r.slow_burn:.1f}x",
+                    r.state,
+                )
+                for r in self.rows
+            ),
+            title=(
+                f"SLO burn (objective {self.policy.objective:.3%}, budget "
+                f"{self.policy.error_budget:.3%})"
+            ),
         )
-        lines = [
-            f"SLO burn (objective {self.policy.objective:.3%}, budget "
-            f"{self.policy.error_budget:.3%})",
-            header,
-            "-" * len(header),
-        ]
-        for r in self.rows:
-            lines.append(
-                f"{r.tenant:<14} "
-                f"{f'{r.fast_missed}/{r.fast_served}':>12} "
-                f"{r.fast_burn:>9.1f}x "
-                f"{f'{r.slow_missed}/{r.slow_served}':>12} "
-                f"{r.slow_burn:>9.1f}x {r.state:>10}"
-            )
-        return "\n".join(lines)
 
 
 class SloMonitor:

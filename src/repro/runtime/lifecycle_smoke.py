@@ -241,20 +241,21 @@ def check_observability() -> None:
 
     report = obs.lifecycle_report()
     assert report.rows, "no lifecycle.* series recorded"
-    by_version = {row.version: row for row in report.rows}
+    by_version = {row["version"]: row for row in report.rows}
     for version in ("v1", "v2", "good", "bad"):
         assert version in by_version, f"no lifecycle rows for {version!r}"
-    assert by_version["v1"].requests > 0
-    assert by_version["bad"].shadow_requests > 0, (
+    assert by_version["v1"]["requests"] > 0
+    assert by_version["bad"]["shadow_requests"] > 0, (
         "the regressed candidate's shadow comparisons were not recorded"
     )
-    assert report.swaps >= 2, f"expected >= 2 swaps, got {report.swaps}"
-    assert report.rollbacks >= 1, "the rollback was not recorded"
+    totals = report.totals
+    assert totals["swaps"] >= 2, f"expected >= 2 swaps, got {totals['swaps']}"
+    assert totals["rollbacks"] >= 1, "the rollback was not recorded"
     rendered = report.render()
     assert "Model lifecycle" in rendered and "rollbacks:" in rendered
     print(
         f"obs: {len(report.rows)} versions in the series, "
-        f"{report.swaps} swaps, {report.rollbacks} rollback(s) recorded"
+        f"{totals['swaps']} swaps, {totals['rollbacks']} rollback(s) recorded"
     )
 
 

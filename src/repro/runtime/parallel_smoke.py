@@ -172,19 +172,19 @@ def check_observability() -> None:
 
     report = obs.parallel_report()
     assert report.rows, "no parallel.* series recorded"
-    total_requests = sum(row.requests for row in report.rows)
+    total_requests = sum(row["requests"] for row in report.rows)
     assert total_requests > 0, "parallel.requests counter is empty"
-    dense = report.backend("compiled-network")
+    dense = report.row("compiled-network")
     assert dense is not None, "compiled-network row missing from the report"
-    assert math.isfinite(dense.cache_hit_ratio) and dense.cache_hit_ratio > 0, (
-        f"expected a finite positive cache hit ratio, got "
-        f"{dense.cache_hit_ratio}"
+    hit_ratio = dense["cache_hit_ratio"]
+    assert math.isfinite(hit_ratio) and hit_ratio > 0, (
+        f"expected a finite positive cache hit ratio, got {hit_ratio}"
     )
     rendered = report.render()
     assert "Parallel scoring" in rendered and "compiled-network" in rendered
     print(
         f"obs: {total_requests} sharded requests recorded, "
-        f"student cache hit ratio {dense.cache_hit_ratio:.0%}"
+        f"student cache hit ratio {hit_ratio:.0%}"
     )
 
 

@@ -298,16 +298,16 @@ def check_observability() -> None:
     from repro import obs
 
     report = obs.compile_report()
-    f32 = report.dtype("float32")
-    assert f32 is not None and f32.plans > 0, "no float32 plans recorded"
-    assert f32.int8_layers > 0, "no int8-gemm layer choices recorded"
-    assert f32.block_layers > 0, "no block-spmm layer choices recorded"
-    assert f32.int16_layers > 0, "no int16-gemm layer choices recorded"
+    f32 = report.row("float32")
+    assert f32 is not None and f32["plans"] > 0, "no float32 plans recorded"
+    assert f32["int8_layers"] > 0, "no int8-gemm layer choices recorded"
+    assert f32["block_layers"] > 0, "no block-spmm layer choices recorded"
+    assert f32["int16_layers"] > 0, "no int16-gemm layer choices recorded"
     rendered = report.render()
     assert "int8" in rendered and "block" in rendered
     print(
-        f"obs: float32 row has {f32.block_layers} block / "
-        f"{f32.int8_layers} int8 / {f32.int16_layers} int16 layers"
+        f"obs: float32 row has {f32['block_layers']} block / "
+        f"{f32['int8_layers']} int8 / {f32['int16_layers']} int16 layers"
     )
 
 

@@ -181,21 +181,21 @@ def check_admission_and_slo():
     # SLO accounting: strict's deadline is unmeetable, so every served
     # response is a miss — and misses are *served* (client saw scores).
     serving = obs.serving_report()
-    strict = serving.tenant("strict")
+    strict = serving.row("strict")
     assert strict is not None, "strict tenant missing from serving report"
-    assert strict.served == report.served_by_tenant["strict"]
-    assert strict.slo_miss == strict.served, (
-        f"strict tenant: {strict.slo_miss} SLO misses != "
-        f"{strict.served} served under an unmeetable deadline"
+    assert strict["served"] == report.served_by_tenant["strict"]
+    assert strict["slo_miss"] == strict["served"], (
+        f"strict tenant: {strict['slo_miss']} SLO misses != "
+        f"{strict['served']} served under an unmeetable deadline"
     )
-    bulk = serving.tenant("bulk")
-    assert bulk is not None and bulk.slo_miss == 0, (
+    bulk = serving.row("bulk")
+    assert bulk is not None and bulk["slo_miss"] == 0, (
         "bulk tenant has no SLO configured but recorded misses"
     )
     print(
         f"admission: limited tenant shed {limited_ratio:.0%} "
-        f"(rate-limit only), strict tenant {strict.slo_miss}/"
-        f"{strict.served} SLO misses, bulk untouched"
+        f"(rate-limit only), strict tenant {strict['slo_miss']}/"
+        f"{strict['served']} SLO misses, bulk untouched"
     )
     return report, serving
 
@@ -203,28 +203,29 @@ def check_admission_and_slo():
 def check_observability(report, serving) -> None:
     """The serving.* series must agree with the client-side report."""
     for tenant in ("limited", "strict", "bulk"):
-        row = serving.tenant(tenant)
+        row = serving.row(tenant)
         assert row is not None, f"{tenant} missing from serving report"
-        assert row.served == report.served_by_tenant.get(tenant, 0), (
-            f"{tenant}: serving.latency_us count {row.served} != "
+        assert row["served"] == report.served_by_tenant.get(tenant, 0), (
+            f"{tenant}: serving.latency_us count {row['served']} != "
             f"client-side served {report.served_by_tenant.get(tenant, 0)}"
         )
         client_shed = sum(report.shed_by_tenant.get(tenant, {}).values())
-        assert row.shed == client_shed, (
-            f"{tenant}: serving.shed {row.shed} != client-side "
+        assert row["shed"] == client_shed, (
+            f"{tenant}: serving.shed {row['shed']} != client-side "
             f"{client_shed}"
         )
-        if row.served:
-            assert math.isfinite(row.p99_us) and row.p99_us > 0, (
-                f"{tenant} served traffic but p99 is {row.p99_us}"
+        if row["served"]:
+            assert math.isfinite(row["p99_us"]) and row["p99_us"] > 0, (
+                f"{tenant} served traffic but p99 is {row['p99_us']}"
             )
-    assert serving.batches > 0, "no coalesced batches recorded"
+    totals = serving.totals
+    assert totals["batches"] > 0, "no coalesced batches recorded"
     rendered = serving.render()
     for tenant in ("limited", "strict", "bulk"):
         assert tenant in rendered, f"{tenant} missing from rendering"
     print(
-        f"obs: {serving.batches} batches, "
-        f"{serving.mean_batch_requests:.1f} requests/batch, "
+        f"obs: {totals['batches']} batches, "
+        f"{totals['mean_batch_requests']:.1f} requests/batch, "
         "per-tenant counts agree with the client-side report"
     )
 

@@ -110,10 +110,10 @@ def test_observability(cascade_service, probe_queries, obs_clean):
     for x in probe_queries:
         service.score(x)
     report = obs.cascade_report()
-    funnel = report.pipeline("pipeline")
-    assert funnel and funnel[0].queries == len(probe_queries)
-    assert funnel[0].docs_per_query >= funnel[-1].docs_per_query
-    assert report.early_exits.get("pipeline", 0) > 0
+    funnel = [row for row in report.rows if row["pipeline"] == "pipeline"]
+    assert funnel and funnel[0]["queries"] == len(probe_queries)
+    assert funnel[0]["docs_per_query"] >= funnel[-1]["docs_per_query"]
+    assert report.tables["pipelines"].row("pipeline")["early_exits"] > 0
     rendered = report.render()
     assert "Cascade funnel" in rendered and "pruned" in rendered
 

@@ -122,14 +122,14 @@ def test_observability(pruned_network, fake_timer, obs_clean, winner):
         kernels=[DENSE_KERNEL] * pruned_network.n_layers,
     )
     report = obs_clean.compile_report()
-    f64 = report.dtype("float64")
-    assert f64 is not None and f64.plans == 3
+    f64 = report.row("float64")
+    assert f64 is not None and f64["plans"] == 3
     layers = pruned_network.n_layers
     expected_sparse = 2 * layers if winner == SPARSE_KERNEL else 0
-    assert f64.sparse_layers == expected_sparse
-    assert f64.dense_layers == 3 * layers - expected_sparse
-    assert f64.buffer_bytes > 0 and f64.compile_us > 0
-    assert f64.tune_us > 0
+    assert f64["sparse_layers"] == expected_sparse
+    assert f64["dense_layers"] == 3 * layers - expected_sparse
+    assert f64["buffer_bytes"] > 0 and f64["compile_us"] > 0
+    assert f64["tune_us"] > 0
     rendered = report.render()
     assert "Compiled plans" in rendered and "tuning" in rendered
 
@@ -138,8 +138,8 @@ def test_observability_real_timer_records_tuning(pruned_network, obs_clean):
     # A fresh timer means a fresh tuning record, so this compile times.
     context = PricingContext(timer=wall_timer)
     plan = compile_network(pruned_network, context=context, max_batch=128)
-    row = obs_clean.compile_report().dtype("float64")
-    assert row.tune_us > 0
+    row = obs_clean.compile_report().row("float64")
+    assert row["tune_us"] > 0
     for lp in plan.layers:
         assert set(lp.measured_us_per_doc()) == {16, 128}, lp.describe()
         assert "measured" in lp.describe()

@@ -89,12 +89,12 @@ class TestDriftSeries:
         report = obs.drift_report()
         row = report.row("quickscorer")
         assert row is not None
-        assert row.requests == 3 and row.documents == 120
-        assert row.predicted_us_per_doc == pytest.approx(
+        assert row["requests"] == 3 and row["documents"] == 120
+        assert row["predicted_us_per_doc"] == pytest.approx(
             engine.stats.predicted_us_per_doc
         )
-        assert row.measured_us_per_doc > 0
-        assert np.isfinite(row.drift_pct)
+        assert row["measured_us_per_doc"] > 0
+        assert np.isfinite(row["drift_pct"])
         assert "quickscorer" in report.render()
 
     def test_stats_drift_summary_consistent(
@@ -122,8 +122,8 @@ class TestDriftSeries:
         ScoringService(pruned, predictor=predictor_cache).score(x)
         # Both students serve through their compiled plans.
         row = obs.drift_report().row("compiled-network")
-        assert row is not None and row.requests == 2
-        assert row.measured_us_per_doc > 0
+        assert row is not None and row["requests"] == 2
+        assert row["measured_us_per_doc"] > 0
 
     def test_empty_report_renders(self, obs_clean):
         report = obs.drift_report()
@@ -260,12 +260,12 @@ class TestBoundDriftSeries:
         obs.get_registry().reset()
         engine.score(x)
         engine.score_coalesced([x[:5], x[5:]])
-        assert obs.drift_report().row("quickscorer").requests == 2
+        assert obs.drift_report().row("quickscorer")["requests"] == 2
         fresh = obs.MetricsRegistry()
         previous = obs.set_registry(fresh)
         try:
             engine.score(x)
         finally:
             obs.set_registry(previous)
-        assert obs.drift_report(fresh).row("quickscorer").requests == 1
-        assert obs.drift_report().row("quickscorer").requests == 2
+        assert obs.drift_report(fresh).row("quickscorer")["requests"] == 1
+        assert obs.drift_report().row("quickscorer")["requests"] == 2

@@ -1144,15 +1144,15 @@ class TestObservability:
         compile_network(network, context=context, kernels=kernels)
         compile_network(network, context=context, dtype="float32")
         report = compile_report()
-        assert {row.dtype for row in report.rows} <= {"float64", "float32"}
-        row = report.dtype("float64")
+        assert {row["dtype"] for row in report.rows} <= {"float64", "float32"}
+        row = report.row("float64")
         assert row is not None
-        assert row.plans == 1
-        assert row.sparse_layers >= 1
-        assert row.dense_layers + row.sparse_layers == network.n_layers
-        assert row.buffer_bytes > 0
-        assert row.compile_us > 0
-        assert 0 < row.sparse_share < 1
+        assert row["plans"] == 1
+        assert row["sparse_layers"] >= 1
+        assert row["dense_layers"] + row["sparse_layers"] == network.n_layers
+        assert row["buffer_bytes"] > 0
+        assert row["compile_us"] > 0
+        assert 0 < row["sparse_share"] < 1
         assert "float64" in report.render()
 
     def test_compile_emits_span(self, context, obs_clean):

@@ -208,8 +208,8 @@ class TestVersionedScorer:
         assert versioned.served_by_version == {"v1": 2, "v2": 1}
         assert versioned.requests == 3
         report = obs_clean.lifecycle_report()
-        assert report.version("v1").requests == 2
-        assert report.version("v2").documents == len(x)
+        assert report.row("v1")["requests"] == 2
+        assert report.row("v2")["documents"] == len(x)
 
     def test_requires_registry(self):
         with pytest.raises(TypeError, match="ModelRegistry"):
@@ -284,7 +284,7 @@ class TestSwap:
         event = service.lifecycle.swap_events[-1]
         assert event.kind == "rolled-back"
         assert event.invalidated > 0  # shadow-warmed rows under "bad"
-        assert obs_clean.lifecycle_report().rollbacks == 1
+        assert obs_clean.lifecycle_report().totals["rollbacks"] == 1
         service.close()
 
     def test_without_auto_rollback_shadow_waits_for_decide(self, probe):

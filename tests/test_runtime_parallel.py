@@ -572,10 +572,10 @@ class TestParallelIntegration:
             sharded.score(features[:40])
             sharded.score(features[:40])
         report = obs_clean.parallel_report()
-        row = report.backend("quickscorer")
+        row = report.row("quickscorer")
         assert row is not None
-        assert row.requests == 2
-        assert row.cache_hits > 0
+        assert row["requests"] == 2
+        assert row["cache_hits"] > 0
         assert "quickscorer" in report.render()
 
     def test_batch_engine_parallel_wrapping(self, forest_scorer, features):
@@ -746,9 +746,9 @@ class TestSplitBelowTheCache:
         assert [len(c) for c in recording.calls] == [256, 256, 88]
         assert summary["last_shards"] == summary["shards_executed"] == 1
         assert summary["last_balance"] == 1.0
-        row = obs_clean.parallel_report().backend(recording.backend)
-        assert row.mean_shards_per_request == 1.0
-        assert row.shard_balance == 1.0
+        row = obs_clean.parallel_report().row(recording.backend)
+        assert row["mean_shards_per_request"] == 1.0
+        assert row["shard_balance"] == 1.0
 
     def test_max_batch_size_must_be_positive(self, forest_scorer):
         with pytest.raises(ParallelError, match="max_batch_size"):
@@ -842,7 +842,7 @@ class TestBoundParallelSeries:
         sharded.score(x)
         obs_clean.get_registry().reset()
         sharded.score(x)
-        assert obs_clean.parallel_report().backend("quickscorer").requests == 1
+        assert obs_clean.parallel_report().row("quickscorer")["requests"] == 1
         fresh = obs_clean.MetricsRegistry()
         previous = obs_clean.set_registry(fresh)
         try:
@@ -851,5 +851,5 @@ class TestBoundParallelSeries:
         finally:
             obs_clean.set_registry(previous)
             sharded.close()
-        assert obs_clean.parallel_report(fresh).backend("quickscorer").requests == 2
-        assert obs_clean.parallel_report().backend("quickscorer").requests == 1
+        assert obs_clean.parallel_report(fresh).row("quickscorer")["requests"] == 2
+        assert obs_clean.parallel_report().row("quickscorer")["requests"] == 1

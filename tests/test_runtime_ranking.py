@@ -275,9 +275,9 @@ class TestScoringServiceIntegration:
         dataset = probe_models["dataset"]
         for q in range(dataset.n_queries):
             service.score(dataset.features[dataset.query_slice(q)])
-        report = obs_clean.cascade_report()
-        assert report.queries.get("pipeline") == dataset.n_queries
-        assert report.early_exits.get("pipeline", 0) > 0
+        totals = obs_clean.cascade_report().tables["pipelines"].row("pipeline")
+        assert totals["queries"] == dataset.n_queries
+        assert totals["early_exits"] > 0
 
     def test_async_frontend_serves_pipeline(self, probe_models, roles):
         service = self._service(roles)
@@ -299,18 +299,25 @@ class TestScoringServiceIntegration:
             np.testing.assert_array_equal(got, want)
 
 
+def _pipeline_queries(report) -> dict[str, int]:
+    return {
+        r["pipeline"]: r["queries"] for r in report.tables["pipelines"].rows
+    }
+
+
 class TestCascadeObsReport:
     def test_record_and_report(self, obs_clean):
-        obs_clean.record_cascade_query(
-            "p",
+        from repro.obs.cascade import CascadeSeries
+
+        series = CascadeSeries("p")
+        series.record(
             stage_names=("a", "b"),
             stage_docs=(10, 4),
             stage_us=(5.0, 20.0),
             predicted_spend_us=12.5,
             exited_early=False,
         )
-        obs_clean.record_cascade_query(
-            "p",
+        series.record(
             stage_names=("a",),
             stage_docs=(8,),
             stage_us=(4.0,),
@@ -318,15 +325,19 @@ class TestCascadeObsReport:
             exited_early=True,
         )
         report = obs_clean.cascade_report()
-        assert report.queries == {"p": 2}
-        assert report.early_exits == {"p": 1}
-        assert report.mean_predicted_spend_us["p"] == pytest.approx(10.25)
-        rows = report.pipeline("p")
-        assert [(r.level, r.stage) for r in rows] == [(0, "a"), (1, "b")]
-        assert rows[0].queries == 2
-        assert rows[0].docs == 18
-        assert rows[0].docs_per_query == pytest.approx(9.0)
-        assert rows[1].us_per_doc == pytest.approx(5.0)
+        pipelines = report.tables["pipelines"]
+        assert [r["pipeline"] for r in pipelines.rows] == ["p"]
+        assert pipelines.row("p")["queries"] == 2
+        assert pipelines.row("p")["early_exits"] == 1
+        assert pipelines.row("p")["mean_predicted_spend_us"] == pytest.approx(
+            10.25
+        )
+        rows = [r for r in report.rows if r["pipeline"] == "p"]
+        assert [(r["level"], r["stage"]) for r in rows] == [(0, "a"), (1, "b")]
+        assert rows[0]["queries"] == 2
+        assert rows[0]["docs"] == 18
+        assert rows[0]["docs_per_query"] == pytest.approx(9.0)
+        assert rows[1]["us_per_doc"] == pytest.approx(5.0)
         rendered = report.render()
         assert "Cascade funnel" in rendered
         assert "1 budget early-exits" in rendered
@@ -348,7 +359,7 @@ class TestCascadeObsReport:
         looked_up, bound = obs_clean.MetricsRegistry(), obs_clean.MetricsRegistry()
         series = CascadeSeries("p", bound)
         for query in self.QUERIES * 2:
-            obs_clean.record_cascade_query("p", registry=looked_up, **query)
+            CascadeSeries("p", looked_up).record(**query)
             series.record(**query)
         assert bound.snapshot() == looked_up.snapshot()
         assert obs_clean.cascade_report(bound) == obs_clean.cascade_report(
@@ -362,15 +373,15 @@ class TestCascadeObsReport:
         series.record(**self.QUERIES[0])
         obs_clean.get_registry().reset()
         series.record(**self.QUERIES[1])
-        assert obs_clean.cascade_report().queries == {"p": 1}
+        assert _pipeline_queries(obs_clean.cascade_report()) == {"p": 1}
         fresh = obs_clean.MetricsRegistry()
         previous = obs_clean.set_registry(fresh)
         try:
             series.record(**self.QUERIES[0])
         finally:
             obs_clean.set_registry(previous)
-        assert obs_clean.cascade_report(fresh).queries == {"p": 1}
-        assert obs_clean.cascade_report().queries == {"p": 1}
+        assert _pipeline_queries(obs_clean.cascade_report(fresh)) == {"p": 1}
+        assert _pipeline_queries(obs_clean.cascade_report()) == {"p": 1}
 
     def test_empty_report_renders(self, obs_clean):
         assert "no cascade queries" in obs_clean.cascade_report().render()

@@ -747,11 +747,11 @@ class TestObsIntegration:
         for _ in range(4):
             chain.score(x)
         report = obs.resilience_report()
-        row = report.chain("stub")
+        row = report.tables["chains"].row("stub")
         assert row is not None
-        assert row.requests == 4
-        assert row.fallbacks == 2
-        assert row.fallback_ratio == pytest.approx(0.5)
+        assert row["requests"] == 4
+        assert row["fallbacks"] == 2
+        assert row["fallback_ratio"] == pytest.approx(0.5)
         rendered = report.render()
         assert "stub" in rendered
 

@@ -148,9 +148,9 @@ class TestFrontend:
         assert summary["batches"] < 10  # at least some sharing happened
         assert summary["requests_per_batch"] > 1.0
         report = obs_clean.serving_report()
-        assert report.batches == summary["batches"]
-        row = report.tenant("default")
-        assert row is not None and row.admitted == row.served == 10
+        assert report.totals["batches"] == summary["batches"]
+        row = report.row("default")
+        assert row is not None and row["admitted"] == row["served"] == 10
 
     def test_shed_raises_and_is_recorded(self, services, obs_clean):
         service = services["student"]
@@ -171,9 +171,9 @@ class TestFrontend:
         scores, err = asyncio.run(_run())
         assert scores.shape == (2,)
         assert (err.tenant, err.reason) == ("t", "rate-limit")
-        row = obs_clean.serving_report().tenant("t")
-        assert row.admitted == 1 and row.shed == 1
-        assert row.shed_reasons == (("rate-limit", 1),)
+        row = obs_clean.serving_report().row("t")
+        assert row["admitted"] == 1 and row["shed"] == 1
+        assert row["shed_reasons"] == (("rate-limit", 1),)
 
     def test_stop_drains_pending_requests(self, services):
         service = services["student"]
@@ -223,8 +223,8 @@ class TestFrontend:
             service, [x], frontend=frontend, tenant="strict"
         )
         assert scores.shape == (2,)  # served despite the miss
-        row = obs_clean.serving_report().tenant("strict")
-        assert row.served == 1 and row.slo_miss == 1
+        row = obs_clean.serving_report().row("strict")
+        assert row["served"] == 1 and row["slo_miss"] == 1
 
     def test_latency_includes_queueing_drift_does_not(self, probe_models):
         # Satellite 2: a fresh service so stats are exclusively ours.

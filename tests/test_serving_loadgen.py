@@ -140,7 +140,7 @@ class TestRunLoad:
         assert report.served + report.shed == report.offered
         assert sum(report.served_by_tenant.values()) == report.served
         serving = obs_clean.serving_report()
-        assert sum(row.served for row in serving.rows) == report.served
+        assert sum(row["served"] for row in serving.rows) == report.served
 
     def test_rate_limited_tenant_sheds(self, service, obs_clean):
         spec = LoadSpec(
