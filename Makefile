@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast verify bench-test smoke parallel-smoke quant-smoke serving-smoke lifecycle-smoke bench examples report clean
+.PHONY: install test test-fast verify bench-test smoke parallel-smoke serving-smoke lifecycle-smoke bench examples report clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -14,7 +14,7 @@ test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow" -x
 
 # Tier-1 gate: the full suite plus a bytecode compile of the library.
-verify: parallel-smoke quant-smoke serving-smoke lifecycle-smoke bench-test
+verify: parallel-smoke serving-smoke lifecycle-smoke bench-test
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(PYTHON) -m compileall -q src
 
@@ -31,13 +31,6 @@ smoke:
 # bit-identical scores plus a measured >1x cache/pool speedup.
 parallel-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.runtime.parallel_smoke
-
-# Quantized/block-sparse kernel gate: >= 3 kernel kinds auto-selected,
-# declared score tolerance honoured, stable int8 chunk-invariant, and a
-# measured >= 1.3x int8-over-float32 speedup at the pruned-90% headline
-# shape; quantized plans compose with sharding/batching/hot swaps.
-quant-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.runtime.quant_smoke
 
 # Serving gate: coalesced async scoring bit-identical to sequential on
 # every backend, plus deterministic shed-rate bounds and SLO-miss

@@ -1373,14 +1373,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--quantize",
-        choices=("none", "int8", "int16", "auto"),
+        choices=("none", "int8"),
         default="none",
-        help="per-layer weight quantization (auto = calibrated mix)",
+        help="int8 GEMM on the dense layers a ReLU6 feeds",
     )
     p.add_argument(
         "--tolerance",
         type=float,
-        help="score-tolerance budget for quantized plans",
+        help="score-tolerance budget for int8 plans",
     )
     p.add_argument(
         "--block-sparse",

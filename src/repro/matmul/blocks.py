@@ -17,20 +17,14 @@ scalar CSR, whereas column-block pruning
 (:class:`repro.pruning.ColumnBlockPruner`) yields fill ~1.0 by
 construction.
 
-Bit contract: :meth:`BlockCsrMatrix.matmul` expands the stored tiles to
-a scalar CSR *with explicit zeros* and multiplies through the same
-compiled kernel :meth:`CsrMatrix.matmul` uses.  For finite ``B`` the
-result is bit-identical to the zero-skipping scalar reference: the
-inserted terms are exact signed zeros, and under round-to-nearest an
-accumulator that starts at ``+0.0`` never becomes ``-0.0``, so adding
-``±0.0`` in any position leaves every partial sum's bits unchanged.
-(Non-finite ``B`` entries would turn ``0 * inf`` into NaN; the runtime
-validates features are finite before they reach a kernel.)
+The matrix is a layout, not a kernel: float32 compiled plans execute
+it as gathered dense panels (``repro.runtime.compile``), and the
+float64 reference multiplies the scalar CSR of the same weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,8 +58,6 @@ class BlockCsrMatrix:
     row_ptr: np.ndarray
     shape: tuple[int, int]
     block_shape: tuple[int, int]
-    #: Lazily-built scalar CSR twin (explicit zeros kept) backing matmul.
-    _expanded: CsrMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -183,56 +175,6 @@ class BlockCsrMatrix:
         """Fraction of tile positions holding no stored block."""
         total = self.n_block_rows * self.n_block_cols
         return 1.0 - self.n_blocks / total if total else 0.0
-
-    # ------------------------------------------------------------------
-    # Operations
-    # ------------------------------------------------------------------
-    def expanded_csr(self) -> CsrMatrix:
-        """The scalar CSR twin with the tiles' zeros stored explicitly.
-
-        Cells padding past the logical edge are dropped (they are zero
-        by construction and would be out of range); cells *inside* the
-        logical shape keep their stored value even when zero, preserving
-        one contiguous run per (row, block) for the compiled kernel.
-        """
-        if self._expanded is None:
-            m, k = self.shape
-            r, c = self.block_shape
-            rows: list[np.ndarray] = [np.empty(0, dtype=np.float64)] * m
-            cols: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * m
-            for i in range(self.n_block_rows):
-                lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
-                if hi == lo:
-                    continue
-                # Column indices of this block row's tiles, edge-clipped.
-                span = (self.col_blocks[lo:hi, None] * c + np.arange(c)).ravel()
-                in_range = span < k
-                span = span[in_range]
-                # (r, stored tiles * c) values in ascending column order.
-                band = self.values[lo:hi].transpose(1, 0, 2).reshape(r, -1)[:, in_range]
-                for dr in range(min(r, m - i * r)):
-                    rows[i * r + dr] = band[dr]
-                    cols[i * r + dr] = span
-            counts = [len(v) for v in rows]
-            self._expanded = CsrMatrix(
-                values=np.concatenate(rows) if any(counts) else np.empty(0),
-                col_index=np.concatenate(cols) if any(counts) else np.empty(0, dtype=np.int64),
-                row_ptr=np.concatenate(([0], np.cumsum(counts))),
-                shape=self.shape,
-            )
-        return self._expanded
-
-    def matmul(self, dense_b) -> np.ndarray:
-        """SDMM ``C = A @ B`` through the expanded-CSR compiled kernel.
-
-        Bit-identical to ``CsrMatrix.from_dense(self.to_dense())
-        .matmul_reference(B)`` for finite ``B`` (see module docstring).
-        """
-        return self.expanded_csr().matmul(dense_b)
-
-    def matmul_reference(self, dense_b) -> np.ndarray:
-        """Reference SDMM: the scalar per-row loop over expanded storage."""
-        return self.expanded_csr().matmul_reference(dense_b)
 
 
 def regroup_to_blocks(

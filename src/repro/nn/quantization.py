@@ -51,7 +51,8 @@ def quantize_tensor(weights: np.ndarray, bits: int = 8) -> QuantizedTensor:
     """Symmetric per-tensor quantization to ``bits`` (2..16) bits.
 
     Up to 8 bits the codes are stored as int8; 9..16 bits store int16
-    (the accuracy-sensitive-layer width the compiled int16 kernel uses).
+    (wider grids for the quantization ablation; compiled plans run
+    int8 only).
     """
     if not 2 <= bits <= 16:
         raise ValueError(f"bits must be in [2, 16], got {bits}")
@@ -115,10 +116,10 @@ def quantized_speedup_estimate(
     holds 4x more int8 lanes than fp32 lanes).  With a ``network`` the
     ceiling is weighted by the *actual per-layer scale* of the model:
     each linear layer contributes its dense FLOPs at its own lane ratio,
-    so a model whose wide or accuracy-sensitive layers run int16 (or
-    stay float — pass the compiled plan's per-layer ``bits``, with
-    ``None``/``0`` for float layers, as ``bits_per_layer``) no longer
-    inherits the uniform global estimate.  Real engines see a fraction
+    so a model whose layers run at different widths or stay float
+    (pass the compiled plan's per-layer ``bits``, with ``None``/``0``
+    for float layers, as ``bits_per_layer``) no longer inherits the
+    uniform global estimate.  Real engines see a fraction
     of this because of quantize/dequantize overhead, so the estimate is
     a *ceiling* on measured kernel speed-ups (regression-tested against
     the compiled int8 kernels).

@@ -7,7 +7,7 @@ the ``parallel.*`` series:
 * ``compile.plans`` (counter, label ``dtype``) — plans compiled;
 * ``compile.layers`` (counter, labels ``dtype``, ``kernel``) — layers
   frozen per kernel choice (``dense-gemm`` / ``csr-spmm`` /
-  ``block-spmm`` / ``int8-gemm`` / ``int16-gemm``);
+  ``block-spmm`` / ``int8-gemm``);
 * ``compile.buffer_bytes`` (gauge, label ``dtype``) — the last plan's
   ping-pong + transpose arena footprint;
 * ``compile.compile_us`` (gauge, label ``dtype``) — the last plan's
@@ -85,7 +85,6 @@ _COMPILE = ReportSpec(
                 Column("sparse_layers", "sparse", _layers("csr-spmm")),
                 Column("block_layers", "block", _layers("block-spmm")),
                 Column("int8_layers", "int8", _layers("int8-gemm")),
-                Column("int16_layers", "int16", _layers("int16-gemm")),
                 Column("buffer_bytes", "buffers",
                        count("compile.buffer_bytes"),
                        lambda b: f"{b / 1024:.0f} KiB"),

@@ -52,7 +52,6 @@ from repro.runtime.compile import (
     CompileError,
     DENSE_KERNEL,
     INT8_KERNEL,
-    INT16_KERNEL,
     InferencePlan,
     LayerPlan,
     SPARSE_KERNEL,
@@ -165,7 +164,6 @@ __all__ = [
     "ForestShape",
     "GateReport",
     "GpuQuickScorerAdapter",
-    "INT16_KERNEL",
     "INT8_KERNEL",
     "InferencePlan",
     "InjectedFaultError",

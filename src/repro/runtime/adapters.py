@@ -141,7 +141,6 @@ class CompiledNetworkScorer(BaseScorer):
         stable: bool = True,
         quantize: str | None = None,
         tolerance: float | None = None,
-        calibration=None,
         block_sparse: bool = False,
         block_shape: tuple[int, int] = (64, 8),
     ) -> None:
@@ -152,11 +151,6 @@ class CompiledNetworkScorer(BaseScorer):
                 f"expected a DistilledStudent, got {type(student).__name__}"
             )
         self.student = student
-        if calibration is not None:
-            # Plans run on normalized features; calibrate on that scale.
-            calibration = student.normalizer.transform(
-                np.asarray(calibration, dtype=np.float64)
-            )
         self.plan = compile_network(
             student.network,
             context=context,
@@ -166,7 +160,6 @@ class CompiledNetworkScorer(BaseScorer):
             stable=stable,
             quantize=quantize,
             tolerance=tolerance,
-            calibration=calibration,
             block_sparse=block_sparse,
             block_shape=block_shape,
         )

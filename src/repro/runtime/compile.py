@@ -9,8 +9,8 @@ executable :class:`InferencePlan`:
 
 * **measured per-layer kernel selection** — each float candidate
   (dense GEMM, scalar CSR SpMM when scipy is present, block-CSR SpMM
-  under ``block_sparse``) is built as the kernel object the plan will
-  execute and timed on the real layer shape, interleaved best-of-
+  under ``block_sparse`` in float32) is built as the kernel object the
+  plan will execute and timed on the real layer shape, interleaved best-of-
   :data:`TUNING_REPEATS` or more (rounds fill :data:`TUNING_SECONDS`),
   at the :data:`TUNING_BUCKETS` batch sizes (capped at ``max_batch``).  One kernel per layer, by one rule over
   the buckets: a sparse candidate replaces ``dense-gemm`` only if it is
@@ -25,11 +25,11 @@ executable :class:`InferencePlan`:
   layer_kernel_times_all`) still price every layer for ``price()`` and
   cascade budgets, but no longer choose float kernels;
 * **explicit** ``kernels=`` overrides are never timed; **quantized
-  plans** (``quantize=``, int8/int16) take the measured float
-  structure and then choose bit widths, untimed, for the dense layers
-  whose inputs a ReLU6 bounds (the entry layer stays float);
+  plans** (``quantize="int8"``) take the measured float structure and
+  then move, untimed, the dense layers whose inputs a ReLU6 bounds to
+  int8 (the entry layer stays float);
 * **weights pre-converted once** — C-contiguous dense copies, CSR
-  arrays, gathered block panels or integer-valued quantized copies;
+  arrays, gathered block panels or integer-valued int8 copies;
 * **fused epilogues** — dequantization, bias-add, ReLU6 and (between
   consecutive int8 layers) requantization execute in-place on the GEMM
   output, no intermediate activation matrices;
@@ -43,17 +43,18 @@ trees differ — so the plan guarantees a *layered* identity:
 * ``float64`` dense-GEMM layers run ``np.matmul(x, W.T, out=...)`` on
   the frozen copy of the eager weight — bit-identical to
   ``FeedForwardNetwork.predict`` at every batch size;
-* ``float64`` CSR-SpMM **and block-SpMM** layers accumulate the stored
-  non-zeros in ascending column order — bit-identical to
-  :meth:`~repro.matmul.csr.CsrMatrix.matmul_reference` (a block layer
-  executes its expanded explicit-zero CSR twin, whose inserted ``±0.0``
-  terms cannot change any partial sum's bits for finite inputs);
+* ``float64`` CSR-SpMM layers accumulate the stored non-zeros in
+  ascending column order — bit-identical to
+  :meth:`~repro.matmul.csr.CsrMatrix.matmul_reference`;
 * ``float32`` mode trades the bit contract for speed (the paper's
   kernels are fp32): tolerance-tested against the float64 reference;
-* **quantized layers** (int8/int16) carry a *declared score tolerance*:
+  block-SpMM layers exist only here (a float64 block layer could only
+  run as CSR over the tiles' stored zeros, never faster than
+  ``csr-spmm``);
+* **int8 layers** carry a *declared score tolerance*:
   ``plan.score_tolerance`` bounds ``|plan.score(x) -
   reference_scores(...)|`` the same way the float32 contract does,
-  measured on the calibration batch at compile time.
+  measured on a fixed-seed batch at compile time.
 
 Since the kernels are measured, two processes may choose differently
 for a layer near a tie (and so give different bits); pin a plan across
@@ -66,10 +67,9 @@ a dot product over ``k <= 1040`` columns stays below ``2**24``, so every
 partial sum is exactly representable in float32 **regardless of the
 reduction order** — the GEMM is a true integer-accumulated kernel at
 BLAS speed, and (unlike float GEMM) its bits cannot depend on the batch
-shape.  int16 uses float64 dgemm the same way (sums below ``2**53``).
-Consecutive int8 layers fuse their requantization: the feeder's epilogue
-emits activations already on the int8 grid (ReLU6 bounds them to
-``[0, 6]``, so the activation scale ``6/127`` is static), and the
+shape.  Consecutive int8 layers fuse their requantization: the feeder's
+epilogue emits activations already on the int8 grid (ReLU6 bounds them
+to ``[0, 6]``, so the activation scale ``6/127`` is static), and the
 consumer skips its quantization pass entirely.
 
 Serving needs one more property: the :class:`~repro.runtime.base.Scorer`
@@ -124,9 +124,7 @@ except ImportError:  # pragma: no cover - exercised only without scipy
 __all__ = [
     "BLOCK_KERNEL",
     "CompileError",
-    "DEFAULT_TOLERANCE",
     "DENSE_KERNEL",
-    "INT16_KERNEL",
     "INT8_KERNEL",
     "INT8_MAX_IN_WIDTH",
     "InferencePlan",
@@ -145,8 +143,7 @@ DENSE_KERNEL = "dense-gemm"
 SPARSE_KERNEL = "csr-spmm"
 BLOCK_KERNEL = "block-spmm"
 INT8_KERNEL = "int8-gemm"
-INT16_KERNEL = "int16-gemm"
-KERNEL_NAMES = (DENSE_KERNEL, SPARSE_KERNEL, BLOCK_KERNEL, INT8_KERNEL, INT16_KERNEL)
+KERNEL_NAMES = (DENSE_KERNEL, SPARSE_KERNEL, BLOCK_KERNEL, INT8_KERNEL)
 
 #: Largest ``in_width`` whose int8 dot products stay exact in float32
 #: accumulation: ``k * 127 * 127 < 2**24``.
@@ -156,9 +153,6 @@ INT8_MAX_IN_WIDTH = 1040
 #: recently used out first.  Views cost ~6 KiB per size for the serving
 #: student and ~50 us to rebuild.
 VIEW_CACHE_SIZES = 256
-
-#: Score-tolerance budget ``quantize="auto"`` uses when none is given.
-DEFAULT_TOLERANCE = 0.05
 
 #: Batch sizes (documents) at which the measured arbitration times each
 #: layer's candidate kernels, each capped at the plan's ``max_batch``:
@@ -181,23 +175,18 @@ TUNING_MAX_REPEATS = 100
 #: this many times faster at every bucket, so a near tie (where timing
 #: noise would pick either) stays on the dense GEMM.
 SPARSE_MARGIN = 1.1
+#: Under ``block_sparse``, a layer whose regrouped tiles hold at least
+#: this share of true non-zeros joins the arbitration as ``block-spmm``.
+MIN_BLOCK_FILL = 0.5
 #: Seed of the features the arbitration times kernels on (timings do
 #: not depend on the values, only the shape).
 _TUNING_SEED = 20240808
 
 _Q8_MAX = 127.0
-_Q16_MAX = 32767.0
 #: ReLU6 bounds hidden activations to [0, 6] — the static activation
-#: scale quantized hidden layers quantize their inputs with.
+#: scale int8 layers quantize their inputs with.
 _ACT_BOUND = 6.0
-#: Headroom on calibrated entry-activation scales, so features slightly
-#: outside the calibration range are not clipped.
-_ENTRY_HEADROOM = 1.25
-#: Auto-calibration accepts a per-layer bit assignment only when the
-#: measured calibration deviation is below ``tolerance / _AUTO_SAFETY``,
-#: leaving margin for serving data the calibration batch did not cover.
-_AUTO_SAFETY = 2.0
-#: Declared tolerance for forced int8/int16 modes (no budget given):
+#: Declared tolerance of an int8 plan when no ``tolerance`` is given:
 #: ``max(_TOLERANCE_MARGIN * measured, _TOLERANCE_FLOOR)``.
 _TOLERANCE_MARGIN = 3.0
 _TOLERANCE_FLOOR = 1e-3
@@ -222,7 +211,7 @@ class LayerPlan:
     activation: str  # "relu6" or "none"
     predicted_block_us_per_doc: float | None = None
     predicted_quant_us_per_doc: float | None = None
-    bits: int | None = None  # 8 / 16 for quantized kernels
+    bits: int | None = None  # 8 for the int8 kernel
     block_fill: float | None = None  # achieved fill for block layers
     weight_scale: float | None = None  # quantization scale of W
     input_scale: float | None = None  # quantization scale of the input
@@ -244,9 +233,7 @@ class LayerPlan:
             return self.predicted_sparse_us_per_doc
         if self.kernel == BLOCK_KERNEL and self.predicted_block_us_per_doc is not None:
             return self.predicted_block_us_per_doc
-        if self.kernel in (INT8_KERNEL, INT16_KERNEL) and (
-            self.predicted_quant_us_per_doc is not None
-        ):
+        if self.kernel == INT8_KERNEL and self.predicted_quant_us_per_doc is not None:
             return self.predicted_quant_us_per_doc
         return self.predicted_dense_us_per_doc
 
@@ -373,9 +360,7 @@ class _SparseKernel:
     accumulates each output element over the stored non-zeros in
     ascending order — the reference reduction of
     :meth:`CsrMatrix.matmul_reference` — into a caller-provided buffer,
-    so the hot path allocates nothing.  Also executes *block* layers in
-    float64 plans via the expanded explicit-zero CSR twin (same bits as
-    the scalar reference; see :mod:`repro.matmul.blocks`).
+    so the hot path allocates nothing.
     """
 
     __slots__ = ("m", "k", "indptr", "indices", "data", "bias", "relu6", "emit_q8", "scratch")
@@ -582,54 +567,6 @@ class _Int8Kernel:
         return _finish(views.c, self.post_scale, self.bias, self.relu6, self.emit_q8)
 
 
-class _Int16Kernel:
-    """Frozen int16 layer: exact integer GEMM in float64 lanes.
-
-    For accuracy-sensitive layers: int16 weights (scale from the same
-    symmetric quantizer) and int16-grid inputs multiply in float64
-    scratch, where products below ``2**30`` and sums below ``2**53``
-    are always exact — chunk-invariant like the int8 kernel.  The
-    epilogue dequantizes + bias + ReLU6 in float64, then casts into the
-    plan-dtype arena.
-    """
-
-    __slots__ = (
-        "wt", "weight_scale", "bias", "post_scale", "relu6",
-        "inv_in_scale", "k", "m", "scratch", "emit_q8",
-    )
-
-    def __init__(self, linear: Linear, *, in_scale: float, relu6: bool) -> None:
-        from repro.nn.quantization import quantize_tensor
-
-        q = quantize_tensor(linear.weight.data, bits=16)
-        self.wt = np.ascontiguousarray(q.values.T, dtype=np.float64)
-        self.weight_scale = q.scale
-        self.k = linear.in_features
-        self.m = linear.out_features
-        self.post_scale = float(q.scale * in_scale)
-        self.bias = np.array(linear.bias.data, dtype=np.float64, order="C")
-        self.relu6 = relu6
-        self.emit_q8 = False
-        self.inv_in_scale = 1.0 / in_scale
-        self.scratch = {"qx64": self.k, "qc64": self.m}
-
-    def make_views(self, buffers, a, c) -> "_LayerViews":
-        n = len(a)
-        qx = buffers["qx64"][: n * self.k].reshape(n, self.k)
-        qc = buffers["qc64"][: n * self.m].reshape(n, self.m)
-        return _LayerViews(c, qx=qx, qc=qc)
-
-    def apply(self, a: np.ndarray, views) -> np.ndarray:
-        qx, qc = views.qx, views.qc
-        np.multiply(a, self.inv_in_scale, out=qx)
-        np.rint(qx, out=qx)
-        np.clip(qx, -_Q16_MAX, _Q16_MAX, out=qx)
-        np.matmul(qx, self.wt, out=qc)
-        _finish(qc, self.post_scale, self.bias, self.relu6, False)
-        np.copyto(views.c, qc)
-        return views.c
-
-
 #: Frozen read-only dense weights by ``(layer digest, dtype)``, shared
 #: by every plan compiled from those weights; an entry lives while a
 #: plan holds it.
@@ -665,10 +602,10 @@ def _stable_tiles(buffers, a, out, wide) -> StableTiles:
 class _LayerViews:
     """Per-(layer, batch) buffer views, built once and reused."""
 
-    __slots__ = ("c", "tiles", "outs", "xt", "yt", "g", "qx", "qc")
+    __slots__ = ("c", "tiles", "outs", "xt", "yt", "g", "qx")
 
     def __init__(
-        self, c, tiles=None, outs=None, xt=None, yt=None, g=None, qx=None, qc=None
+        self, c, tiles=None, outs=None, xt=None, yt=None, g=None, qx=None
     ) -> None:
         self.c = c
         self.tiles = tiles
@@ -677,15 +614,12 @@ class _LayerViews:
         self.yt = yt
         self.g = g
         self.qx = qx
-        self.qc = qc
 
 
-#: Scratch pools and their dtypes: plan-dtype pools vs fixed-f64 pools.
-#: Stable-mode ``tile`` holds one zero-padded tail tile; ``tprod`` the
-#: ``(tiles, m, STABLE_TILE)`` GEMM products or one ``(m, width)`` wide
-#: product.
+#: Scratch pools, all of the plan dtype.  Stable-mode ``tile`` holds
+#: one zero-padded tail tile; ``tprod`` the ``(tiles, m, STABLE_TILE)``
+#: GEMM products or one ``(m, width)`` wide product.
 _PLAN_POOLS = ("xt", "yt", "g", "qx", "tile", "tprod")
-_F64_POOLS = ("qx64", "qc64")
 
 
 class InferencePlan:
@@ -733,7 +667,7 @@ class InferencePlan:
         widths = [self.input_dim] + [lp.out_width for lp in layers]
         itemsize = np.dtype(self.dtype).itemsize
         self._arena = self.max_batch * max(widths)
-        pools = {key: 0 for key in _PLAN_POOLS + _F64_POOLS}
+        pools = dict.fromkeys(_PLAN_POOLS, 0)
         for kernel in kernels:
             for key, per_doc in kernel.scratch.items():
                 pools[key] = max(pools[key], per_doc)
@@ -750,8 +684,8 @@ class InferencePlan:
         }
         #: per-thread footprint of the arenas + all scratch pools.
         self.buffer_bytes = itemsize * (
-            2 * self._arena + sum(self._pool_sizes[k] for k in _PLAN_POOLS)
-        ) + 8 * sum(self._pool_sizes[k] for k in _F64_POOLS)
+            2 * self._arena + sum(self._pool_sizes.values())
+        )
         # Arenas and view caches live per thread: ShardedScorer scores
         # shards of one plan concurrently, and two in-flight batches
         # must never share the ping-pong activation scratch.  Within a
@@ -816,9 +750,7 @@ class InferencePlan:
             local.ping = np.empty(self._arena, dtype=self.dtype)
             local.pong = np.empty(self._arena, dtype=self.dtype)
             local.buffers = {
-                key: np.empty(
-                    size, dtype=np.float64 if key in _F64_POOLS else self.dtype
-                )
+                key: np.empty(size, dtype=self.dtype)
                 for key, size in self._pool_sizes.items()
                 if size
             }
@@ -938,8 +870,7 @@ class _LayerChoice:
     sparse_us: float
     block_us: float | None
     int8_us: float
-    int16_us: float
-    forced_bits: int | None = None  # explicit int8/int16 kernel override
+    forced_bits: int | None = None  # 8: an explicit int8 kernel override
     forced_float: bool = False  # explicit float-structure override
     tuning: LayerTuning | None = None  # the measured arbitration, if timed
 
@@ -953,12 +884,6 @@ def _float_kernel(
     if name == SPARSE_KERNEL:
         return _SparseKernel(linear, csr, dtype, relu6=relu6, out_gain=out_gain)
     if name == BLOCK_KERNEL:
-        if dtype == np.float64:
-            # Bit-contract path: the expanded explicit-zero CSR twin
-            # reproduces the scalar reference bits (see blocks.py).
-            return _SparseKernel(
-                linear, block.expanded_csr(), dtype, relu6=relu6, out_gain=out_gain
-            )
         return _BlockPanelKernel(
             linear, block, dtype, stable,
             relu6=relu6, out_gain=out_gain, max_batch=max_batch,
@@ -969,13 +894,13 @@ def _float_kernel(
     )
 
 
-def _float_candidates(block, dtype) -> tuple[str, ...]:
-    """The float kernels a layer can run, dense first.  A float64 block
-    layer executes through scipy's SpMM, so it is gated like CSR."""
+def _float_candidates(block) -> tuple[str, ...]:
+    """The float kernels a layer can run, dense first (``block``: the
+    regrouped float32 layer, if any)."""
     names = [DENSE_KERNEL]
     if _scipy_sparsetools is not None:
         names.append(SPARSE_KERNEL)
-    if block is not None and (dtype == np.float32 or _scipy_sparsetools is not None):
+    if block is not None:
         names.append(BLOCK_KERNEL)
     return tuple(names)
 
@@ -1159,40 +1084,13 @@ def _linear_activations(network: FeedForwardNetwork) -> list[str]:
     return acts
 
 
-def _calibration_features(network: FeedForwardNetwork, calibration) -> np.ndarray:
-    """Validated calibration batch, or the deterministic default.
-
-    The default draws standard-normal features (the scale z-scored
-    serving features arrive at) from a fixed seed, so two compilations
-    of the same network produce identical plans.
-    """
-    if calibration is None:
-        rng = np.random.default_rng(20240808)
-        return rng.standard_normal((256, network.input_dim))
-    x = np.asarray(calibration, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise CompileError(
-            f"calibration must be a non-empty 2-d batch, got shape {x.shape}"
-        )
-    if x.shape[1] != network.input_dim:
-        raise CompileError(
-            f"calibration has {x.shape[1]} features, expected {network.input_dim}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise CompileError("calibration features must be finite")
-    return x
-
-
-def _layer_input_maxima(network: FeedForwardNetwork, calib: np.ndarray) -> list[float]:
-    """Max-abs input each linear layer sees on the calibration batch."""
-    maxima: list[float] = []
-    x = calib
-    for linear, act in zip(network.linears, _linear_activations(network)):
-        maxima.append(float(np.max(np.abs(x))) if x.size else 0.0)
-        x = x @ linear.weight.data.T + linear.bias.data
-        if act == "relu6":
-            x = np.minimum(np.maximum(x, 0.0), 6.0)
-    return maxima
+def _deviation_features(network: FeedForwardNetwork) -> np.ndarray:
+    """The fixed batch an int8 plan's score deviation is measured on:
+    standard-normal features (the scale z-scored serving features
+    arrive at) from a fixed seed, so two compilations of the same
+    network produce identical plans."""
+    rng = np.random.default_rng(20240808)
+    return rng.standard_normal((256, network.input_dim))
 
 
 def _wire_plan(
@@ -1204,7 +1102,6 @@ def _wire_plan(
     dtype_name: str,
     stable: bool,
     max_batch: int,
-    entry_maxima,
     quantize_label: str,
     score_tolerance: float | None,
     block_shape,
@@ -1212,17 +1109,12 @@ def _wire_plan(
     started: float,
 ) -> InferencePlan:
     """Build the executable plan for one (structure, bits) assignment."""
-    n = len(choices)
     fuse = np_dtype == np.float32
     # A layer's feeder emits int8-grid activations when the consumer is
-    # int8, the feeder applies ReLU6 (static 6/127 grid) and is not an
-    # int16 kernel (whose epilogue runs in f64 scratch).  Fusion is a
-    # float32-plan optimization: float64 plans keep their non-quantized
-    # layers on the eager bit contract.
-    emits = [False] * n
-    for i in range(1, n):
-        if fuse and bits[i] == 8 and choices[i - 1].activation == "relu6" and bits[i - 1] != 16:
-            emits[i - 1] = True
+    # int8 (whose input a ReLU6 bounds to the static 6/127 grid).
+    # Fusion is a float32-plan optimization: float64 plans keep their
+    # non-quantized layers on the eager bit contract.
+    emits = [fuse and b == 8 for b in bits[1:]] + [False]
 
     kernels: list = []
     layer_plans: list[LayerPlan] = []
@@ -1232,30 +1124,17 @@ def _wire_plan(
         linear = choice.linear
         relu6 = choice.activation == "relu6"
         out_gain = (_Q8_MAX / _ACT_BOUND) if emits[i] else None
-        in_scale = None
-        self_quant = False
-        if bits[i] is not None:
-            qmax = _Q8_MAX if bits[i] == 8 else _Q16_MAX
-            if i > 0 and emits[i - 1]:
-                in_scale = _ACT_BOUND / _Q8_MAX
-            elif i > 0 and choices[i - 1].activation == "relu6":
-                in_scale = _ACT_BOUND / qmax
-                self_quant = True
-            else:
-                in_scale = _ENTRY_HEADROOM * max(entry_maxima[i], 1e-12) / qmax
-                self_quant = True
-
         if bits[i] == 8:
+            # The input is ReLU6-bounded: on the int8 grid already when
+            # the feeder requantizes, else quantized by this kernel.
             kernel_name = INT8_KERNEL
+            in_scale = _ACT_BOUND / _Q8_MAX
             kern = _Int8Kernel(
-                linear, np_dtype, in_scale=in_scale, self_quant=self_quant,
+                linear, np_dtype, in_scale=in_scale, self_quant=not emits[i - 1],
                 relu6=relu6, emit_q8=emits[i],
             )
             weight_scale = kern.weight_scale
-        elif bits[i] == 16:
-            kernel_name = INT16_KERNEL
-            kern = _Int16Kernel(linear, in_scale=in_scale, relu6=relu6)
-            weight_scale = kern.weight_scale
+            quant_us = choice.int8_us
         else:
             kernel_name = choice.structure
             kern = _float_kernel(
@@ -1263,12 +1142,9 @@ def _wire_plan(
                 relu6=relu6, out_gain=out_gain, max_batch=max_batch,
                 digest=layer_digests[i],
             )
-            weight_scale = None
+            weight_scale = in_scale = quant_us = None
 
         kernels.append(kern)
-        quant_us = None
-        if bits[i] is not None:
-            quant_us = choice.int8_us if bits[i] == 8 else choice.int16_us
         layer_plans.append(
             LayerPlan(
                 index=i + 1,
@@ -1319,11 +1195,11 @@ def _wire_plan(
 
 
 def _score_deviation(
-    network: FeedForwardNetwork, plan: InferencePlan, calib: np.ndarray
+    network: FeedForwardNetwork, plan: InferencePlan, features: np.ndarray
 ) -> float:
-    """Max |plan score - float64 reference| over the calibration batch."""
-    got = plan.score(calib)
-    ref = reference_scores(network, plan, calib)
+    """Max |plan score - float64 reference| over ``features``."""
+    got = plan.score(features)
+    ref = reference_scores(network, plan, features)
     return float(np.max(np.abs(got - ref))) if len(got) else 0.0
 
 
@@ -1337,10 +1213,8 @@ def compile_network(
     stable: bool = False,
     quantize: str | None = None,
     tolerance: float | None = None,
-    calibration=None,
     block_sparse: bool = False,
     block_shape: tuple[int, int] = (64, 8),
-    min_block_fill: float = 0.5,
 ) -> InferencePlan:
     """Compile a trained/pruned network into an :class:`InferencePlan`.
 
@@ -1364,14 +1238,15 @@ def compile_network(
     kernels:
         Optional per-layer override, a sequence drawn from
         ``"dense-gemm"`` / ``"csr-spmm"`` / ``"block-spmm"`` /
-        ``"int8-gemm"`` / ``"int16-gemm"`` / ``None`` (``None`` = let
-        the measured arbitration decide).  An explicit kernel is never
-        timed; ``kernels=[lp.kernel for lp in plan.layers]`` pins a
-        plan's measured choices in another process.  Forcing
-        ``"csr-spmm"`` without scipy
-        raises; forcing ``"int8-gemm"`` on a layer wider than
-        :data:`INT8_MAX_IN_WIDTH` raises (the exact-accumulation bound);
-        an explicit float kernel exempts that layer from ``quantize``.
+        ``"int8-gemm"`` / ``None`` (``None`` = let the measured
+        arbitration decide).  An explicit kernel is never timed;
+        ``kernels=[lp.kernel for lp in plan.layers]`` pins a plan's
+        measured choices in another process.  Forcing ``"csr-spmm"``
+        without scipy raises, as does forcing ``"block-spmm"`` in
+        float64, or ``"int8-gemm"`` on a layer wider than
+        :data:`INT8_MAX_IN_WIDTH` (the exact-accumulation bound) or not
+        fed by a ReLU6; an explicit float kernel exempts that layer
+        from ``quantize``.
     stable:
         Run dense and block-panel float layers as BLAS GEMM over fixed
         document tiles (:func:`~repro.runtime.base.stable_matmul`),
@@ -1380,37 +1255,27 @@ def compile_network(
         Quantized kernels are exact-integer reductions and therefore
         chunk-invariant in *both* modes.
     quantize:
-        ``None``/``"none"`` (default, float kernels), ``"int8"``
-        (int8 everywhere it is exact, int16 on wider layers),
-        ``"int16"``, or ``"auto"`` — calibrate per layer, starting from
-        the all-int8 assignment and walking the most score-sensitive
-        layers up to int16 and then back to float until the measured
-        deviation fits ``tolerance / 2`` (safety margin).  Quantization
-        applies to the layers the measured arbitration leaves on
-        ``dense-gemm`` whose input a ReLU6 bounds; sparse layers and
-        the entry layer stay float.  Choosing the bit widths times
-        nothing: the float structure is the one a float plan of the
-        same weights gets, from the same tuning record.
+        ``None``/``"none"`` (default, float kernels) or ``"int8"``:
+        the layers the measured arbitration leaves on ``dense-gemm``
+        whose input a ReLU6 bounds run ``int8-gemm`` where it is exact
+        (``in_width <= INT8_MAX_IN_WIDTH``); sparse and wider layers
+        and the entry layer stay float.  Choosing them times nothing:
+        the float structure is the one a float plan of the same
+        weights gets, from the same tuning record.
     tolerance:
-        The score-tolerance budget.  Under ``"auto"`` it is the target
-        (default :data:`DEFAULT_TOLERANCE`); under forced modes it is
-        verified against the measured calibration deviation and a
-        violation raises :class:`CompileError`.  The declared bound is
-        published as ``plan.score_tolerance``.
-    calibration:
-        Optional ``(rows, input_dim)`` feature batch used to measure
-        score deviation (and to calibrate the input scale of a layer
-        explicitly forced to a quantized kernel without a ReLU6 before
-        it); defaults to a fixed-seed standard-normal batch.
+        The score-tolerance budget of a plan with int8 layers, verified
+        against the deviation measured on a fixed-seed batch (a
+        violation raises :class:`CompileError`) and published as
+        ``plan.score_tolerance``; without it the plan declares a margin
+        over the measured deviation.
     block_sparse:
         Try to regroup each layer's non-zeros into dense ``block_shape``
-        tiles (:func:`repro.matmul.blocks.regroup_to_blocks`).  When the
-        achieved fill reaches ``min_block_fill`` the block-SpMM kernel
-        joins dense and scalar CSR as a timed candidate; below the gate
-        the layer is arbitrated between dense and scalar CSR only.
-    block_shape / min_block_fill:
-        Tile shape ``(rows, cols)`` and the minimum achieved fill for
-        block regrouping to stick.
+        tiles (:func:`repro.matmul.blocks.regroup_to_blocks`).  In
+        float32, when the achieved fill reaches :data:`MIN_BLOCK_FILL`
+        the block-SpMM kernel joins dense and scalar CSR as a timed
+        candidate; float64 plans offer no block candidate.
+    block_shape:
+        Tile shape ``(rows, cols)`` of block regrouping.
     """
     if not isinstance(network, FeedForwardNetwork):
         raise CompileError(
@@ -1423,17 +1288,12 @@ def compile_network(
     if max_batch < 1:
         raise CompileError(f"max_batch must be >= 1, got {max_batch}")
     quantize = quantize or "none"
-    if quantize not in ("none", "int8", "int16", "auto"):
+    if quantize not in ("none", "int8"):
         raise CompileError(
-            f"quantize must be 'none', 'int8', 'int16' or 'auto', "
-            f"got {quantize!r}"
+            f"quantize must be None, 'none' or 'int8', got {quantize!r}"
         )
     if tolerance is not None and not tolerance > 0.0:
         raise CompileError(f"tolerance must be > 0, got {tolerance}")
-    if not 0.0 <= min_block_fill <= 1.0:
-        raise CompileError(
-            f"min_block_fill must be in [0, 1], got {min_block_fill}"
-        )
     block_shape = (int(block_shape[0]), int(block_shape[1]))
     overrides = list(kernels) if kernels is not None else [None] * network.n_layers
     if len(overrides) != network.n_layers:
@@ -1464,8 +1324,8 @@ def compile_network(
         ):
             csr = CsrMatrix.from_dense(linear.weight.data)
             block = None
-            if block_sparse or override == BLOCK_KERNEL:
-                fill_floor = 0.0 if override == BLOCK_KERNEL else min_block_fill
+            if np_dtype == np.float32 and (block_sparse or override == BLOCK_KERNEL):
+                fill_floor = 0.0 if override == BLOCK_KERNEL else MIN_BLOCK_FILL
                 regrouped = regroup_to_blocks(
                     csr, block_shape, min_fill=fill_floor
                 )
@@ -1479,7 +1339,7 @@ def compile_network(
             forced_float = False
             tuning = None
             if override is None:
-                candidates = _float_candidates(block, np_dtype)
+                candidates = _float_candidates(block)
                 if len(candidates) == 1:
                     structure = DENSE_KERNEL
                 else:
@@ -1504,15 +1364,15 @@ def compile_network(
                 structure = SPARSE_KERNEL
                 forced_float = True
             elif override == BLOCK_KERNEL:
+                if np_dtype == np.float64:
+                    raise CompileError(
+                        f"block-spmm was forced for layer {i} of a float64 "
+                        f"plan; block panels run in float32 only"
+                    )
                 if block is None or block.n_blocks == 0:
                     raise CompileError(
                         f"block-spmm was forced for layer {i} but the "
                         f"matrix regroups to no stored blocks"
-                    )
-                if np_dtype == np.float64 and _scipy_sparsetools is None:
-                    raise CompileError(
-                        "block-spmm in float64 requires scipy "
-                        "(expanded-CSR execution)"
                     )
                 structure = BLOCK_KERNEL
                 forced_float = True
@@ -1523,11 +1383,13 @@ def compile_network(
                         f"the int8 exact-accumulation bound "
                         f"({INT8_MAX_IN_WIDTH})"
                     )
+                if i == 1 or activations[i - 2] != "relu6":
+                    raise CompileError(
+                        f"int8-gemm was forced for layer {i}, whose input "
+                        f"no ReLU6 bounds (the int8 grid would clip it)"
+                    )
                 structure = DENSE_KERNEL
                 forced_bits = 8
-            elif override == INT16_KERNEL:
-                structure = DENSE_KERNEL
-                forced_bits = 16
             else:
                 raise CompileError(
                     f"unknown kernel {override!r} for layer {i}; "
@@ -1544,60 +1406,38 @@ def compile_network(
                     sparse_us=sparse_us,
                     block_us=block_us,
                     int8_us=times[INT8_KERNEL],
-                    int16_us=times[INT16_KERNEL],
                     forced_bits=forced_bits,
                     forced_float=forced_float,
                     tuning=tuning,
                 )
             )
 
-        # ---- bit-width assignment (dtype selection) ------------------
+        # ---- int8 assignment ----------------------------------------
         # Only layers fed by a ReLU6 quantize: their inputs lie in
         # [0, 6], a static grid.  The entry layer stays float, since raw
-        # features have no bound and any calibrated input scale clips
-        # some serving row.
-        n = len(choices)
+        # features have no bound and any fixed input scale clips some
+        # serving row.
         bits: list = [choice.forced_bits for choice in choices]
-        eligible = [
-            j
-            for j, choice in enumerate(choices)
-            if j > 0
-            and choices[j - 1].activation == "relu6"
-            and choice.structure == DENSE_KERNEL
-            and not choice.forced_float
-            and choice.forced_bits is None
-        ]
-
-        def default_bits(j: int) -> int:
-            k = choices[j].linear.in_features
-            return 8 if k <= INT8_MAX_IN_WIDTH else 16
-
         if quantize == "int8":
-            for j in eligible:
-                bits[j] = default_bits(j)
-        elif quantize == "int16":
-            for j in eligible:
-                bits[j] = 16
+            for j, choice in enumerate(choices):
+                if (
+                    j > 0
+                    and choices[j - 1].activation == "relu6"
+                    and choice.structure == DENSE_KERNEL
+                    and not choice.forced_float
+                    and choice.linear.in_features <= INT8_MAX_IN_WIDTH
+                ):
+                    bits[j] = 8
 
-        need_quant = quantize == "auto" and bool(eligible) or any(
-            b is not None for b in bits
-        )
-        calib = None
-        entry_maxima = [0.0] * n
-        if need_quant:
-            calib = _calibration_features(network, calibration)
-            entry_maxima = _layer_input_maxima(network, calib)
-
-        def build(bit_list, *, declared=None) -> InferencePlan:
+        def build(*, declared=None) -> InferencePlan:
             return _wire_plan(
                 network,
                 choices,
-                bit_list,
+                bits,
                 np_dtype=np_dtype,
                 dtype_name=dtype,
                 stable=stable,
                 max_batch=max_batch,
-                entry_maxima=entry_maxima,
                 quantize_label=quantize,
                 score_tolerance=declared,
                 block_shape=block_shape,
@@ -1606,43 +1446,8 @@ def compile_network(
             )
 
         declared: float | None = None
-        if quantize == "auto" and eligible:
-            budget = tolerance if tolerance is not None else DEFAULT_TOLERANCE
-            target = budget / _AUTO_SAFETY
-            for j in eligible:
-                bits[j] = default_bits(j)
-            dev = _score_deviation(network, build(bits), calib)
-            if dev > target:
-                # Rank the layers by solo quantization damage, then walk
-                # the most sensitive ones up to int16 and back to float,
-                # re-measuring after each step.
-                sensitivity: dict[int, float] = {}
-                for j in eligible:
-                    solo: list = [choice.forced_bits for choice in choices]
-                    solo[j] = default_bits(j)
-                    sensitivity[j] = _score_deviation(
-                        network, build(solo), calib
-                    )
-                order = sorted(eligible, key=lambda j: -sensitivity[j])
-                for j in order:
-                    if dev <= target or bits[j] != 8:
-                        continue
-                    bits[j] = 16
-                    dev = _score_deviation(network, build(bits), calib)
-                for j in order:
-                    if dev <= target or bits[j] is None:
-                        continue
-                    bits[j] = None
-                    dev = _score_deviation(network, build(bits), calib)
-                if dev > target:
-                    raise CompileError(
-                        f"auto quantization cannot meet tolerance {budget} "
-                        f"(deviation {dev:.3g} even without quantized "
-                        f"layers); widen the tolerance or use float64"
-                    )
-            declared = budget
-        elif need_quant:
-            dev = _score_deviation(network, build(bits), calib)
+        if any(b is not None for b in bits):
+            dev = _score_deviation(network, build(), _deviation_features(network))
             if tolerance is not None:
                 if dev > tolerance:
                     raise CompileError(
@@ -1654,7 +1459,7 @@ def compile_network(
             else:
                 declared = max(_TOLERANCE_MARGIN * dev, _TOLERANCE_FLOOR)
 
-        plan = build(bits, declared=declared)
+        plan = build(declared=declared)
 
     record_compile(
         dtype=dtype,
@@ -1678,8 +1483,8 @@ def reference_scores(
     Dense-GEMM layers run the eager ``x @ W.T + b`` op (or, for a
     stable-mode plan, the fixed-tile GEMM of
     :func:`~repro.runtime.base.stable_matmul` that kernel executes);
-    CSR-SpMM **and block-SpMM** layers run :meth:`CsrMatrix.matmul` (or,
-    with ``strict_spmm``, the per-non-zero
+    CSR-SpMM and (float32) block-SpMM layers run
+    :meth:`CsrMatrix.matmul` (or, with ``strict_spmm``, the per-non-zero
     :meth:`CsrMatrix.matmul_reference` loop — same bits, independently
     derived).  Quantized layers run the *unquantized* eager float64 op:
     the reference is what the exact network computes, and the plan's

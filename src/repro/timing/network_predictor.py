@@ -174,11 +174,11 @@ class NetworkTimePredictor:
 
         The full arbitration table behind
         :func:`repro.runtime.compile.compile_network`: scalar
-        dense/sparse from :meth:`layer_kernel_times`, int8/int16 from
+        dense/sparse from :meth:`layer_kernel_times`, int8 from
         :meth:`quantized_kernel_time`, and — when a regrouped ``block``
         matrix is supplied — block-SpMM from :meth:`block_kernel_time`.
         Keys are the compiled kernel names (``dense-gemm``,
-        ``csr-spmm``, ``block-spmm``, ``int8-gemm``, ``int16-gemm``).
+        ``csr-spmm``, ``block-spmm``, ``int8-gemm``).
         """
         m, k = matrix.shape
         dense_us, sparse_us = self.layer_kernel_times(matrix)
@@ -186,7 +186,6 @@ class NetworkTimePredictor:
             "dense-gemm": dense_us,
             "csr-spmm": sparse_us,
             "int8-gemm": self.quantized_kernel_time(m, k, 8),
-            "int16-gemm": self.quantized_kernel_time(m, k, 16),
         }
         if block is not None:
             times["block-spmm"] = self.block_kernel_time(block)

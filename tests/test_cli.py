@@ -172,6 +172,23 @@ class TestPredictTime:
         assert "us/doc" in capsys.readouterr().out
 
 
+class TestCompile:
+    def test_quantize_accepts_only_none_and_int8(self, capsys):
+        for value in ("int16", "auto"):
+            with pytest.raises(SystemExit):
+                main(["compile", "--quantize", value])
+            assert "invalid choice" in capsys.readouterr().err
+        code = main(
+            [
+                "compile", "--architecture", "16x8", "--features", "12",
+                "--dtype", "float32", "--quantize", "int8",
+                "--batch", "16", "--repeats", "1",
+            ]
+        )
+        assert code == 0
+        assert "int8-gemm" in capsys.readouterr().out
+
+
 class TestThroughput:
     def test_sweep_reports_rates_and_hit_ratio(self, capsys):
         code = main(

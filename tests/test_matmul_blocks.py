@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.matmul import BlockCsrMatrix, CsrMatrix, regroup_to_blocks
 from repro.pruning import column_block_mask
@@ -81,64 +79,6 @@ class TestFillAndSparsity:
         blocked = BlockCsrMatrix.from_dense(dense, (4, 4))
         # 2 x 4 = 8 tile positions, one stored.
         assert blocked.block_sparsity == pytest.approx(1 - 1 / 8)
-
-
-class TestExpandedCsr:
-    def test_expanded_matches_dense_with_explicit_zeros(self):
-        dense = column_block_sparse(16, 16, 0.5, block_cols=4)
-        blocked = BlockCsrMatrix.from_dense(dense, (4, 4))
-        expanded = blocked.expanded_csr()
-        assert isinstance(expanded, CsrMatrix)
-        np.testing.assert_array_equal(expanded.to_dense(), dense)
-        # Explicit zeros: the expanded twin stores every in-range cell
-        # of every stored tile, not just the true non-zeros.
-        assert expanded.values.size == blocked.stored_cells
-
-    def test_edge_clipped_cells_are_dropped(self):
-        dense = scattered_sparse(10, 10, 0.5)
-        blocked = BlockCsrMatrix.from_dense(dense, (4, 4))
-        expanded = blocked.expanded_csr()
-        assert expanded.shape == (10, 10)
-        assert np.all(expanded.col_index < 10)
-        np.testing.assert_array_equal(expanded.to_dense(), dense)
-
-
-class TestMatmulBitIdentity:
-    # Hypothesis property (c): block-CSR matmul is bit-identical to the
-    # scalar CSR reference on the same logical matrix, for any finite
-    # operand — the explicit zeros the tiles store never change a sum's
-    # bits under round-to-nearest.
-    @settings(max_examples=30, deadline=None)
-    @given(
-        m=st.integers(4, 40),
-        k=st.integers(4, 40),
-        n=st.integers(1, 24),
-        r=st.integers(1, 8),
-        c=st.integers(1, 8),
-        density=st.floats(0.0, 1.0),
-        seed=st.integers(0, 2**16),
-    )
-    def test_bit_identical_to_scalar_reference(
-        self, m, k, n, r, c, density, seed
-    ):
-        dense = scattered_sparse(m, k, density, seed=seed)
-        rng = np.random.default_rng(seed + 1)
-        b = rng.normal(size=(k, n))
-        blocked = BlockCsrMatrix.from_dense(dense, (r, c))
-        reference = CsrMatrix.from_dense(dense).matmul_reference(b)
-        np.testing.assert_array_equal(blocked.matmul(b), reference)
-        np.testing.assert_array_equal(
-            blocked.matmul_reference(b), reference
-        )
-
-    def test_matmul_on_column_block_structure(self):
-        dense = column_block_sparse(64, 48, 0.6, block_cols=8)
-        b = np.random.default_rng(7).normal(size=(48, 16))
-        blocked = BlockCsrMatrix.from_dense(dense, (64, 8))
-        np.testing.assert_array_equal(
-            blocked.matmul(b),
-            CsrMatrix.from_dense(dense).matmul_reference(b),
-        )
 
 
 class TestRegroup:

@@ -45,7 +45,7 @@ def feed_compile(reg):
     )
     record_compile(
         dtype="float32", buffer_bytes=3000, compile_us=95.0, tune_us=40.0,
-        kernel_counts={"block-spmm": 1, "int8-gemm": 2, "int16-gemm": 1},
+        kernel_counts={"block-spmm": 1, "int8-gemm": 2},
         registry=reg,
     )
     reg.counter("compile.plans").inc()  # no dtype label: skipped
@@ -171,11 +171,10 @@ PARENT = {
              "compile_us",
              "block_layers",
              "int8_layers",
-             "int16_layers",
              "tune_us",
              "sparse_share"),
-            ("float32", 1, 0, 0, 3000, 95.0, 1, 2, 1, 40.0, 0.0),
-            ("float64", 2, 7, 1, 10240, 812.5, 0, 0, 0, 2100.0, 0.125),
+            ("float32", 1, 0, 0, 3000, 95.0, 1, 2, 40.0, 0.0),
+            ("float64", 2, 7, 1, 10240, 812.5, 0, 0, 2100.0, 0.125),
         ),
     },
     "parallel": {
@@ -309,10 +308,10 @@ quickscorer      | 2        | 50   | 8.00      | 62.00    | +675.0%
 """,
     "compile": """\
 Compiled plans
-dtype   | plans | dense | sparse | block | int8 | int16 | buffers | compile | tuning
---------+-------+-------+--------+-------+------+-------+---------+---------+-------
-float32 | 1     | 0     | 0      | 1     | 2    | 1     | 3 KiB   | 0.1 ms  | 0.0 ms
-float64 | 2     | 7     | 1      | 0     | 0    | 0     | 10 KiB  | 0.8 ms  | 2.1 ms
+dtype   | plans | dense | sparse | block | int8 | buffers | compile | tuning
+--------+-------+-------+--------+-------+------+---------+---------+-------
+float32 | 1     | 0     | 0      | 1     | 2    | 3 KiB   | 0.1 ms  | 0.0 ms
+float64 | 2     | 7     | 1      | 0     | 0    | 10 KiB  | 0.8 ms  | 2.1 ms
 """,
     "parallel": """\
 Parallel scoring

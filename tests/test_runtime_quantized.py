@@ -1,4 +1,4 @@
-"""Tests for quantized int8/int16 and block-sparse compiled kernels.
+"""Tests for the int8 and block-sparse compiled kernels.
 
 Covers the quantized side of ``repro.runtime.compile``: the declared
 score-tolerance contract against the float64 reference, exact-integer
@@ -32,7 +32,6 @@ from repro.runtime.compile import (
     DENSE_KERNEL,
     INT8_KERNEL,
     INT8_MAX_IN_WIDTH,
-    INT16_KERNEL,
     SPARSE_KERNEL,
 )
 
@@ -67,21 +66,18 @@ class TestToleranceContract:
         seed=st.integers(0, 2**31 - 1),
     )
     @settings(max_examples=25, deadline=None)
-    def test_int16_within_declared_tolerance(self, context, arch, n, seed):
-        # Calibration and test batches come from the same distribution;
-        # the declared tolerance (3x the measured calibration deviation,
-        # floored) must bound the deviation on fresh batches too.
+    def test_int8_tolerance_on_fresh_batches(self, context, arch, n, seed):
+        # The deviation batch and the test batches come from the same
+        # distribution; the declared tolerance (3x the measured
+        # deviation, floored) must bound the deviation on fresh batches
+        # too.
         network = _network(arch, seed=seed)
         rng = np.random.default_rng(seed)
-        calibration = rng.standard_normal((128, network.input_dim))
         plan = compile_network(
-            network,
-            context=context,
-            dtype="float32",
-            quantize="int16",
-            calibration=calibration,
+            network, context=context, dtype="float32", quantize="int8"
         )
         assert plan.score_tolerance is not None and plan.score_tolerance > 0
+        assert plan.kernel_counts().get(INT8_KERNEL, 0) >= 1
         features = rng.standard_normal((n, network.input_dim))
         deviation = np.abs(
             plan.score(features) - reference_scores(network, plan, features)
@@ -105,7 +101,7 @@ class TestToleranceContract:
             network,
             context=context,
             dtype="float32",
-            quantize="int16",
+            quantize="int8",
             tolerance=0.5,
         )
         assert plan.score_tolerance == 0.5
@@ -118,27 +114,17 @@ class TestToleranceContract:
                 tolerance=1e-12,
             )
 
-    def test_auto_meets_budget(self, context, rng):
-        network = _network((24, 12, 6), sparsity=0.5)
-        budget = 0.05
-        plan = compile_network(
-            network,
-            context=context,
-            dtype="float32",
-            quantize="auto",
-            tolerance=budget,
-        )
-        assert plan.score_tolerance == budget
-        features = rng.standard_normal((64, network.input_dim))
-        deviation = np.abs(
-            plan.score(features) - reference_scores(network, plan, features)
-        )
-        assert deviation.max() <= budget
-
     def test_float_plans_declare_no_tolerance(self, context):
         plan = compile_network(_network(), context=context, dtype="float32")
         assert plan.score_tolerance is None
         assert plan.kernel_counts().keys() <= {DENSE_KERNEL, SPARSE_KERNEL}
+
+    @pytest.mark.parametrize("quantize", ["int16", "auto", "int4"])
+    def test_only_int8_quantizes(self, context, quantize):
+        with pytest.raises(CompileError, match="None, 'none' or 'int8'"):
+            compile_network(
+                _network(), context=context, dtype="float32", quantize=quantize
+            )
 
 
 # ----------------------------------------------------------------------
@@ -146,14 +132,13 @@ class TestToleranceContract:
 # ----------------------------------------------------------------------
 class TestStableQuantizedInvariance:
     @given(
-        quantize=st.sampled_from(["int8", "int16"]),
         n=st.integers(1, 48),
         split=st.integers(1, 48),
         seed=st.integers(0, 2**31 - 1),
     )
     @settings(max_examples=25, deadline=None)
     def test_stable_quantized_is_chunk_invariant(
-        self, context, quantize, n, split, seed
+        self, context, n, split, seed
     ):
         # Exact integer accumulation makes the quantized kernels
         # order-independent; stable=True extends the guarantee to the
@@ -163,7 +148,7 @@ class TestStableQuantizedInvariance:
             network,
             context=context,
             dtype="float32",
-            quantize=quantize,
+            quantize="int8",
             stable=True,
         )
         features = np.random.default_rng(seed).standard_normal(
@@ -181,19 +166,16 @@ class TestStableQuantizedInvariance:
 # ----------------------------------------------------------------------
 class TestKernelArbitration:
     def test_all_kernel_names_accepted_as_overrides(self, context):
-        network = _network((16, 8), input_dim=16, sparsity=0.75)
+        network = _network((16, 8, 8), input_dim=16, sparsity=0.75)
+        kernels = [BLOCK_KERNEL, INT8_KERNEL, SPARSE_KERNEL, DENSE_KERNEL]
         plan = compile_network(
             network,
             context=context,
             dtype="float32",
-            kernels=[BLOCK_KERNEL, INT8_KERNEL, INT16_KERNEL],
+            kernels=kernels,
             block_shape=(16, 4),
         )
-        assert [lp.kernel for lp in plan.layers] == [
-            BLOCK_KERNEL,
-            INT8_KERNEL,
-            INT16_KERNEL,
-        ]
+        assert [lp.kernel for lp in plan.layers] == kernels
 
     def test_unknown_override_rejected(self, context):
         with pytest.raises(CompileError, match="unknown kernel"):
@@ -213,24 +195,62 @@ class TestKernelArbitration:
                 kernels=[None, INT8_KERNEL, None],
             )
 
-    def test_int8_falls_back_to_int16_on_wide_layers(self, context):
-        # quantize="int8" must silently widen the layer whose input
-        # exceeds the exact-accumulation bound instead of raising.
+    def test_int8_leaves_wide_layers_float(self, context):
+        # quantize="int8" must leave the layer whose input exceeds the
+        # exact-accumulation bound on the float GEMM instead of raising.
         network = FeedForwardNetwork(8, (INT8_MAX_IN_WIDTH + 1, 4), seed=0)
         plan = compile_network(
             network, context=context, dtype="float32", quantize="int8"
         )
         wide = plan.layers[1]
         assert wide.in_width > INT8_MAX_IN_WIDTH
-        assert wide.kernel == INT16_KERNEL and wide.bits == 16
+        assert wide.kernel == DENSE_KERNEL and wide.bits is None
+        assert plan.layers[2].kernel == INT8_KERNEL
+
+    def test_forced_int8_without_relu6_input_raises(self, context):
+        # The entry layer's raw features have no bound: any fixed int8
+        # input scale would clip some serving row.
+        with pytest.raises(CompileError, match="no ReLU6 bounds"):
+            compile_network(
+                _network((16, 8)),
+                context=context,
+                dtype="float32",
+                kernels=[INT8_KERNEL, None, None],
+            )
 
     def test_forced_block_without_stored_blocks_raises(self, context):
         network = _network((8,), input_dim=8)
         network.first_layer.weight.data[:] = 0.0
         with pytest.raises(CompileError, match="no stored blocks"):
             compile_network(
-                network, context=context, kernels=[BLOCK_KERNEL, None]
+                network,
+                context=context,
+                dtype="float32",
+                kernels=[BLOCK_KERNEL, None],
             )
+
+    def test_forced_block_in_float64_raises(self, context):
+        network = _network((16, 8), input_dim=16, sparsity=0.75)
+        with pytest.raises(CompileError, match="float32 only"):
+            compile_network(
+                network, context=context, kernels=[BLOCK_KERNEL, None, None]
+            )
+
+    def test_float64_block_sparse_times_no_block_candidate(self, fake_timer):
+        asked: list[str] = []
+
+        def favour_block(kernel, docs, shape):
+            asked.append(kernel)
+            return docs * 1e-6 * (0.5 if kernel == BLOCK_KERNEL else 1.0)
+
+        network = _network((64, 8), input_dim=64, sparsity=0.9, block_cols=8)
+        plan = compile_network(
+            network,
+            context=PricingContext(timer=fake_timer(favour_block)),
+            block_sparse=True,
+        )
+        assert asked and BLOCK_KERNEL not in asked
+        assert BLOCK_KERNEL not in plan.kernel_counts()
 
     def test_explicit_float_kernel_exempts_layer_from_quantize(
         self, context
