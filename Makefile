@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast verify bench-test smoke parallel-smoke serving-smoke lifecycle-smoke bench examples report clean
+.PHONY: install test test-fast verify bench-test smoke bench examples report clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -14,7 +14,7 @@ test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow" -x
 
 # Tier-1 gate: the full suite plus a bytecode compile of the library.
-verify: parallel-smoke serving-smoke lifecycle-smoke bench-test
+verify: bench-test
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(PYTHON) -m compileall -q src
 
@@ -26,24 +26,6 @@ bench-test:
 # Seconds-fast sanity check: build + price one scorer of every backend.
 smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_runtime_smoke.py -q
-
-# Parallel gate: shard every backend over the worker pool and assert
-# bit-identical scores plus a measured >1x cache/pool speedup.
-parallel-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.runtime.parallel_smoke
-
-# Serving gate: coalesced async scoring bit-identical to sequential on
-# every backend, plus deterministic shed-rate bounds and SLO-miss
-# accounting under a seeded multi-tenant load run.
-serving-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.serving.smoke
-
-# Lifecycle gate: a forced mid-load hot swap loses zero requests and
-# stays bit-identical pre/post; the shadow gate promotes a good
-# candidate, rolls back a regressed one, and invalidates the cache by
-# fingerprint; replay-fed redistillation swaps in a fine-tuned student.
-lifecycle-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.runtime.lifecycle_smoke
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

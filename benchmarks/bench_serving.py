@@ -14,7 +14,7 @@ Latency percentiles here are wall time including queueing — the
 coalesced accounting split (`ServiceStats.record(kernel_seconds=...)`)
 keeps them apart from the kernel-time drift audit.  Every scenario's
 scores stay bit-identical to sequential scoring (gated by
-``make serving-smoke``; not re-asserted per row here).
+``tests/test_serving_async.py``; not re-asserted per row here).
 
 Request tracing runs enabled throughout, and the emitted
 ``BENCH_serving.json`` carries a ``trace_sample``: the slowest retained

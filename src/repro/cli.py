@@ -128,6 +128,25 @@ def _parse_block_shape(text: str) -> tuple[int, int]:
 # ----------------------------------------------------------------------
 # Subcommand implementations (each returns a process exit code)
 # ----------------------------------------------------------------------
+def _probe(args):
+    """The probe models over a ``--queries`` x ``--docs`` collection."""
+    from repro.obs.probe import build_probe_models
+
+    return build_probe_models(
+        n_queries=args.queries, docs_per_query=args.docs, seed=args.seed
+    )
+
+
+def _service(models, args):
+    """A plain service over the ``--backend`` role of the probe models."""
+    from repro.runtime import ServiceConfig
+    from repro.serving import ScoringService
+
+    return ScoringService(
+        models[PROBE_ROLES[args.backend]], ServiceConfig(backend=args.backend)
+    )
+
+
 def cmd_generate(args) -> int:
     """Write a synthetic LtR collection in SVMLight format."""
     maker = make_msn30k_like if args.flavour == "msn30k" else make_istella_s_like
@@ -469,7 +488,6 @@ def cmd_resilience(args) -> int:
     and reports fallback ratios, breaker states and retry counts — the
     serving-side counterpart of ``repro stats``.
     """
-    from repro.obs.probe import build_probe_models
     from repro.runtime import (
         FaultPolicy,
         ResilienceConfig,
@@ -481,9 +499,7 @@ def cmd_resilience(args) -> int:
     )
     from repro.serving import ScoringService
 
-    models = build_probe_models(
-        n_queries=args.queries, docs_per_query=args.docs, seed=args.seed
-    )
+    models = _probe(args)
     dataset = models["dataset"]
     primary = with_faults(
         make_scorer(models[PROBE_ROLES[args.backend]], backend=args.backend),
@@ -536,13 +552,10 @@ def cmd_cascade(args) -> int:
     import time as _time
 
     from repro.metrics import mean_ndcg
-    from repro.obs.probe import build_probe_models
     from repro.runtime import PipelineConfig, ServiceConfig
     from repro.serving import ScoringService
 
-    models = build_probe_models(
-        n_queries=args.queries, docs_per_query=args.docs, seed=args.seed
-    )
+    models = _probe(args)
     dataset = models["dataset"]
     keeps = list(args.keep)
     while len(keeps) < 2:
@@ -649,12 +662,9 @@ def cmd_throughput(args) -> int:
     import math
     import time as _time
 
-    from repro.obs.probe import build_probe_models
     from repro.runtime import ParallelConfig, ShardedScorer, make_scorer
 
-    models = build_probe_models(
-        n_queries=args.queries, docs_per_query=args.docs, seed=args.seed
-    )
+    models = _probe(args)
     features = models["dataset"].features
     base_scorer = make_scorer(
         models[PROBE_ROLES[args.backend]], backend=args.backend
@@ -727,17 +737,12 @@ def cmd_serve(args) -> int:
     """
     import asyncio
 
-    from repro.obs.probe import build_probe_models
-    from repro.runtime import AsyncConfig, ServiceConfig
-    from repro.serving import AsyncScoringService, ScoringService
+    from repro.runtime import AsyncConfig
+    from repro.serving import AsyncScoringService
 
-    models = build_probe_models(
-        n_queries=args.queries, docs_per_query=args.docs, seed=args.seed
-    )
+    models = _probe(args)
+    service = _service(models, args)
     dataset = models["dataset"]
-    service = ScoringService(
-        models[PROBE_ROLES[args.backend]], ServiceConfig(backend=args.backend)
-    )
     requests = [
         dataset.features[start:stop]
         for start, stop in zip(dataset.query_ptr[:-1], dataset.query_ptr[1:])
@@ -810,8 +815,8 @@ def cmd_loadtest(args) -> int:
     import json
 
     from repro.obs.probe import build_probe_models
-    from repro.runtime import AsyncConfig, ServiceConfig
-    from repro.serving import LoadSpec, ScoringService, make_queries, run_load
+    from repro.runtime import AsyncConfig
+    from repro.serving import LoadSpec, make_queries, run_load
 
     tenants = [_parse_tenant(t) for t in (args.tenant or [])]
     if args.spec:
@@ -837,9 +842,7 @@ def cmd_loadtest(args) -> int:
             seed=args.seed,
         )
     models = build_probe_models(n_queries=8, docs_per_query=16, seed=args.seed)
-    service = ScoringService(
-        models[PROBE_ROLES[args.backend]], ServiceConfig(backend=args.backend)
-    )
+    service = _service(models, args)
     frontend = AsyncConfig(
         max_wait_us=args.max_wait_us,
         slo_us=args.slo_us,
@@ -896,13 +899,10 @@ def cmd_swap(args) -> int:
     """
     import json
 
-    from repro.obs.probe import build_probe_models
     from repro.runtime import LifecycleConfig, ParallelConfig, ServiceConfig
     from repro.serving import ScoringService
 
-    models = build_probe_models(
-        n_queries=args.queries, docs_per_query=args.docs, seed=args.seed
-    )
+    models = _probe(args)
     dataset = models["dataset"]
     student = models["student"]
     service = ScoringService(
@@ -985,8 +985,8 @@ def _traced_probe_load(args):
     """
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.probe import build_probe_models
-    from repro.runtime import AsyncConfig, ServiceConfig
-    from repro.serving import LoadSpec, ScoringService, make_queries, run_load
+    from repro.runtime import AsyncConfig
+    from repro.serving import LoadSpec, make_queries, run_load
 
     spec = LoadSpec(
         mode="closed",
@@ -1001,9 +1001,7 @@ def _traced_probe_load(args):
         seed=args.seed,
     )
     models = build_probe_models(n_queries=8, docs_per_query=16, seed=args.seed)
-    service = ScoringService(
-        models[PROBE_ROLES[args.backend]], ServiceConfig(backend=args.backend)
-    )
+    service = _service(models, args)
     recorder = obs.RequestRecorder(enabled=True)
     previous_recorder = obs.set_request_recorder(recorder)
     previous_registry = obs.set_registry(MetricsRegistry())
@@ -1093,13 +1091,8 @@ def cmd_top(args) -> int:
 
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.probe import build_probe_models
-    from repro.runtime import AsyncConfig, ServiceConfig
-    from repro.serving import (
-        AsyncScoringService,
-        LoadSpec,
-        ScoringService,
-        make_queries,
-    )
+    from repro.runtime import AsyncConfig
+    from repro.serving import AsyncScoringService, LoadSpec, make_queries
     from repro.serving.loadgen import run_load_async
 
     spec = LoadSpec(
@@ -1116,9 +1109,7 @@ def cmd_top(args) -> int:
         seed=args.seed,
     )
     models = build_probe_models(n_queries=8, docs_per_query=16, seed=args.seed)
-    service = ScoringService(
-        models[PROBE_ROLES[args.backend]], ServiceConfig(backend=args.backend)
-    )
+    service = _service(models, args)
     queries = make_queries(spec, models["dataset"].features.shape[1])
     recorder = obs.RequestRecorder(enabled=True)
     previous_recorder = obs.set_request_recorder(recorder)

@@ -15,7 +15,7 @@ retains **tail-based**:
 All four stores are bounded at construction time, so memory stays
 O(recent + slowest + shed + errored) regardless of traffic volume.
 Lookup by trace id is a linear scan over a few hundred retained
-records — lookups are rare (CLI / smoke), retention is hot.
+records — lookups are rare (CLI / tests), retention is hot.
 
 :class:`ExemplarStore` is the histogram↔trace bridge: per tenant and
 per geometric latency bucket it keeps the *last* trace id observed in

@@ -264,8 +264,11 @@ class BatchEngine:
     max_batch_size:
         Largest micro-batch handed to the scorer in one call; ``None``
         disables splitting.  Non-batchable scorers (cascades) always
-        receive the request whole.  A sharded scorer splits instead of
-        the engine (see ``parallel``).
+        receive the request whole.  A
+        :class:`~repro.runtime.parallel.ShardedScorer` splits instead of
+        the engine, after its cache: it keys and looks up a request once
+        and scores only the missing rows, in calls of at most its own
+        ``max_batch_size``.
     budget_us_per_doc:
         Optional per-document budget; construction raises
         :class:`BudgetExceededError` when the scorer's calibrated price
@@ -279,17 +282,6 @@ class BatchEngine:
         checked).
     stats:
         Optional pre-existing :class:`ServiceStats` to accumulate into.
-    parallel:
-        Optional :class:`~repro.runtime.parallel.ParallelConfig`; when
-        given, the scorer is wrapped in a :class:`~repro.runtime.
-        parallel.ShardedScorer` so each (micro-)batch is scored on a
-        worker pool — bit-identically to the unwrapped scorer.  The
-        engine then hands the sharder whole requests and the sharder
-        splits, after the cache: it keys and looks up a request once and
-        scores only the missing rows, in calls of at most
-        ``max_batch_size``.  A pre-built
-        :class:`~repro.runtime.parallel.ShardedScorer` is used as given,
-        with its own ``max_batch_size``.
     """
 
     def __init__(
@@ -300,15 +292,10 @@ class BatchEngine:
         budget_us_per_doc: float | None = None,
         allow_unpriced: bool = False,
         stats: ServiceStats | None = None,
-        parallel=None,
     ) -> None:
         if max_batch_size is not None and max_batch_size < 1:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {max_batch_size}"
-            )
-        if parallel is not None and not isinstance(scorer, ShardedScorer):
-            scorer = ShardedScorer(
-                scorer, parallel, max_batch_size=max_batch_size
             )
         if isinstance(scorer, ShardedScorer):
             max_batch_size = None  # the sharder splits, after the cache

@@ -631,7 +631,7 @@ class InferencePlan:
     thread** so concurrent shard workers never share in-flight
     activations.  :meth:`score` is the allocating convenience wrapper;
     :meth:`execute_into` is the zero-allocation steady-state entry point
-    the smoke gate measures.
+    ``tests/gates/test_quant_gates.py`` measures.
     """
 
     def __init__(
@@ -777,8 +777,9 @@ class InferencePlan:
         ``features`` must be 2-D with ``input_dim`` columns and at most
         ``max_batch`` rows; ``out`` must be a float64 vector of matching
         length.  After the first call at a given batch size, repeated
-        calls at that size allocate nothing (the smoke gate asserts
-        this with ``tracemalloc``).
+        calls at that size allocate nothing
+        (``tests/gates/test_quant_gates.py`` asserts this with
+        ``tracemalloc``).
         """
         n = features.shape[0]
         if n == 0:
@@ -1269,10 +1270,11 @@ def compile_network(
         ``plan.score_tolerance``; without it the plan declares a margin
         over the measured deviation.
     block_sparse:
-        Try to regroup each layer's non-zeros into dense ``block_shape``
-        tiles (:func:`repro.matmul.blocks.regroup_to_blocks`).  In
-        float32, when the achieved fill reaches :data:`MIN_BLOCK_FILL`
-        the block-SpMM kernel joins dense and scalar CSR as a timed
+        Try to regroup each pruned layer's non-zeros (a layer with at
+        least one zero weight) into dense ``block_shape`` tiles
+        (:func:`repro.matmul.blocks.regroup_to_blocks`).  In float32,
+        when the achieved fill reaches :data:`MIN_BLOCK_FILL` the
+        block-SpMM kernel joins dense and scalar CSR as a timed
         candidate; float64 plans offer no block candidate.
     block_shape:
         Tile shape ``(rows, cols)`` of block regrouping.
@@ -1324,7 +1326,12 @@ def compile_network(
         ):
             csr = CsrMatrix.from_dense(linear.weight.data)
             block = None
-            if np_dtype == np.float32 and (block_sparse or override == BLOCK_KERNEL):
+            # An unpruned layer's tiles hold every column: block-spmm can
+            # only tie dense there, so only pruned layers regroup.
+            pruned = csr.nnz < linear.weight.data.size
+            if np_dtype == np.float32 and (
+                (block_sparse and pruned) or override == BLOCK_KERNEL
+            ):
                 fill_floor = 0.0 if override == BLOCK_KERNEL else MIN_BLOCK_FILL
                 regrouped = regroup_to_blocks(
                     csr, block_shape, min_fill=fill_floor

@@ -103,7 +103,7 @@ class LifecycleConfig:
         ``"background"`` scores mirrors on a single worker thread off
         the hot path (bounded by ``shadow_queue``, overflow mirrors are
         dropped and counted); ``"sync"`` scores them inline — fully
-        deterministic, for tests and smoke probes.
+        deterministic, for tests and probes.
     shadow_queue:
         Max in-flight background mirrors before new ones are dropped.
     replay_capacity:

@@ -18,9 +18,10 @@ Two surfaces over one runtime:
   think-time closed arrivals, weighted tenant mixes) replayed by
   :func:`run_load` into a :class:`LoadReport`.
 
-``python -m repro.serving.smoke`` (``make serving-smoke``) gates the
-whole stack: coalescing bit-identity across backends, provable shed
-bounds, and SLO-miss accounting.  See ``docs/serving_async.md``.
+``tests/test_serving_async.py`` holds coalescing to bit-identity on
+every probe plan, and ``tests/gates/test_serving_gates.py`` gates the
+provable shed bound and SLO-miss accounting under load.  See
+``docs/serving_async.md``.
 """
 
 from repro.runtime.config import AsyncConfig, TenantConfig

@@ -17,8 +17,8 @@ so the slice a request gets back is bitwise what a lone synchronous
 ``score`` call would have produced.  Non-batchable but coalescable
 cascades also take the batch in one engine call and run each stage over
 every request's survivors, with the same bits as one request at a time.
-The hypothesis suite (``tests/test_serving_async.py``), ``make
-serving-smoke`` and ``tests/gates/test_cascade_gates.py`` pin this.
+The hypothesis suite (``tests/test_serving_async.py``) and
+``tests/gates/test_cascade_gates.py`` pin this.
 
 Threading model — single-writer everywhere:
 
@@ -129,8 +129,8 @@ class AsyncScoringService:
         ``service.config.frontend`` (default: that, or ``AsyncConfig()``).
     clock:
         Monotonic-seconds clock driving enqueue timestamps, the token
-        buckets and the kernel timer — injectable so tests and the smoke
-        gate replay schedules deterministically.
+        buckets and the kernel timer — injectable so tests replay
+        schedules deterministically.
     """
 
     def __init__(

@@ -24,7 +24,8 @@ properties real ranking traffic has and uniform synthetic load lacks:
 Everything random is drawn **up front** from one seeded generator, so a
 given :class:`LoadSpec` always offers the identical request sequence
 (tenants, users, sizes, gaps) no matter how the event loop interleaves
-completions — the property the smoke gate's assertions stand on.
+completions — the property ``tests/gates/test_serving_gates.py``
+stands on.
 
 :func:`run_load` drives a whole run (build front-end → replay schedule
 → drain) and returns a :class:`LoadReport` of client-side counts:
@@ -63,7 +64,7 @@ class LoadSpec:
     ``docs_per_query`` documents, with tenants drawn from the weighted
     ``tenants`` mix.  ``time_scale`` compresses the schedule's sleeps
     (0.1 = replay 10× faster) without changing what is offered — the
-    smoke gate's lever for running a "long" scenario in milliseconds.
+    tests' lever for running a "long" scenario in milliseconds.
     """
 
     mode: str = "open"

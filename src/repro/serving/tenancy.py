@@ -63,8 +63,8 @@ class TokenBucket:
 
     Tokens refill continuously at ``rate_per_s`` up to a capacity of
     ``burst``; the bucket starts full.  All timing flows through the
-    injected ``clock`` (monotonic seconds), so tests and the smoke gate
-    can drive it with a manual clock and replay schedules exactly.
+    injected ``clock`` (monotonic seconds), so tests can drive it with a
+    manual clock and replay schedules exactly.
     """
 
     def __init__(

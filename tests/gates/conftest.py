@@ -3,6 +3,7 @@ that guard each serving subsystem's contracts."""
 
 from __future__ import annotations
 
+import ctypes
 import json
 
 import numpy as np
@@ -78,3 +79,28 @@ def pruned_network():
 def gate_features():
     """512 standard-normal rows for the compile gates."""
     return np.random.default_rng(11).standard_normal((512, GATE_INPUT_DIM))
+
+
+@pytest.fixture()
+def one_blas_thread():
+    """numpy's OpenBLAS pinned to one thread for the test, then restored.
+
+    Unpinned, OpenBLAS already threads a lone worker's GEMMs over every
+    core, so a pool-scaling measurement would compare two threaded runs.
+    Skips when numpy's bundled OpenBLAS exports no thread-count symbols.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+
+        blas = ctypes.CDLL(_multiarray_umath.__file__)
+        get_threads = blas.scipy_openblas_get_num_threads64_
+        set_threads = blas.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        pytest.skip("numpy's OpenBLAS exports no thread-count setter")
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+        assert get_threads() == previous, "BLAS thread count not restored"

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -38,6 +39,16 @@ class TestPublicApi:
         module = importlib.import_module(module_name)
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module_name}.__all__ lists {name}"
+
+    def test_every_module_imports(self):
+        # compileall misses an import of a module that no longer exists.
+        names = [
+            info.name
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        ]
+        assert len(names) > 100
+        for name in names:
+            importlib.import_module(name)
 
     def test_version_string(self):
         assert repro.__version__.count(".") == 2

@@ -284,7 +284,9 @@ class TestSwap:
         event = service.lifecycle.swap_events[-1]
         assert event.kind == "rolled-back"
         assert event.invalidated > 0  # shadow-warmed rows under "bad"
-        assert obs_clean.lifecycle_report().totals["rollbacks"] == 1
+        report = obs_clean.lifecycle_report()
+        assert report.totals["rollbacks"] == 1
+        assert report.row("bad")["shadow_requests"] >= 4
         service.close()
 
     def test_without_auto_rollback_shadow_waits_for_decide(self, probe):
@@ -426,8 +428,8 @@ class TestSwapBitIdentity:
 # Swap under concurrent load (the zero-downtime claim)
 # ----------------------------------------------------------------------
 class TestSwapUnderLoad:
-    def test_mid_load_swap_loses_nothing(self, probe, obs_clean):
-        _, incumbent, good, _ = probe
+    def test_mid_load_swap_loses_nothing(self, probe, ref_scorers, obs_clean):
+        dataset, incumbent, good, _ = probe
         service = _gated_service(incumbent)
         spec = LoadSpec(
             mode="closed",
@@ -449,10 +451,15 @@ class TestSwapUnderLoad:
         assert len(report.swap_events) == 1
         event = report.swap_events[0]
         assert event["action"] == "forced"
+        assert event["event"]["invalidated"] > 0  # v1's load-warmed rows
         assert 1 <= event["at_request"] <= report.offered
         assert set(report.served_by_version) == {"v1", "v2"}
         assert sum(report.served_by_version.values()) == report.served
         assert service.registry.active.version_id == "v2"
+        x = _queries(dataset)[0]
+        np.testing.assert_array_equal(
+            service.score(x), ref_scorers[1].score(x)
+        )
         json.dumps(report.to_dict())
         assert "swap at" in report.render()
         service.close()

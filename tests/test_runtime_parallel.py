@@ -580,19 +580,20 @@ class TestParallelIntegration:
 
     def test_batch_engine_parallel_wrapping(self, forest_scorer, features):
         reference = forest_scorer.score(features)
-        engine = BatchEngine(
-            forest_scorer,
-            max_batch_size=None,
-            parallel=ParallelConfig(workers=2, cache_entries=1024),
-        )
-        assert isinstance(engine.scorer, ShardedScorer)
-        np.testing.assert_array_equal(engine.score(features), reference)
-        engine.scorer.close()
+        config = ParallelConfig(workers=2, cache_entries=1024)
+        with ShardedScorer(forest_scorer, config) as sharded:
+            engine = BatchEngine(sharded, max_batch_size=None)
+            assert engine.scorer is sharded
+            np.testing.assert_array_equal(engine.score(features), reference)
 
     def test_batch_engine_leaves_presharded_scorer(self, forest_scorer):
-        with ShardedScorer(forest_scorer, ParallelConfig(workers=2)) as s:
-            engine = BatchEngine(s, parallel=ParallelConfig(workers=4))
+        with ShardedScorer(
+            forest_scorer, ParallelConfig(workers=2), max_batch_size=32
+        ) as s:
+            engine = BatchEngine(s, max_batch_size=64)
             assert engine.scorer is s
+            assert engine.max_batch_size is None
+            assert s.max_batch_size == 32
 
 
 # ----------------------------------------------------------------------
@@ -712,9 +713,11 @@ class TestSplitBelowTheCache:
     ):
         recording = _Recording(forest_scorer)
         engine = BatchEngine(
-            recording,
-            max_batch_size=128,
-            parallel=ParallelConfig(workers=1, cache_entries=1024),
+            ShardedScorer(
+                recording,
+                ParallelConfig(workers=1, cache_entries=1024),
+                max_batch_size=128,
+            )
         )
         assert engine.max_batch_size is None
         assert engine.scorer.max_batch_size == 128

@@ -252,6 +252,36 @@ class TestKernelArbitration:
         assert asked and BLOCK_KERNEL not in asked
         assert BLOCK_KERNEL not in plan.kernel_counts()
 
+    def test_block_sparse_times_block_only_on_pruned_layers(
+        self, fake_timer
+    ):
+        """136 -> 400 -> 200 -> 100 with a column-block-pruned first
+        layer: only that layer regroups, so only it times block-spmm."""
+        block_shapes: set[tuple[int, int]] = set()
+
+        def favour_block_on_l1(kernel, docs, shape):
+            if kernel == BLOCK_KERNEL:
+                block_shapes.add(shape)
+            faster = kernel == BLOCK_KERNEL and shape == (400, 136)
+            return docs * 1e-6 * (0.5 if faster else 1.0)
+
+        network = _network(
+            (400, 200, 100), input_dim=136, sparsity=0.9, block_cols=8
+        )
+        options = dict(dtype="float32", block_shape=(64, 8))
+        plan = compile_network(
+            network,
+            context=PricingContext(timer=fake_timer(favour_block_on_l1)),
+            block_sparse=True,
+            **options,
+        )
+        assert block_shapes == {(400, 136)}
+        chosen = [BLOCK_KERNEL] + [DENSE_KERNEL] * 3
+        assert [lp.kernel for lp in plan.layers] == chosen
+        forced = compile_network(network, kernels=chosen, **options)
+        x = np.random.default_rng(4).standard_normal((64, 136))
+        np.testing.assert_array_equal(plan.score(x), forced.score(x))
+
     def test_explicit_float_kernel_exempts_layer_from_quantize(
         self, context
     ):

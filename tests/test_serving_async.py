@@ -21,13 +21,16 @@ from repro.serving import (
 )
 from repro.serving.frontend import _Pending
 
-#: Service label -> probe role: the forest, and the dense and the pruned
-#: student on their compiled plans.
-SERVED = [
-    ("quickscorer", "forest"),
-    ("student", "student"),
-    ("compiled-network", "pruned"),
-]
+#: Service label -> probe role and backend options: the forest, the
+#: dense and the pruned student on their compiled plans, and both
+#: students' int8 plans.
+SERVED = {
+    "quickscorer": ("forest", {}),
+    "student": ("student", {}),
+    "compiled-network": ("pruned", {}),
+    "student-int8": ("student", {"quantize": "int8"}),
+    "pruned-int8": ("pruned", {"quantize": "int8"}),
+}
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +42,10 @@ def probe_models():
 def services(probe_models):
     """One ScoringService per served model, shared across examples."""
     return {
-        label: ScoringService(probe_models[role]) for label, role in SERVED
+        label: ScoringService(
+            probe_models[role], ServiceConfig(backend_options=options)
+        )
+        for label, (role, options) in SERVED.items()
     }
 
 
@@ -61,7 +67,7 @@ def _score_interleaved(service, requests, *, frontend=None, tenant="default"):
 # Satellite 3: hypothesis — interleaved == sequential, bitwise
 # ----------------------------------------------------------------------
 class TestCoalescingBitIdentity:
-    @pytest.mark.parametrize("backend", [label for label, _ in SERVED])
+    @pytest.mark.parametrize("backend", list(SERVED))
     @given(
         sizes=st.lists(st.integers(0, 13), min_size=1, max_size=12),
         seed=st.integers(0, 2**16),
