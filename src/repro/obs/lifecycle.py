@@ -115,24 +115,13 @@ def record_shadow_dropped(
     registry.counter("lifecycle.shadow_dropped", version=version).inc()
 
 
-def record_swap(
-    from_version: str | None,
-    to_version: str,
-    *,
-    kind: str,
-    registry: MetricsRegistry | None = None,
-) -> None:
+def record_swap(kind: str, *, registry: MetricsRegistry | None = None) -> None:
     """Count one version activation of the given ``kind``."""
     registry = registry or get_registry()
     registry.counter("lifecycle.swaps", kind=kind).inc()
 
 
-def record_rollback(
-    candidate: str,
-    kept: str,
-    *,
-    registry: MetricsRegistry | None = None,
-) -> None:
+def record_rollback(*, registry: MetricsRegistry | None = None) -> None:
     """Count one candidate blocked by the gate (or manual rollback)."""
     registry = registry or get_registry()
     registry.counter("lifecycle.rollbacks").inc()

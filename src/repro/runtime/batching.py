@@ -254,6 +254,32 @@ class ChunkedScorer:
         return score_chunked(self.inner, x, self.max_batch_size)
 
 
+def admit_to_budget(
+    name: str, price: float, budget: float | None, *, allow_unpriced: bool
+) -> None:
+    """Raise :class:`BudgetExceededError` unless ``name``, priced at
+    ``price`` us/doc, fits ``budget`` (``None``: no budget).
+
+    A non-finite price fails too unless ``allow_unpriced``: ``nan >
+    budget`` is ``False``, so an unpriced model would otherwise slip
+    past the paper's design rule.
+    """
+    if budget is None:
+        return
+    if not math.isfinite(price):
+        if not allow_unpriced:
+            raise BudgetExceededError(
+                f"{name} has no finite price (predicted cost {price} is "
+                f"non-finite) to check against the {budget:.2f} us/doc "
+                "budget; pass allow_unpriced=True to admit it explicitly"
+            )
+    elif price > budget:
+        raise BudgetExceededError(
+            f"{name} predicted at {price:.2f} us/doc exceeds the "
+            f"{budget:.2f} us/doc budget"
+        )
+
+
 class BatchEngine:
     """Micro-batched, budget-checked execution of one scorer.
 
@@ -310,19 +336,12 @@ class BatchEngine:
                     f"budget_us_per_doc must be finite and > 0, "
                     f"got {budget_us_per_doc}"
                 )
-            if not math.isfinite(predicted):
-                if not allow_unpriced:
-                    raise BudgetExceededError(
-                        f"scorer {scorer.backend!r} has a non-finite "
-                        f"predicted cost ({predicted}) and cannot pass the "
-                        f"{budget_us_per_doc:.2f} us/doc budget check; pass "
-                        "allow_unpriced=True to admit it explicitly"
-                    )
-            elif predicted > budget_us_per_doc:
-                raise BudgetExceededError(
-                    f"model predicted at {predicted:.2f} us/doc exceeds the "
-                    f"{budget_us_per_doc:.2f} us/doc budget"
-                )
+            admit_to_budget(
+                f"scorer {scorer.backend!r}",
+                predicted,
+                budget_us_per_doc,
+                allow_unpriced=allow_unpriced,
+            )
         self.budget_us_per_doc = budget_us_per_doc
         self.allow_unpriced = allow_unpriced
         self._drift = DriftSeries(scorer.backend)

@@ -895,11 +895,12 @@ def _float_kernel(
     )
 
 
-def _float_candidates(block) -> tuple[str, ...]:
+def _float_candidates(block, pruned: bool) -> tuple[str, ...]:
     """The float kernels a layer can run, dense first (``block``: the
-    regrouped float32 layer, if any)."""
+    regrouped float32 layer, if any; ``pruned``: the layer stores a zero
+    weight — on a fully dense layer csr-spmm can only lose to GEMM)."""
     names = [DENSE_KERNEL]
-    if _scipy_sparsetools is not None:
+    if pruned and _scipy_sparsetools is not None:
         names.append(SPARSE_KERNEL)
     if block is not None:
         names.append(BLOCK_KERNEL)
@@ -1327,7 +1328,8 @@ def compile_network(
             csr = CsrMatrix.from_dense(linear.weight.data)
             block = None
             # An unpruned layer's tiles hold every column: block-spmm can
-            # only tie dense there, so only pruned layers regroup.
+            # only tie dense there, so only pruned layers regroup (and
+            # only they time csr-spmm).
             pruned = csr.nnz < linear.weight.data.size
             if np_dtype == np.float32 and (
                 (block_sparse and pruned) or override == BLOCK_KERNEL
@@ -1346,7 +1348,7 @@ def compile_network(
             forced_float = False
             tuning = None
             if override is None:
-                candidates = _float_candidates(block)
+                candidates = _float_candidates(block, pruned)
                 if len(candidates) == 1:
                     structure = DENSE_KERNEL
                 else:

@@ -12,47 +12,34 @@ This module consolidates that surface into a family of dataclasses:
   QoS and cross-request coalescing knobs of the asyncio front-end
   (:class:`~repro.serving.AsyncScoringService`);
 * :class:`ServiceConfig` — the top-level bundle a service is built
-  from, with ``to_dict()``/``from_dict()`` for JSON-able round-trips.
+  from.
 
-``to_dict`` is declarative-only: ``fallback_models`` hold *live model
-objects* and cannot be serialized — a config carrying them raises
-:class:`~repro.exceptions.ConfigError` on ``to_dict()`` rather than
-silently dropping tiers.
+Every config round-trips through one codec,
+:class:`~repro.utils.codec.ConfigCodec`: ``to_dict()``/``from_dict()``
+follow the dataclass fields, unknown keys raise
+:class:`~repro.exceptions.ConfigError`, and a nested config field
+accepts a dict at construction.  ``to_dict`` is declarative-only:
+``fallback_models`` hold *live model objects* and cannot be serialized
+— a config carrying them raises ``ConfigError`` on ``to_dict()``
+rather than silently dropping tiers.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any
+from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigError
 from repro.runtime.lifecycle import LifecycleConfig
 from repro.runtime.parallel import ParallelConfig
 from repro.runtime.ranking import PipelineConfig
 from repro.runtime.resilience import CircuitBreakerConfig, RetryPolicy
+from repro.utils.codec import LIVE, ConfigCodec
 
 __all__ = ["AsyncConfig", "ResilienceConfig", "ServiceConfig", "TenantConfig"]
 
 
-def _rebuild(cls, data: Any, label: str):
-    """Reconstruct a frozen dataclass from its ``asdict`` form."""
-    if data is None:
-        return None
-    if isinstance(data, cls):
-        return data
-    if not isinstance(data, dict):
-        raise ConfigError(
-            f"{label} must be a dict or {cls.__name__}, "
-            f"got {type(data).__name__}"
-        )
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"invalid {label}: {exc}") from None
-
-
 @dataclass(frozen=True)
-class ResilienceConfig:
+class ResilienceConfig(ConfigCodec):
     """Degradation-ladder tuning for a scoring service.
 
     Any non-default field routes the service through a
@@ -79,12 +66,13 @@ class ResilienceConfig:
         tier that answers the call serves every row of it.
     """
 
-    fallback_models: tuple = ()
+    fallback_models: tuple = field(default=(), metadata=LIVE)
     retry: RetryPolicy | None = None
     breaker: CircuitBreakerConfig | None = None
     deadline_us: float | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not isinstance(self.fallback_models, tuple):
             object.__setattr__(
                 self, "fallback_models", tuple(self.fallback_models)
@@ -94,44 +82,9 @@ class ResilienceConfig:
                 f"deadline_us must be > 0, got {self.deadline_us}"
             )
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-ready representation of the declarative fields.
-
-        Raises :class:`ConfigError` when ``fallback_models`` is
-        non-empty — live models have no dict form, and dropping them
-        silently would serialize a *different* service.
-        """
-        if self.fallback_models:
-            raise ConfigError(
-                "fallback_models hold live model objects and cannot be "
-                "serialized; attach them when constructing the service"
-            )
-        return {
-            "retry": asdict(self.retry) if self.retry else None,
-            "breaker": asdict(self.breaker) if self.breaker else None,
-            "deadline_us": self.deadline_us,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResilienceConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        unknown = set(data) - {"retry", "breaker", "deadline_us"}
-        if unknown:
-            raise ConfigError(
-                f"unknown ResilienceConfig keys: {', '.join(sorted(unknown))}"
-            )
-        return cls(
-            retry=_rebuild(RetryPolicy, data.get("retry"), "retry"),
-            breaker=_rebuild(
-                CircuitBreakerConfig, data.get("breaker"), "breaker"
-            ),
-            deadline_us=data.get("deadline_us"),
-        )
-
 
 @dataclass(frozen=True)
-class TenantConfig:
+class TenantConfig(ConfigCodec):
     """Admission and QoS contract of one tenant of the async front-end.
 
     Fully declarative (JSON round-trips through
@@ -173,6 +126,7 @@ class TenantConfig:
     deadline_us: float | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.name or not isinstance(self.name, str):
             raise ConfigError(
                 f"tenant name must be a non-empty string, got {self.name!r}"
@@ -197,39 +151,9 @@ class TenantConfig:
                 f"deadline_us must be > 0 (or None), got {self.deadline_us}"
             )
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-ready representation (round-trips via :meth:`from_dict`)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TenantConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        unknown = set(data) - {
-            "name",
-            "rate_per_s",
-            "burst",
-            "priority",
-            "max_queue_depth",
-            "deadline_us",
-        }
-        if unknown:
-            raise ConfigError(
-                f"unknown TenantConfig keys: {', '.join(sorted(unknown))}"
-            )
-        defaults = cls()
-        return cls(
-            name=data.get("name", defaults.name),
-            rate_per_s=data.get("rate_per_s"),
-            burst=data.get("burst", defaults.burst),
-            priority=data.get("priority", defaults.priority),
-            max_queue_depth=data.get("max_queue_depth"),
-            deadline_us=data.get("deadline_us"),
-        )
-
 
 @dataclass(frozen=True)
-class AsyncConfig:
+class AsyncConfig(ConfigCodec):
     """Queueing, coalescing and tenancy tuning of the async front-end.
 
     Consumed by :class:`~repro.serving.AsyncScoringService`: requests
@@ -269,9 +193,10 @@ class AsyncConfig:
     max_batch_docs: int = 4096
     max_queue_depth: int = 1024
     slo_us: float | None = None
-    tenants: tuple = ()
+    tenants: tuple[TenantConfig, ...] = ()
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.max_wait_us < 0:
             raise ConfigError(
                 f"max_wait_us must be >= 0, got {self.max_wait_us}"
@@ -293,16 +218,11 @@ class AsyncConfig:
             raise ConfigError(
                 f"slo_us must be > 0 (or None), got {self.slo_us}"
             )
-        tenants = tuple(
-            t if isinstance(t, TenantConfig) else TenantConfig(**t)
-            for t in self.tenants
-        )
-        names = [t.name for t in tenants]
+        names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ConfigError(
                 f"tenant names must be unique, got {names}"
             )
-        object.__setattr__(self, "tenants", tenants)
 
     # ------------------------------------------------------------------
     def tenant(self, name: str) -> TenantConfig | None:
@@ -312,56 +232,9 @@ class AsyncConfig:
                 return tenant
         return None
 
-    def to_dict(self) -> dict:
-        """JSON-ready representation (round-trips via :meth:`from_dict`)."""
-        return {
-            "max_wait_us": self.max_wait_us,
-            "max_batch_requests": self.max_batch_requests,
-            "max_batch_docs": self.max_batch_docs,
-            "max_queue_depth": self.max_queue_depth,
-            "slo_us": self.slo_us,
-            "tenants": [t.to_dict() for t in self.tenants],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AsyncConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        known = {
-            "max_wait_us",
-            "max_batch_requests",
-            "max_batch_docs",
-            "max_queue_depth",
-            "slo_us",
-            "tenants",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown AsyncConfig keys: {', '.join(sorted(unknown))}"
-            )
-        defaults = cls()
-        tenants = tuple(
-            _rebuild(TenantConfig, t, "tenant") if isinstance(t, dict) else t
-            for t in data.get("tenants", ())
-        )
-        return cls(
-            max_wait_us=data.get("max_wait_us", defaults.max_wait_us),
-            max_batch_requests=data.get(
-                "max_batch_requests", defaults.max_batch_requests
-            ),
-            max_batch_docs=data.get(
-                "max_batch_docs", defaults.max_batch_docs
-            ),
-            max_queue_depth=data.get(
-                "max_queue_depth", defaults.max_queue_depth
-            ),
-            slo_us=data.get("slo_us"),
-            tenants=tenants,
-        )
-
 
 @dataclass(frozen=True)
-class ServiceConfig:
+class ServiceConfig(ConfigCodec):
     """Everything a :class:`~repro.serving.ScoringService` is tuned by.
 
     Parameters
@@ -430,124 +303,22 @@ class ServiceConfig:
     lifecycle: LifecycleConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.lifecycle is not None and not isinstance(
-            self.lifecycle, LifecycleConfig
+        super().__post_init__()
+        if self.pipeline is not None and (
+            self.backend is not None or self.backend_options
         ):
-            if isinstance(self.lifecycle, dict):
-                object.__setattr__(
-                    self,
-                    "lifecycle",
-                    LifecycleConfig.from_dict(self.lifecycle),
-                )
-            else:
-                raise ConfigError(
-                    "lifecycle must be a LifecycleConfig or dict, "
-                    f"got {type(self.lifecycle).__name__}"
-                )
-        if self.pipeline is not None:
-            if not isinstance(self.pipeline, PipelineConfig):
-                if isinstance(self.pipeline, dict):
-                    object.__setattr__(
-                        self,
-                        "pipeline",
-                        PipelineConfig.from_dict(self.pipeline),
-                    )
-                else:
-                    raise ConfigError(
-                        "pipeline must be a PipelineConfig or dict, "
-                        f"got {type(self.pipeline).__name__}"
-                    )
-            if self.backend is not None or self.backend_options:
-                raise ConfigError(
-                    "pipeline and backend/backend_options are mutually "
-                    "exclusive: each pipeline stage names its own backend"
-                )
+            raise ConfigError(
+                "pipeline and backend/backend_options are mutually "
+                "exclusive: each pipeline stage names its own backend"
+            )
         if self.backend_options is not None:
-            if not isinstance(self.backend_options, dict):
-                try:
-                    items = dict(self.backend_options)
-                except (TypeError, ValueError):
-                    raise ConfigError(
-                        "backend_options must be a mapping of option name "
-                        f"to value, got {type(self.backend_options).__name__}"
-                    ) from None
-            else:
+            try:
                 items = dict(self.backend_options)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    "backend_options must be a mapping of option name "
+                    f"to value, got {type(self.backend_options).__name__}"
+                ) from None
             if any(not isinstance(k, str) for k in items):
                 raise ConfigError("backend_options keys must be strings")
-            object.__setattr__(self, "backend_options", items)
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-ready representation (round-trips via :meth:`from_dict`)."""
-        return {
-            "budget_us_per_doc": self.budget_us_per_doc,
-            "max_batch_size": self.max_batch_size,
-            "backend": self.backend,
-            "backend_options": (
-                dict(self.backend_options) if self.backend_options else None
-            ),
-            "allow_unpriced": self.allow_unpriced,
-            "resilience": (
-                self.resilience.to_dict() if self.resilience else None
-            ),
-            "parallel": self.parallel.to_dict() if self.parallel else None,
-            "frontend": self.frontend.to_dict() if self.frontend else None,
-            "pipeline": self.pipeline.to_dict() if self.pipeline else None,
-            "lifecycle": (
-                self.lifecycle.to_dict() if self.lifecycle else None
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServiceConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        known = {
-            "budget_us_per_doc",
-            "max_batch_size",
-            "backend",
-            "backend_options",
-            "allow_unpriced",
-            "resilience",
-            "parallel",
-            "frontend",
-            "pipeline",
-            "lifecycle",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown ServiceConfig keys: {', '.join(sorted(unknown))}"
-            )
-        resilience = data.get("resilience")
-        if isinstance(resilience, dict):
-            resilience = ResilienceConfig.from_dict(resilience)
-        parallel = data.get("parallel")
-        if isinstance(parallel, dict):
-            parallel = ParallelConfig.from_dict(parallel)
-        frontend = data.get("frontend")
-        if isinstance(frontend, dict):
-            frontend = AsyncConfig.from_dict(frontend)
-        pipeline = data.get("pipeline")
-        if isinstance(pipeline, dict):
-            pipeline = PipelineConfig.from_dict(pipeline)
-        lifecycle = data.get("lifecycle")
-        if isinstance(lifecycle, dict):
-            lifecycle = LifecycleConfig.from_dict(lifecycle)
-        defaults = cls()
-        return cls(
-            budget_us_per_doc=data.get("budget_us_per_doc"),
-            max_batch_size=data.get(
-                "max_batch_size", defaults.max_batch_size
-            ),
-            backend=data.get("backend"),
-            backend_options=data.get("backend_options"),
-            allow_unpriced=data.get(
-                "allow_unpriced", defaults.allow_unpriced
-            ),
-            resilience=resilience,
-            parallel=parallel,
-            frontend=frontend,
-            pipeline=pipeline,
-            lifecycle=lifecycle,
-        )
+            object.__setattr__(self, "backend_options", items or None)

@@ -63,13 +63,14 @@ from repro.runtime.base import (
     is_scorer,
     request_rows,
 )
-from repro.runtime.batching import BudgetExceededError
+from repro.runtime.batching import BudgetExceededError, admit_to_budget
 from repro.runtime.parallel import (
     ParallelConfig,
     ScoreCache,
     ShardedScorer,
     scorer_fingerprint,
 )
+from repro.utils.codec import ConfigCodec
 
 
 class LifecycleError(ReproError):
@@ -83,7 +84,7 @@ _SHADOW_MODES = ("sync", "background")
 
 
 @dataclass(frozen=True)
-class LifecycleConfig:
+class LifecycleConfig(ConfigCodec):
     """Promotion policy for candidate model versions.
 
     shadow_fraction:
@@ -129,6 +130,7 @@ class LifecycleConfig:
     auto_rollback: bool = True
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         f = self.shadow_fraction
         if not isinstance(f, (int, float)) or not 0.0 <= float(f) <= 1.0:
             raise ConfigError(
@@ -165,41 +167,6 @@ class LifecycleConfig:
             raise ConfigError(
                 f"replay_capacity must be >= 0, got {self.replay_capacity}"
             )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "shadow_fraction": self.shadow_fraction,
-            "shadow_min_requests": self.shadow_min_requests,
-            "max_drift_pct": self.max_drift_pct,
-            "min_agreement": self.min_agreement,
-            "agreement_k": self.agreement_k,
-            "shadow_mode": self.shadow_mode,
-            "shadow_queue": self.shadow_queue,
-            "replay_capacity": self.replay_capacity,
-            "replay_seed": self.replay_seed,
-            "auto_rollback": self.auto_rollback,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LifecycleConfig":
-        known = {
-            "shadow_fraction",
-            "shadow_min_requests",
-            "max_drift_pct",
-            "min_agreement",
-            "agreement_k",
-            "shadow_mode",
-            "shadow_queue",
-            "replay_capacity",
-            "replay_seed",
-            "auto_rollback",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown LifecycleConfig keys: {sorted(unknown)}"
-            )
-        return cls(**dict(data))
 
 
 # ----------------------------------------------------------------------
@@ -269,11 +236,6 @@ class ModelRegistry:
         self.default_options = dict(backend_options or {})
         if model is not None:
             self.register(model, version=version, source=source)
-
-    @classmethod
-    def wrap(cls, model: Any, **kwargs: Any) -> "ModelRegistry":
-        """A single-version registry around ``model`` (the auto-wrap)."""
-        return cls(model, **kwargs)
 
     # ------------------------------------------------------------------
     def register(
@@ -767,7 +729,7 @@ class ShadowStats:
 
 
 @dataclass(frozen=True)
-class GateReport:
+class GateReport(ConfigCodec):
     """Outcome of evaluating the promotion gate on shadow evidence."""
 
     passed: bool
@@ -777,27 +739,9 @@ class GateReport:
     mean_agreement: float
     errors: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "passed": self.passed,
-            "reasons": list(self.reasons),
-            "compared": self.compared,
-            "mean_drift_pct": (
-                self.mean_drift_pct
-                if math.isfinite(self.mean_drift_pct)
-                else None
-            ),
-            "mean_agreement": (
-                self.mean_agreement
-                if math.isfinite(self.mean_agreement)
-                else None
-            ),
-            "errors": self.errors,
-        }
-
 
 @dataclass(frozen=True)
-class SwapEvent:
+class SwapEvent(ConfigCodec):
     """One committed lifecycle transition (promotion or rollback)."""
 
     kind: str  # "promoted" | "forced" | "rolled-back"
@@ -808,26 +752,6 @@ class SwapEvent:
     mean_drift_pct: float = float("nan")
     mean_agreement: float = float("nan")
     invalidated: int = 0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "from_version": self.from_version,
-            "to_version": self.to_version,
-            "at_s": self.at_s,
-            "compared": self.compared,
-            "mean_drift_pct": (
-                self.mean_drift_pct
-                if math.isfinite(self.mean_drift_pct)
-                else None
-            ),
-            "mean_agreement": (
-                self.mean_agreement
-                if math.isfinite(self.mean_agreement)
-                else None
-            ),
-            "invalidated": self.invalidated,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -929,7 +853,12 @@ class LifecycleManager:
                     **backend_options,
                 )
             try:
-                self._admit(entry)
+                admit_to_budget(
+                    f"candidate {entry.version_id!r}",
+                    entry.price,
+                    self.budget_us_per_doc,
+                    allow_unpriced=self.allow_unpriced,
+                )
             except BudgetExceededError:
                 self.registry.discard(entry.version_id)
                 raise
@@ -967,25 +896,6 @@ class LifecycleManager:
                 }
             )
             return {"action": "shadowing", "version": entry.version_id}
-
-    def _admit(self, entry: ModelVersion) -> None:
-        budget = self.budget_us_per_doc
-        if budget is None:
-            return
-        if not math.isfinite(entry.price):
-            if not self.allow_unpriced:
-                raise BudgetExceededError(
-                    f"candidate {entry.version_id!r} has no finite price "
-                    f"for the {budget:.2f} us/doc budget check; construct "
-                    "the service with ServiceConfig(allow_unpriced=True) "
-                    "to admit it"
-                )
-        elif entry.price > budget:
-            raise BudgetExceededError(
-                f"candidate {entry.version_id!r} predicted "
-                f"{entry.price:.2f} us/doc exceeds the {budget:.2f} "
-                "us/doc budget"
-            )
 
     # ------------------------------------------------------------------
     def observe(
@@ -1212,7 +1122,7 @@ class LifecycleManager:
             invalidated=invalidated,
         )
         self.swap_events.append(event)
-        record_swap(event.from_version, event.to_version, kind=kind)
+        record_swap(kind)
         annotate_requests(
             swap=f"{event.from_version or '-'}→{event.to_version}"
         )
@@ -1240,7 +1150,7 @@ class LifecycleManager:
             invalidated=invalidated,
         )
         self.swap_events.append(event)
-        record_rollback(candidate.version_id, kept.version_id)
+        record_rollback()
         annotate_requests(
             swap=f"{candidate.version_id}⇒rolled-back"
         )
@@ -1284,8 +1194,8 @@ class LifecycleManager:
                 invalidated=invalidated,
             )
             self.swap_events.append(event)
-            record_swap(current.version_id, entry.version_id, kind="rolled-back")
-            record_rollback(current.version_id, entry.version_id)
+            record_swap("rolled-back")
+            record_rollback()
             return event
 
     # ------------------------------------------------------------------

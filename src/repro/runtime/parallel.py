@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.exceptions import ConfigError, ReproError
 from repro.obs.parallel import ParallelSeries
+from repro.utils.codec import ConfigCodec
 from repro.utils.rowkeys import key_bytes, row_keys
 from repro.utils.validation import check_array_2d
 
@@ -77,7 +78,7 @@ class PoolClosedError(ParallelError):
 # Configuration
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ParallelConfig:
+class ParallelConfig(ConfigCodec):
     """Tuning of a :class:`ShardedScorer` (and its optional cache).
 
     Parameters
@@ -106,6 +107,7 @@ class ParallelConfig:
     cache_entries: int = 0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.strategy not in SHARD_STRATEGIES:
@@ -129,33 +131,6 @@ class ParallelConfig:
             raise ConfigError(
                 f"cache_entries must be >= 0, got {self.cache_entries}"
             )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-ready representation (round-trips via :meth:`from_dict`)."""
-        return {
-            "workers": self.workers,
-            "strategy": self.strategy,
-            "max_shard_rows": self.max_shard_rows,
-            "target_shard_us": self.target_shard_us,
-            "cache_entries": self.cache_entries,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ParallelConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        unknown = set(data) - {
-            "workers",
-            "strategy",
-            "max_shard_rows",
-            "target_shard_us",
-            "cache_entries",
-        }
-        if unknown:
-            raise ConfigError(
-                f"unknown ParallelConfig keys: {', '.join(sorted(unknown))}"
-            )
-        return cls(**data)
 
 
 # ----------------------------------------------------------------------

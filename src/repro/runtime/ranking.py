@@ -38,6 +38,7 @@ from typing import Any
 
 from repro.design.cascade import CascadeStage, EarlyExitCascade
 from repro.exceptions import ConfigError
+from repro.utils.codec import ConfigCodec
 
 __all__ = [
     "PipelineConfig",
@@ -48,7 +49,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PipelineStageConfig:
+class PipelineStageConfig(ConfigCodec):
     """One declarative stage of a :class:`PipelineConfig`.
 
     Parameters
@@ -83,16 +84,8 @@ class PipelineStageConfig:
     cost_us_per_doc: float | None = None
     name: str | None = None
 
-    _FIELDS = (
-        "model",
-        "backend",
-        "keep_fraction",
-        "backend_options",
-        "cost_us_per_doc",
-        "name",
-    )
-
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.model or not isinstance(self.model, str):
             raise ConfigError(
                 f"stage model must be a non-empty role name, got {self.model!r}"
@@ -117,55 +110,16 @@ class PipelineStageConfig:
             items = dict(self.backend_options)
             if any(not isinstance(k, str) for k in items):
                 raise ConfigError("backend_options keys must be strings")
-            object.__setattr__(self, "backend_options", items)
+            object.__setattr__(self, "backend_options", items or None)
 
     @property
     def label(self) -> str:
         """The display name of this stage."""
         return self.name or self.model
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-ready representation (round-trips via :meth:`from_dict`)."""
-        return {
-            "model": self.model,
-            "backend": self.backend,
-            "keep_fraction": self.keep_fraction,
-            "backend_options": (
-                dict(self.backend_options) if self.backend_options else None
-            ),
-            "cost_us_per_doc": self.cost_us_per_doc,
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineStageConfig":
-        """Rebuild a stage config from :meth:`to_dict` output."""
-        if not isinstance(data, Mapping):
-            raise ConfigError(
-                f"pipeline stage must be a dict, got {type(data).__name__}"
-            )
-        unknown = set(data) - set(cls._FIELDS)
-        if unknown:
-            raise ConfigError(
-                "unknown PipelineStageConfig keys: "
-                + ", ".join(sorted(unknown))
-            )
-        if "model" not in data:
-            raise ConfigError("pipeline stage needs a 'model' role name")
-        defaults = {"keep_fraction": 1.0}
-        return cls(
-            model=data["model"],
-            backend=data.get("backend"),
-            keep_fraction=data.get("keep_fraction", defaults["keep_fraction"]),
-            backend_options=data.get("backend_options"),
-            cost_us_per_doc=data.get("cost_us_per_doc"),
-            name=data.get("name"),
-        )
-
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(ConfigCodec):
     """The declarative shape of a multi-stage ranking pipeline.
 
     Parameters
@@ -179,19 +133,13 @@ class PipelineConfig:
         see :class:`~repro.design.cascade.EarlyExitCascade`.
     """
 
-    stages: tuple = ()
+    stages: tuple[PipelineStageConfig, ...] = ()
     budget_us_per_query: float | None = None
 
     def __post_init__(self) -> None:
-        stages = tuple(
-            s
-            if isinstance(s, PipelineStageConfig)
-            else PipelineStageConfig.from_dict(s)
-            for s in self.stages
-        )
-        if not stages:
+        super().__post_init__()
+        if not self.stages:
             raise ConfigError("a pipeline needs at least one stage")
-        object.__setattr__(self, "stages", stages)
         if self.budget_us_per_query is not None and not (
             math.isfinite(self.budget_us_per_query)
             and self.budget_us_per_query > 0
@@ -205,27 +153,6 @@ class PipelineConfig:
     def roles(self) -> tuple[str, ...]:
         """Model role names the stages reference, in stage order."""
         return tuple(stage.model for stage in self.stages)
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-ready representation (round-trips via :meth:`from_dict`)."""
-        return {
-            "stages": [stage.to_dict() for stage in self.stages],
-            "budget_us_per_query": self.budget_us_per_query,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        unknown = set(data) - {"stages", "budget_us_per_query"}
-        if unknown:
-            raise ConfigError(
-                f"unknown PipelineConfig keys: {', '.join(sorted(unknown))}"
-            )
-        return cls(
-            stages=tuple(data.get("stages", ())),
-            budget_us_per_query=data.get("budget_us_per_query"),
-        )
 
 
 class RankingPipeline(EarlyExitCascade):

@@ -52,6 +52,7 @@ from repro.obs.resilience import (
 )
 from repro.runtime.base import is_scorer
 from repro.runtime.batching import ServiceStats
+from repro.utils.codec import ConfigCodec
 
 __all__ = [
     "AllTiersFailedError",
@@ -94,7 +95,7 @@ class AllTiersFailedError(ResilienceError):
 # Retry policy
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(ConfigCodec):
     """Bounded retries with deterministic exponential backoff.
 
     ``max_attempts`` counts the first try: ``max_attempts=1`` disables
@@ -110,6 +111,7 @@ class RetryPolicy:
     max_backoff_seconds: float = 0.25
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
@@ -147,7 +149,7 @@ class BreakerState(str, Enum):
 
 
 @dataclass(frozen=True)
-class CircuitBreakerConfig:
+class CircuitBreakerConfig(ConfigCodec):
     """Trip and recovery tuning of a :class:`CircuitBreaker`.
 
     The breaker trips when, over a sliding window of the last ``window``
@@ -168,6 +170,7 @@ class CircuitBreakerConfig:
     drift_pct_limit: float | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if not 1 <= self.min_samples <= self.window:

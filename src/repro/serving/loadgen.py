@@ -48,12 +48,13 @@ from repro import obs
 from repro.exceptions import ConfigError, ReproError
 from repro.serving.frontend import AsyncScoringService
 from repro.serving.tenancy import RequestShedError
+from repro.utils.codec import ConfigCodec
 
 __all__ = ["LoadReport", "LoadSpec", "run_load", "run_load_async"]
 
 
 @dataclass(frozen=True)
-class LoadSpec:
+class LoadSpec(ConfigCodec):
     """One reproducible traffic scenario.
 
     ``mode="open"`` offers ``rate_per_s`` arrivals (burst-modulated) for
@@ -84,6 +85,7 @@ class LoadSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.mode not in ("open", "closed"):
             raise ConfigError(
                 f"mode must be 'open' or 'closed', got {self.mode!r}"
@@ -120,41 +122,6 @@ class LoadSpec:
                     f"tenant {name!r} weight must be > 0, got {weight}"
                 )
         object.__setattr__(self, "tenants", tenants)
-
-    # -- JSON round-trip -----------------------------------------------
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "mode": self.mode,
-            "duration_s": self.duration_s,
-            "rate_per_s": self.rate_per_s,
-            "burst_factor": self.burst_factor,
-            "burst_period_s": self.burst_period_s,
-            "workers": self.workers,
-            "requests_per_worker": self.requests_per_worker,
-            "think_time_s": self.think_time_s,
-            "n_users": self.n_users,
-            "n_queries": self.n_queries,
-            "docs_per_query": self.docs_per_query,
-            "zipf_s": self.zipf_s,
-            "tenants": [list(pair) for pair in self.tenants],
-            "time_scale": self.time_scale,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LoadSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown LoadSpec key(s): {', '.join(unknown)}"
-            )
-        kwargs = dict(data)
-        if "tenants" in kwargs:
-            kwargs["tenants"] = tuple(
-                (pair[0], pair[1]) for pair in kwargs["tenants"]
-            )
-        return cls(**kwargs)
 
 
 @dataclass

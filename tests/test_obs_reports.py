@@ -77,9 +77,9 @@ def feed_lifecycle(reg):
     lifecycle.record_shadow_error("v2", registry=reg)
     lifecycle.record_shadow_dropped("v2", registry=reg)
     lifecycle.record_shadow_dropped("v3", registry=reg)
-    lifecycle.record_swap(None, "v1", kind="forced", registry=reg)
-    lifecycle.record_swap("v1", "v2", kind="promoted", registry=reg)
-    lifecycle.record_rollback("v2", "v1", registry=reg)
+    lifecycle.record_swap("forced", registry=reg)
+    lifecycle.record_swap("promoted", registry=reg)
+    lifecycle.record_rollback(registry=reg)
     lifecycle.record_replay(rows=5, total_seen=9, registry=reg)
     reg.counter("lifecycle.requests").inc()  # no version label: skipped
 

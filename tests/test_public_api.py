@@ -147,6 +147,25 @@ class TestPublicApi:
         for name in serving.__all__:
             assert hasattr(serving, name), f"repro.serving lacks {name}"
 
+    def test_configs_use_the_one_codec(self):
+        # A config that spells out its own to_dict/from_dict brings back
+        # a hand-kept key list; every config goes through ConfigCodec.
+        import repro.runtime as runtime
+        from repro.serving import LoadSpec
+        from repro.utils.codec import ConfigCodec
+
+        configs = [
+            getattr(runtime, name)
+            for name in runtime.__all__
+            if name.endswith("Config")
+        ]
+        configs += [runtime.RetryPolicy, LoadSpec]
+        assert len(configs) >= 11
+        for cls in configs:
+            assert issubclass(cls, ConfigCodec), cls.__name__
+            own = {"to_dict", "from_dict"} & set(vars(cls))
+            assert not own, f"{cls.__name__} defines its own {sorted(own)}"
+
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs ~50 MB of RSS; only the analysis helpers use
         # it, and they import it when called.

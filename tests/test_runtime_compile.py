@@ -64,11 +64,15 @@ def context(predictor_cache, dense_timer):
 
 
 def _network(
-    hidden=(16, 8), input_dim=12, sparsity=0.0, seed=0
+    hidden=(16, 8), input_dim=12, sparsity=0.0, seed=0, every_layer=False
 ) -> FeedForwardNetwork:
+    """A small net, its first layer (or ``every_layer``) level-pruned to
+    ``sparsity``: csr-spmm is only timed on a layer with a zero weight."""
     network = FeedForwardNetwork(input_dim, hidden, seed=seed)
     if sparsity > 0:
-        LevelPruner(sparsity).apply(network.first_layer)
+        layers = network.linears if every_layer else [network.first_layer]
+        for linear in layers:
+            LevelPruner(sparsity).apply(linear)
     return network
 
 
@@ -804,7 +808,8 @@ class TestServing:
         plan = scorer.plan
         assert isinstance(plan, InferencePlan)
         assert plan.stable and plan.dtype_name == "float64"
-        assert favoured in plan.kernel_counts()
+        # csr-spmm is only timed on a pruned layer
+        assert (favoured if pruned else DENSE_KERNEL) in plan.kernel_counts()
         x = np.random.default_rng(17).normal(size=(2100, student.input_dim))
         expected = reference_scores(
             student.network, plan, student.normalizer.transform(x)
@@ -895,7 +900,7 @@ def _favour_csr_at(buckets):
 
 class TestMeasuredArbitration:
     def test_faster_candidate_wins_per_layer(self, fake_timer):
-        network = _network((16, 8), sparsity=0.9, seed=21)
+        network = _network((16, 8), sparsity=0.9, seed=21, every_layer=True)
         context = PricingContext(timer=fake_timer(_favour_on((16, 12), SPARSE_KERNEL)))
         plan = compile_network(network, context=context)
         assert [lp.kernel for lp in plan.layers] == [
@@ -913,7 +918,8 @@ class TestMeasuredArbitration:
     def test_buckets_capped_at_max_batch(self, fake_timer):
         timer = fake_timer(SPARSE_KERNEL)
         plan = compile_network(
-            _network((8,), seed=22), context=PricingContext(timer=timer),
+            _network((8,), sparsity=0.9, seed=22),
+            context=PricingContext(timer=timer),
             max_batch=100,
         )
         assert set(plan.layers[0].measured_us_per_doc()) == {16, 100}
@@ -927,7 +933,8 @@ class TestMeasuredArbitration:
         fewest."""
         timer = fake_timer(lambda kernel, docs, shape: seconds)
         compile_network(
-            _network((8,), seed=29), context=PricingContext(timer=timer),
+            _network((8,), sparsity=0.5, seed=29, every_layer=True),
+            context=PricingContext(timer=timer),
             max_batch=16,
         )
         # Two layers, two candidates, one bucket, plus the warm-up round.
@@ -939,7 +946,7 @@ class TestMeasuredArbitration:
             return docs * 1e-6 / (speedup if kernel == SPARSE_KERNEL else 1.0)
 
         plan = compile_network(
-            _network((16, 8), sparsity=0.9, seed=23),
+            _network((16, 8), sparsity=0.9, seed=23, every_layer=True),
             context=PricingContext(timer=fake_timer(cost)),
         )
         expected = SPARSE_KERNEL if speedup >= SPARSE_MARGIN else DENSE_KERNEL
@@ -948,10 +955,10 @@ class TestMeasuredArbitration:
     def test_recompiling_identical_weights_times_nothing(self, fake_timer, rng):
         timer = fake_timer(_favour_on((16, 12), SPARSE_KERNEL))
         context = PricingContext(timer=timer)
-        first = compile_network(_network((16, 8), seed=24), context=context, stable=True)
+        first = compile_network(_network((16, 8), sparsity=0.9, seed=24), context=context, stable=True)
         calls = timer.calls
         assert calls > 0
-        again = compile_network(_network((16, 8), seed=24), context=context, stable=True)
+        again = compile_network(_network((16, 8), sparsity=0.9, seed=24), context=context, stable=True)
         assert timer.calls == calls
         assert [lp.kernel for lp in again.layers] == [lp.kernel for lp in first.layers]
         assert again.fingerprint == first.fingerprint
@@ -959,12 +966,12 @@ class TestMeasuredArbitration:
         x = rng.normal(size=(40, 12))
         np.testing.assert_array_equal(again.score(x), first.score(x))
         # Other weights, another dtype or mode: measured afresh.
-        changed = _network((16, 8), seed=24)
+        changed = _network((16, 8), sparsity=0.9, seed=24)
         changed.linears[0].weight.data[0, 0] += 1.0
         compile_network(changed, context=context, stable=True)
         assert timer.calls > calls
         calls = timer.calls
-        compile_network(_network((16, 8), seed=24), context=context)
+        compile_network(_network((16, 8), sparsity=0.9, seed=24), context=context)
         assert timer.calls > calls
 
     @pytest.mark.parametrize(
@@ -981,7 +988,9 @@ class TestMeasuredArbitration:
     ):
         """Whichever bucket each kernel wins, a layer keeps one kernel,
         so the stable plan's bits do not depend on the chunking."""
-        network = _network((300, 200, 100), input_dim=136, sparsity=0.9, seed=25)
+        network = _network(
+            (300, 200, 100), input_dim=136, sparsity=0.9, seed=25, every_layer=True
+        )
         plan = compile_network(
             network,
             context=PricingContext(timer=fake_timer(_favour_csr_at(csr_buckets))),
@@ -1013,7 +1022,7 @@ class TestMeasuredArbitration:
         layer stay float."""
         timer = fake_timer(_favour_on((8, 16), SPARSE_KERNEL))
         context = PricingContext(timer=timer)
-        network = _network((16, 8), sparsity=0.9, seed=26)
+        network = _network((16, 8), sparsity=0.9, seed=26, every_layer=True)
         first = compile_network(
             network, context=context, dtype="float32", quantize="int8"
         )
@@ -1038,7 +1047,7 @@ class TestMeasuredArbitration:
             return random.choice((0.5, 2.0)) if kernel == SPARSE_KERNEL else 1.0
 
         context = PricingContext(timer=fake_timer(coin))
-        network = _network((16, 8), sparsity=0.9, seed=27)
+        network = _network((16, 8), sparsity=0.9, seed=27, every_layer=True)
         n_threads = 8
         barrier = threading.Barrier(n_threads)
         kernels: list[list[str]] = []

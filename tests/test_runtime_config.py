@@ -2,19 +2,27 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigError
 from repro.runtime import (
+    AsyncConfig,
     CircuitBreakerConfig,
+    LifecycleConfig,
     ParallelConfig,
+    PipelineConfig,
+    PipelineStageConfig,
     ResilienceConfig,
     RetryPolicy,
     ServiceConfig,
     StubScorer,
+    TenantConfig,
 )
-from repro.serving import ScoringService
+from repro.serving import LoadSpec, ScoringService
+from repro.utils import codec
 
 
 @pytest.fixture(scope="module")
@@ -254,3 +262,108 @@ class TestServiceFromConfig:
         reference = ScoringService(small_forest).score(features)
         np.testing.assert_array_equal(service.score(features), reference)
         assert service.fallback_ratio == 0.0
+
+
+# ----------------------------------------------------------------------
+# One codec: nested dicts coerce everywhere, every config round-trips
+# ----------------------------------------------------------------------
+NESTED_FIELDS = {
+    "resilience": (ResilienceConfig, {"deadline_us": 1e6}),
+    "parallel": (ParallelConfig, {"workers": 1}),
+    "frontend": (AsyncConfig, {"max_wait_us": 10.0}),
+    "pipeline": (PipelineConfig, {"stages": [{"model": "a"}]}),
+    "lifecycle": (LifecycleConfig, {"shadow_fraction": 0.5}),
+}
+
+TENANTS = (
+    TenantConfig(name="web", rate_per_s=100.0, burst=8, priority=0),
+    TenantConfig(name="batch", priority=3, max_queue_depth=4),
+)
+STAGE = PipelineStageConfig(
+    model="pruned",
+    backend="compiled-network",
+    keep_fraction=0.3,
+    backend_options={"plan_dtype": "float32"},
+    cost_us_per_doc=1.5,
+    name="fast",
+)
+PIPELINE = PipelineConfig(
+    stages=(STAGE, PipelineStageConfig(model="forest")),
+    budget_us_per_query=400.0,
+)
+RESILIENCE = ResilienceConfig(
+    retry=RetryPolicy(max_attempts=5, backoff_seconds=0.01),
+    breaker=CircuitBreakerConfig(window=12, drift_pct_limit=50.0),
+    deadline_us=2e5,
+)
+NON_DEFAULT = [
+    RetryPolicy(max_attempts=5, backoff_multiplier=3.0),
+    CircuitBreakerConfig(window=12, min_samples=3, drift_pct_limit=50.0),
+    RESILIENCE,
+    TENANTS[0],
+    AsyncConfig(max_wait_us=300.0, slo_us=1e4, tenants=TENANTS),
+    ParallelConfig(workers=3, strategy="size-capped", max_shard_rows=64),
+    LifecycleConfig(shadow_fraction=0.5, shadow_mode="sync", replay_seed=3),
+    STAGE,
+    PIPELINE,
+    ServiceConfig(
+        budget_us_per_doc=40.0,
+        max_batch_size=None,
+        allow_unpriced=True,
+        resilience=RESILIENCE,
+        parallel=ParallelConfig(workers=4, cache_entries=512),
+        frontend=AsyncConfig(tenants=TENANTS),
+        pipeline=PIPELINE,
+        lifecycle=LifecycleConfig(replay_capacity=64),
+    ),
+    LoadSpec(mode="closed", workers=3, tenants=(("a", 2.0), ("b", 1.0))),
+]
+
+
+class TestConfigCodec:
+    @pytest.mark.parametrize("name", sorted(NESTED_FIELDS))
+    def test_nested_dict_coerces_to_config(self, name):
+        cls, data = NESTED_FIELDS[name]
+        assert isinstance(getattr(ServiceConfig(**{name: data}), name), cls)
+        rebuilt = ServiceConfig.from_dict({name: data})
+        assert isinstance(getattr(rebuilt, name), cls)
+
+    @pytest.mark.parametrize("name", sorted(NESTED_FIELDS))
+    def test_nested_wrong_type_rejected(self, name):
+        with pytest.raises(ConfigError, match=name):
+            ServiceConfig(**{name: 3})
+        with pytest.raises(ConfigError, match=name):
+            ServiceConfig.from_dict({name: 3})
+
+    def test_parallel_dict_service_scores(self):
+        service = ScoringService(
+            StubScorer(input_dim=3), ServiceConfig(parallel={"workers": 1})
+        )
+        try:
+            assert service.score(np.ones((5, 3))).shape == (5,)
+        finally:
+            service.close()
+
+    def test_bad_tenant_key_is_config_error(self):
+        with pytest.raises(ConfigError, match="bogus"):
+            AsyncConfig(tenants=({"name": "a", "bogus": 1},))
+
+    def test_invalid_nested_value_is_config_error(self):
+        with pytest.raises(ConfigError, match="invalid retry.*max_attempts"):
+            ResilienceConfig.from_dict({"retry": {"max_attempts": 0}})
+
+    @pytest.mark.parametrize(
+        "config", NON_DEFAULT, ids=lambda config: type(config).__name__
+    )
+    def test_round_trips_through_json(self, config):
+        cls = type(config)
+        data = json.loads(json.dumps(config.to_dict()))
+        assert cls.from_dict(data) == config
+        with pytest.raises(ConfigError, match=f"{cls.__name__}.*nonesuch"):
+            cls.from_dict({**data, "nonesuch": 1})
+
+    def test_parametrised_hint_is_not_a_nested_config(self):
+        # Python 3.10 reports ``tuple[str, float]`` as a type; the codec
+        # must not hand a generic alias to ``issubclass``.
+        assert codec._nested(tuple[str, float]) == (None, False)
+        assert codec._nested(LoadSpec | None) == (LoadSpec, False)

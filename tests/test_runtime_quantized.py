@@ -256,12 +256,13 @@ class TestKernelArbitration:
         self, fake_timer
     ):
         """136 -> 400 -> 200 -> 100 with a column-block-pruned first
-        layer: only that layer regroups, so only it times block-spmm."""
-        block_shapes: set[tuple[int, int]] = set()
+        layer: only that layer regroups, so only it times block-spmm,
+        and only it (the one layer with a zero weight) times csr-spmm."""
+        pytest.importorskip("scipy")
+        timed: dict[str, set[tuple[int, int]]] = {}
 
         def favour_block_on_l1(kernel, docs, shape):
-            if kernel == BLOCK_KERNEL:
-                block_shapes.add(shape)
+            timed.setdefault(kernel, set()).add(shape)
             faster = kernel == BLOCK_KERNEL and shape == (400, 136)
             return docs * 1e-6 * (0.5 if faster else 1.0)
 
@@ -275,7 +276,8 @@ class TestKernelArbitration:
             block_sparse=True,
             **options,
         )
-        assert block_shapes == {(400, 136)}
+        assert timed[BLOCK_KERNEL] == {(400, 136)}
+        assert timed[SPARSE_KERNEL] == {(400, 136)}
         chosen = [BLOCK_KERNEL] + [DENSE_KERNEL] * 3
         assert [lp.kernel for lp in plan.layers] == chosen
         forced = compile_network(network, kernels=chosen, **options)
